@@ -33,13 +33,13 @@ __all__ = [
 class CampaignParams:
     """Economic parameters of a retention campaign.
 
-    f: cost of contacting one customer (>= 0).
+    f: cost of contacting one customer (finite, >= 0).
     d: monetary incentive, paid only when a contacted would-be churner
-       accepts the offer (> 0).
+       accepts the offer (finite, > 0).
     gamma: fraction of contacted would-be churners who accept and stay,
        in (0, 1].
     slope: steepness of the sigmoid surrogate used by the smooth regret
-       loss (> 0).
+       loss (finite, > 0).
     """
 
     f: float
@@ -48,14 +48,14 @@ class CampaignParams:
     slope: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.f >= 0:
-            raise ValueError(f"contact cost f must be >= 0, got {self.f}")
-        if not self.d > 0:
-            raise ValueError(f"incentive d must be > 0, got {self.d}")
+        if not (self.f >= 0 and np.isfinite(self.f)):
+            raise ValueError(f"contact cost f must be finite and >= 0, got {self.f}")
+        if not (self.d > 0 and np.isfinite(self.d)):
+            raise ValueError(f"incentive d must be finite and > 0, got {self.d}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"acceptance fraction gamma must be in (0, 1], got {self.gamma}")
-        if not self.slope > 0:
-            raise ValueError(f"surrogate slope must be > 0, got {self.slope}")
+        if not (self.slope > 0 and np.isfinite(self.slope)):
+            raise ValueError(f"surrogate slope must be finite and > 0, got {self.slope}")
 
     def with_d(self, d: float) -> "CampaignParams":
         return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)

@@ -161,7 +161,10 @@ def _benchmark_run(args):
     cfg = _run_config(config)
     datasets = _build_datasets(config, cfg)
     out = Path(args.out or config.get("out_dir") or _default_out())
-    report = ex.run_benchmark(datasets, cfg, jobs=args.jobs)
+    try:
+        report = ex.run_benchmark(datasets, cfg, jobs=args.jobs)
+    except ValueError as exc:  # raised while planning, before any cell runs
+        raise _CliError(f"invalid config: {exc}")
     return config, cfg, datasets, out, report
 
 

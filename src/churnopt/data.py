@@ -3,12 +3,13 @@
 CSV schema: header ``f1,...,fK,clv,label``, UTF-8, ``.`` decimal separator,
 no thousands separators. ``label`` is 0 for a churner and 1 for a
 non-churner; ``clv`` is the customer lifetime value in euros and must be
-strictly positive.
+strictly positive. Every cell must hold a finite number.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ class Dataset:
     schema: tuple[str, ...]
     features: np.ndarray  # (n, k) float64
     labels: np.ndarray  # (n,) int64, values in {0, 1}
-    clvs: np.ndarray  # (n,) float64, strictly positive
+    clvs: np.ndarray  # (n,) float64, finite and strictly positive
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=float))
@@ -68,9 +69,9 @@ class Dataset:
         bad = np.flatnonzero(~np.isin(labels, (0, 1)))
         if bad.size:
             raise ValueError(f"label must be 0 or 1 at row {bad[0] + 1}")
-        bad = np.flatnonzero(~(clvs > 0))
+        bad = np.flatnonzero(~((clvs > 0) & np.isfinite(clvs)))
         if bad.size:
-            raise ValueError(f"clv must be > 0 at row {bad[0] + 1}")
+            raise ValueError(f"clv must be finite and > 0 at row {bad[0] + 1}")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
         for arr in (feats, labels, clvs):
@@ -126,9 +127,9 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
         name: dataset identifier; defaults to the file stem.
 
     Raises:
-        ValueError: missing/unexpected column, non-numeric cell, clv <= 0,
-            or label outside {0, 1} -- each reported with its data row
-            number (first data row is row 1).
+        ValueError: missing/unexpected column, non-numeric or non-finite
+            cell, clv <= 0, or label outside {0, 1} -- each reported with
+            its data row number (first data row is row 1).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -169,11 +170,14 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
 
             def parse(cell: str, col: str) -> float:
                 try:
-                    return float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {row_no}, column {col!r}: non-numeric value {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: row {row_no}, column {col!r}: non-finite value {cell!r}")
+                return value
 
             feats = [parse(row[i], feature_cols[j]) for j, i in enumerate(feat_idx)]
             clv = parse(row[clv_idx], "clv")

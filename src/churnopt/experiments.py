@@ -1,8 +1,12 @@
 """Benchmark protocol: synthetic data, tuning, and the dataset x d x method grid.
 
-Every cell of the benchmark derives its random state from
-(master seed, dataset index, d index, method index), so results are
-reproducible byte for byte no matter how cells are scheduled.
+Each method pairs a scorer with a decision rule. A scorer is fitted once
+per dataset and the fit serves every d value and rule that uses it; only
+regret_net, whose loss depends on d, is fitted once per (dataset, d), and
+so is every scorer when training drops customers below break-even. A fit
+derives its random state from (master seed, dataset index, d index,
+method index) of the first grid cell it serves, so results are
+reproducible byte for byte no matter how fits are scheduled.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +31,7 @@ from .campaign import (
     total_profit,
 )
 from .data import Dataset, assign_segments, segment_edges, quantile_segments, standardize
-from .metrics import accuracy, msp, targeted_fraction
+from .metrics import msp, targeted_fraction
 from .models import (
     CartConfig,
     TrainConfig,
@@ -249,29 +254,23 @@ def monte_carlo_cv(
     return replace(base, learning_rate=best[1], epochs=best[2])
 
 
-METHODS = (
-    "regret_net",
-    "xent_net",
-    "logistic",
-    "knn",
-    "cart",
-    "msp_logistic",
-    "msp_knn",
-    "msp_cart",
-    "oracle",
-    "constant",
-)
+# method -> (scorer, decision rule); the scorers are fitted by _SCORERS
+_METHOD_TABLE = {
+    "regret_net": ("regret_net", "midpoint"),
+    "xent_net": ("xent_net", "threshold"),
+    "logistic": ("logistic", "threshold"),
+    "knn": ("knn", "threshold"),
+    "cart": ("cart", "threshold"),
+    "msp_logistic": ("logistic", "msp"),
+    "msp_knn": ("knn", "msp"),
+    "msp_cart": ("cart", "msp"),
+    "oracle": ("oracle", "midpoint"),
+    "constant": ("constant", "threshold"),
+}
+METHODS = tuple(_METHOD_TABLE)
 
-DEFAULT_METHODS = (
-    "regret_net",
-    "xent_net",
-    "logistic",
-    "knn",
-    "cart",
-    "msp_logistic",
-    "msp_knn",
-    "msp_cart",
-)
+# the compared methods; oracle and constant are harness checks
+DEFAULT_METHODS = METHODS[:8]
 
 DEFAULT_D_GRID = ("clv/20", "clv/15", "clv/10", "clv/5", "clv/3")
 
@@ -316,26 +315,25 @@ class RunConfig:
     def campaign(self, d: float) -> CampaignParams:
         return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)
 
-    def train_config(self, seed: int, loss: str) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            loss=loss,
-            seed=seed,
-        )
-
 
 def resolve_d(entry, train_clv_mean: float) -> float:
-    """Turn a d-grid entry into euros: a number, or 'clv/x' for mean/x."""
-    if isinstance(entry, str):
-        text = entry.strip().lower()
-        if not text.startswith("clv/"):
-            raise ValueError(f"d entry {entry!r} must be a number or look like 'clv/20'")
-        return train_clv_mean / float(text[4:])
-    d = float(entry)
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
+    """Turn a d-grid entry into euros: a number, or 'clv/x' for mean/x.
+
+    Raises ValueError unless the entry parses and d is finite and > 0.
+    """
+    try:
+        if not isinstance(entry, str):
+            d = float(entry)
+        elif entry.strip().lower().startswith("clv/"):
+            d = train_clv_mean / float(entry.strip()[4:])
+        else:
+            raise ValueError
+    except ZeroDivisionError:
+        d = np.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"d entry {entry!r} must be a number or look like 'clv/20'") from None
+    if not (d > 0 and np.isfinite(d)):
+        raise ValueError(f"d entry {entry!r} gives d = {d}; d must be finite and > 0")
     return d
 
 
@@ -363,10 +361,6 @@ def _threshold_decisions(scores, t):
     return (np.asarray(scores) <= t).astype(np.int64)
 
 
-def _accuracy_of_decisions(decisions, labels) -> float:
-    return float(np.mean((np.asarray(decisions) == 1) == (np.asarray(labels) == 0)))
-
-
 def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, params):
     """Per-segment thresholds fitted on train, carried to test by CLV edges."""
     result = msp(train_scores, train_s.labels, train_s.clvs, q, params)
@@ -375,120 +369,101 @@ def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, pa
     return _threshold_decisions(test_scores, result.thresholds[seg])
 
 
-def evaluate_cell(
-    train_ds: Dataset,
-    test_ds: Dataset,
-    method: str,
-    cfg: RunConfig,
-    d: float,
-    smote_seed: int,
-    train_seed: int,
-    cv_seed: int,
-) -> tuple[np.ndarray, float]:
-    """Decisions on the test split plus the model's accuracy for one cell."""
-    params = cfg.campaign(d)
-    train_s, test_s, _ = standardize(train_ds, test_ds)
-    if cfg.drop_below_break_even:
-        keep = np.flatnonzero(train_s.clvs > break_even_clv(params))
-        if keep.size == 0:
-            raise ValueError("no training customers above break-even CLV")
-        train_s = train_s.subset(keep)
-
-    if method == "oracle":
-        scores = test_s.labels.astype(float)
-        decisions = prescribe(scores, midpoint(params, test_s.clvs))
-        return decisions, accuracy(scores, test_s.labels, cfg.class_threshold)
-
-    if method == "constant":
-        scores = np.full(len(test_s), 0.5)
-        decisions = _threshold_decisions(scores, cfg.class_threshold)
-        return decisions, accuracy(scores, test_s.labels, cfg.class_threshold)
-
-    if method == "regret_net":
-        tc = cfg.train_config(train_seed, "smooth-regret")
-        if cfg.cv_learning_rates and cfg.cv_epochs:
-            grid = [(lr, e) for lr in cfg.cv_learning_rates for e in cfg.cv_epochs]
-            tc = replace(
-                monte_carlo_cv(
-                    train_s,
-                    grid,
-                    params,
-                    base=tc,
-                    hidden=cfg.hidden,
-                    splits=cfg.cv_splits,
-                    n_seeds=cfg.cv_seeds,
-                    seed=cv_seed,
-                ),
-                seed=train_seed,
-            )
-        hidden = cfg.hidden if cfg.hidden is not None else default_hidden(train_s.n_features)
-        model = train(init_mlp(train_s.n_features, hidden, seed=train_seed), train_s, params, tc)
-        scores = forward_batch(model, test_s.features)
-        decisions = prescribe(scores, midpoint(params, test_s.clvs))
-        if cfg.regret_net_accuracy == "midpoint":
-            return decisions, _accuracy_of_decisions(decisions, test_s.labels)
-        return decisions, accuracy(scores, test_s.labels, cfg.class_threshold)
-
-    # remaining methods train on the SMOTE-balanced split
-    balanced = smote_balance(
-        train_s, SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=smote_seed)
-    )
-
-    if method == "xent_net":
-        hidden = cfg.hidden if cfg.hidden is not None else default_hidden(balanced.n_features)
-        model = train(
-            init_mlp(balanced.n_features, hidden, seed=train_seed),
-            balanced,
-            params,
-            cfg.train_config(train_seed, "cross-entropy"),
+def _fit_net(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds, loss: str):
+    tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
+    if loss == "smooth-regret" and cfg.cv_learning_rates and cfg.cv_epochs:
+        grid = [(lr, e) for lr in cfg.cv_learning_rates for e in cfg.cv_epochs]
+        best = monte_carlo_cv(
+            data, grid, params, base=tc, hidden=cfg.hidden,
+            splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
         )
-        test_scores = forward_batch(model, test_s.features)
-        train_scores = None
-    elif method in ("logistic", "msp_logistic"):
-        model = fit_logistic(balanced)
-        test_scores = model.score_batch(test_s.features)
-        train_scores = model.score_batch(train_s.features)
-    elif method in ("knn", "msp_knn"):
-        k = min(cfg.knn_k, len(balanced))
-        test_scores = knn_scores(balanced, test_s.features, k)
-        train_scores = knn_scores(balanced, train_s.features, k)
-    elif method in ("cart", "msp_cart"):
-        tree = fit_cart(balanced, CartConfig(cfg.cart_max_depth, cfg.cart_min_leaf))
-        test_scores = cart_scores(tree, test_s.features)
-        train_scores = cart_scores(tree, train_s.features)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if method.startswith("msp_"):
-        decisions = _msp_decisions(train_scores, train_s, test_scores, test_s.clvs, cfg.q, params)
-        return decisions, _accuracy_of_decisions(decisions, test_s.labels)
-    decisions = _threshold_decisions(test_scores, cfg.class_threshold)
-    return decisions, accuracy(test_scores, test_s.labels, cfg.class_threshold)
+        tc = replace(best, seed=seeds[1])
+    hidden = cfg.hidden if cfg.hidden is not None else default_hidden(data.n_features)
+    model = train(init_mlp(data.n_features, hidden, seed=tc.seed), data, params, tc)
+    return lambda ds: forward_batch(model, ds.features)
 
 
-def _run_cell(args) -> CellResult:
-    name, train_ds, test_ds, method, cfg, d_label, d, seeds = args
+def _fit_logistic(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+    model = fit_logistic(data)
+    return lambda ds: model.score_batch(ds.features)
+
+
+def _fit_knn(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+    k = min(cfg.knn_k, len(data))
+    return lambda ds: knn_scores(data, ds.features, k)
+
+
+def _fit_cart(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+    tree = fit_cart(data, CartConfig(cfg.cart_max_depth, cfg.cart_min_leaf))
+    return lambda ds: cart_scores(tree, ds.features)
+
+
+# scorer -> (trains on the SMOTE-balanced split, fit). A fit takes the
+# training split, cfg, the campaign and the (smote, train, cv) seeds, and
+# returns a function that scores a split. Only regret_net reads d.
+_SCORERS = {
+    "regret_net": (False, partial(_fit_net, loss="smooth-regret")),
+    "xent_net": (True, partial(_fit_net, loss="cross-entropy")),
+    "logistic": (True, _fit_logistic),
+    "knn": (True, _fit_knn),
+    "cart": (True, _fit_cart),
+    "oracle": (False, lambda *_: lambda ds: ds.labels.astype(float)),
+    "constant": (False, lambda *_: lambda ds: np.full(len(ds), 0.5)),
+}
+
+
+def _failed(name, d_label, d, method, exc: Exception) -> CellResult:
+    return CellResult(name, d_label, d, method, status="failed", error=f"{type(exc).__name__}: {exc}")
+
+
+def _run_task(task) -> list[CellResult]:
+    """Fit one scorer, then run every cell it serves; see _plan."""
+    name, train_ds, test_ds, scorer, cfg, seeds, cells = task
     try:
-        decisions, acc = evaluate_cell(train_ds, test_ds, method, cfg, d, *seeds)
+        train_s, test_s, _ = standardize(train_ds, test_ds)
+        params = cfg.campaign(cells[0][2])
+        if cfg.drop_below_break_even:
+            keep = np.flatnonzero(train_s.clvs > break_even_clv(params))
+            if keep.size == 0:
+                raise ValueError("no training customers above break-even CLV")
+            train_s = train_s.subset(keep)
+        balance, fit = _SCORERS[scorer]
+        data = train_s
+        if balance:
+            smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=seeds[0])
+            data = smote_balance(train_s, smote)
+        score = fit(data, cfg, params, seeds)
+        test_scores = score(test_s)
+        train_scores = score(train_s) if any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells) else None
+    except Exception as exc:  # a failed fit fails exactly the cells it serves
+        return [_failed(name, *cell[1:], exc) for cell in cells]
+    return [_run_cell(name, cell, cfg, train_s, train_scores, test_s, test_scores) for cell in cells]
+
+
+def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_scores) -> CellResult:
+    """Apply one cell's decision rule to the fitted scores and measure it."""
+    _, d_label, d, method = cell
+    try:
         params = cfg.campaign(d)
-        profit = total_profit(decisions, test_ds.labels, params, test_ds.clvs)
-        optimal = optimal_total_profit(test_ds.labels, params, test_ds.clvs)
+        scorer, rule = _METHOD_TABLE[method]
+        # accuracy judges `classified`, which for a midpoint rule is the
+        # class-threshold call unless regret_net_accuracy is "midpoint"
+        decisions = classified = _threshold_decisions(test_scores, cfg.class_threshold)
+        if rule == "msp":
+            decisions = classified = _msp_decisions(
+                train_scores, train_s, test_scores, test_s.clvs, cfg.q, params
+            )
+        elif rule == "midpoint":
+            decisions = prescribe(test_scores, midpoint(params, test_s.clvs))
+            if scorer == "regret_net" and cfg.regret_net_accuracy == "midpoint":
+                classified = decisions
+        profit = total_profit(decisions, test_s.labels, params, test_s.clvs)
+        optimal = optimal_total_profit(test_s.labels, params, test_s.clvs)
         gap = normalized_gap(-optimal, -profit) if optimal != 0 else np.nan
-        return CellResult(
-            dataset=name,
-            d_label=d_label,
-            d=d,
-            method=method,
-            profit=profit,
-            accuracy=acc,
-            gap=gap,
-            eta=targeted_fraction(decisions),
-            optimal_profit=optimal,
-        )
+        acc = float(np.mean((classified == 1) == (test_s.labels == 0)))
+        return CellResult(name, d_label, d, method, profit, acc, gap, targeted_fraction(decisions), optimal)
     except Exception as exc:  # isolate the cell, keep the run going
-        return CellResult(
-            dataset=name, d_label=d_label, d=d, method=method, status="failed", error=str(exc)
-        )
+        return _failed(name, d_label, d, method, exc)
 
 
 @dataclass(frozen=True)
@@ -542,6 +517,36 @@ def _fmt(x) -> str:
     return repr(x)
 
 
+def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
+    """Resolve the d grid on every dataset and group the cells by their fit.
+
+    A task is (name, train, test, scorer, cfg, seeds, cells), each cell
+    (row, d_label, d, method). regret_net, and every scorer under
+    drop_below_break_even, is fitted per (dataset, d), any other scorer
+    per dataset, with the seeds of the first cell it serves in row order.
+    """
+    tasks: dict[tuple, tuple] = {}
+    row = 0
+    for di, (name, train_ds, test_ds) in enumerate(datasets):
+        clv_mean = float(train_ds.clvs.mean())
+        for dj, entry in enumerate(cfg.d_grid):
+            try:
+                d = resolve_d(entry, clv_mean)
+                cfg.campaign(d)  # checks f, gamma and slope too
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"dataset {name!r}: {exc}") from None
+            for mi, method in enumerate(cfg.methods):
+                scorer = _METHOD_TABLE[method][0]
+                per_d = scorer == "regret_net" or cfg.drop_below_break_even
+                key = (di, dj if per_d else None, scorer)
+                if key not in tasks:
+                    seeds = _cell_seeds(cfg.seed, di, dj, mi)
+                    tasks[key] = (name, train_ds, test_ds, scorer, cfg, seeds, [])
+                tasks[key][-1].append((row, str(entry), d, method))
+                row += 1
+    return list(tasks.values())
+
+
 def run_benchmark(
     datasets: Sequence[tuple[str, Dataset, Dataset]],
     cfg: RunConfig,
@@ -549,24 +554,19 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate every (dataset, d, method) cell; failures never abort the run.
 
-    Cells are independent jobs; with jobs > 1 they execute in a process
-    pool. Per-cell seeding keeps the report identical either way.
+    Each fit is one job serving one or more cells, run in a process pool
+    when jobs > 1; per-fit seeding keeps the report identical either way.
+    Raises ValueError, before any fit runs, when a d-grid entry gives no
+    valid campaign on some dataset.
     """
-    tasks = []
-    for di, (name, train_ds, test_ds) in enumerate(datasets):
-        clv_mean = float(train_ds.clvs.mean())
-        for dj, entry in enumerate(cfg.d_grid):
-            d = resolve_d(entry, clv_mean)
-            d_label = str(entry)
-            for mi, method in enumerate(cfg.methods):
-                seeds = _cell_seeds(cfg.seed, di, dj, mi)
-                tasks.append((name, train_ds, test_ds, method, cfg, d_label, d, seeds))
+    tasks = _plan(datasets, cfg)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=4))
+            results = list(pool.map(_run_task, tasks))
     else:
-        cells = [_run_cell(t) for t in tasks]
-    return BenchmarkReport(cells=tuple(cells))
+        results = [_run_task(t) for t in tasks]
+    by_row = {row: cell for task, out in zip(tasks, results) for (row, *_), cell in zip(task[-1], out)}
+    return BenchmarkReport(cells=tuple(by_row[row] for row in range(len(by_row))))
 
 
 def benchmark_summary(report: BenchmarkReport, cfg: RunConfig, datasets_names, alpha: float = 0.05) -> dict:

@@ -39,6 +39,10 @@ class TestParams:
             dict(f=1.36, d=4.25, gamma=0.0),
             dict(f=1.36, d=4.25, gamma=1.2),
             dict(f=1.36, d=4.25, gamma=0.3, slope=0.0),
+            dict(f=np.inf, d=4.25, gamma=0.3),
+            dict(f=1.36, d=np.inf, gamma=0.3),
+            dict(f=1.36, d=4.25, gamma=0.3, slope=np.inf),
+            dict(f=np.nan, d=4.25, gamma=0.3),
         ],
     )
     def test_invalid(self, kwargs):

@@ -138,6 +138,17 @@ class TestBenchmark:
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf")]
+    )
+    def test_bad_d_entry_exits_1_before_any_cell(self, tmp_path, capsys, entry):
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | {"d_grid": ["clv/20", entry]})
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"d entry {entry!r}" in err and "dataset 'a'" in err
+        assert not out_dir.exists()
+
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHURNOPT_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)

@@ -57,6 +57,13 @@ class TestLoad:
         with pytest.raises(ValueError, match="row 1.*'f1'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row", ["2.0,inf,1", "nan,20.0,1", "-inf,20.0,1"])
+    def test_non_finite_cell_names_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,clv,label\n1.0,10.0,0\n{row}\n")
+        with pytest.raises(ValueError, match="row 2.*non-finite"):
+            load_dataset(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f1,label\n1.0,0\n")
@@ -98,6 +105,10 @@ class TestDatasetInvariants:
     def test_rejects_nonpositive_clv(self):
         with pytest.raises(ValueError, match="clv"):
             make_dataset([[1.0]], [0], [0.0])
+
+    def test_rejects_infinite_clv(self):
+        with pytest.raises(ValueError, match="clv must be finite.*row 2"):
+            make_dataset([[1.0], [2.0]], [0, 1], [10.0, np.inf])
 
     def test_immutable_arrays(self):
         ds = make_dataset([[1.0], [2.0]], [0, 1], [5.0, 6.0])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from churnopt import experiments as ex
-from churnopt.campaign import CampaignParams, optimal_total_profit, total_profit
+from churnopt.campaign import CampaignParams, midpoint, optimal_total_profit, prescribe, total_profit
 from churnopt.data import Dataset, standardize
 from churnopt.metrics import accuracy, threshold_candidates
-from churnopt.models import fit_logistic
+from churnopt.models import TrainConfig, default_hidden, fit_logistic, forward_batch, init_mlp, train
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
 
@@ -165,6 +165,11 @@ class TestResolveD:
         with pytest.raises(ValueError):
             ex.resolve_d(-1.0, 85.0)
 
+    @pytest.mark.parametrize("entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf"), None])
+    def test_rejects_entries_without_a_finite_positive_d(self, entry):
+        with pytest.raises(ValueError, match="d entry"):
+            ex.resolve_d(entry, 85.0)
+
 
 class TestRunBenchmark:
     def test_single_cell_populates_all_metrics(self):
@@ -202,8 +207,12 @@ class TestRunBenchmark:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_equals_serial(self, tmp_path):
-        datasets = small_benchmark_inputs(1)
-        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn", "constant"), **FAST)
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(
+            d_grid=("clv/20", "clv/5"),
+            methods=("regret_net", "logistic", "knn", "msp_knn", "constant"),
+            **FAST,
+        )
         serial = ex.run_benchmark(datasets, cfg, jobs=1).to_csv(tmp_path / "s.csv")
         parallel = ex.run_benchmark(datasets, cfg, jobs=2).to_csv(tmp_path / "p.csv")
         assert serial.read_bytes() == parallel.read_bytes()
@@ -232,6 +241,109 @@ class TestRunBenchmark:
                 for e in ex.DEFAULT_D_GRID
             ]
             assert all(a >= b - 1e-9 for a, b in zip(profits, profits[1:]))
+
+
+D3 = ("clv/20", "clv/10", "clv/5")
+FITS = ("knn_scores", "fit_logistic", "fit_cart", "smote_balance", "train")
+
+
+def count_calls(monkeypatch, names=FITS):
+    """Replace experiments' view of each named function with a recorder."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(ex, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ex, name, counted)
+    return calls
+
+
+class TestSharedFits:
+    def test_d_free_scorers_fit_once_per_dataset(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = ex.RunConfig(d_grid=D3, **FAST)  # the 8 default methods
+        report = ex.run_benchmark(small_benchmark_inputs(2), cfg)
+        assert len(report.cells) == 2 * 3 * 8 and report.failed == ()
+        assert len(calls["fit_logistic"]) == 2
+        assert len(calls["fit_cart"]) == 2
+        assert len(calls["smote_balance"]) == 2 * 4  # xent_net, logistic, knn, cart
+        # one reference set per dataset, scoring the test and the train split
+        assert sorted(a[0].name for a in calls["knn_scores"]) == ["ds0_train"] * 2 + ["ds1_train"] * 2
+        losses = [a[3].loss for a in calls["train"]]
+        assert losses.count("smooth-regret") == 2 * 3  # regret_net: per (dataset, d)
+        assert losses.count("cross-entropy") == 2
+
+    def test_drop_below_break_even_fits_every_scorer_per_d(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = ex.RunConfig(d_grid=D3, drop_below_break_even=True, **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(2), cfg)
+        assert report.failed == ()
+        assert len(calls["fit_logistic"]) == len(calls["fit_cart"]) == 2 * 3
+        assert len(calls["smote_balance"]) == 2 * 3 * 4
+        assert len(calls["knn_scores"]) == 2 * 3 * 2
+        losses = [a[3].loss for a in calls["train"]]
+        assert losses.count("smooth-regret") == losses.count("cross-entropy") == 2 * 3
+
+    def test_regret_net_rows_match_direct_training(self):
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=D3, methods=("logistic", "msp_knn", "regret_net"), seed=3, **FAST)
+        report = ex.run_benchmark(datasets, cfg)
+        rows = iter(c for c in report.cells if c.method == "regret_net")
+        for di, (_, train_raw, test_raw) in enumerate(datasets):
+            tr, te, _ = standardize(train_raw, test_raw)
+            for dj, entry in enumerate(D3):
+                _, seed, _ = ex._cell_seeds(3, di, dj, 2)
+                params = cfg.campaign(ex.resolve_d(entry, float(train_raw.clvs.mean())))
+                tc = TrainConfig(loss="smooth-regret", seed=seed, **FAST)
+                model = train(init_mlp(3, default_hidden(3), seed=seed), tr, params, tc)
+                decisions = prescribe(forward_batch(model, te.features), midpoint(params, te.clvs))
+                cell = next(rows)
+                assert cell.profit == total_profit(decisions, te.labels, params, te.clvs)
+                assert cell.eta == float(decisions.mean())
+
+    def test_failed_fit_fails_exactly_the_cells_it_serves(self, monkeypatch):
+        original = ex.knn_scores
+
+        def knn_scores(train_ds, X, k):
+            if train_ds.name.startswith("ds1"):
+                raise KeyError("x")
+            return original(train_ds, X, k)
+
+        monkeypatch.setattr(ex, "knn_scores", knn_scores)
+        cfg = ex.RunConfig(d_grid=D3, methods=("regret_net", "knn", "msp_knn", "logistic"), **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(2), cfg)
+        failed = {(c.dataset, c.d_label, c.method) for c in report.failed}
+        assert failed == {("ds1", e, m) for e in D3 for m in ("knn", "msp_knn")}
+        assert all(c.error == "KeyError: 'x'" for c in report.failed)
+        assert sum(c.status == "ok" for c in report.cells) == len(report.cells) - 6
+
+    def test_smote_settings_reach_only_smote_fits(self):
+        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("regret_net", "logistic"), smote_k=0, **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(1), cfg)
+        assert [(c.method, c.status) for c in report.cells] == [("regret_net", "ok"), ("logistic", "failed")]
+        assert report.cells[1].error.startswith("ValueError: k_neighbors")
+
+    def test_failed_rule_fails_only_its_cell(self, monkeypatch):
+        def msp(*args):
+            raise RuntimeError("no thresholds")
+
+        monkeypatch.setattr(ex, "msp", msp)
+        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("knn", "msp_knn"), **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(1), cfg)
+        assert [(c.method, c.status, c.error) for c in report.cells] == [
+            ("knn", "ok", ""),
+            ("msp_knn", "failed", "RuntimeError: no thresholds"),
+        ]
+
+    def test_bad_d_entry_rejected_before_any_fit(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = ex.RunConfig(d_grid=("clv/20", "clv/0"), methods=("logistic",), **FAST)
+        with pytest.raises(ValueError, match="dataset 'ds0'.*'clv/0'"):
+            ex.run_benchmark(small_benchmark_inputs(2), cfg)
+        assert not any(calls.values())
 
 
 class TestSummaryAndSweep:
