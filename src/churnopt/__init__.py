@@ -22,13 +22,12 @@ from .campaign import (
     total_profit,
 )
 from .data import (
-    CustomerRecord,
     Dataset,
     FeatureScaler,
     SegmentAssignment,
     load_dataset,
+    quantile_segments,
     save_dataset,
-    segment_by_clv,
     standardize,
 )
 from .experiments import (
@@ -42,7 +41,7 @@ from .experiments import (
     sensitivity_sweep,
 )
 from .metrics import MspResult, ThresholdedEvaluation, accuracy, mp, msp, profit_at_threshold, targeted_fraction
-from .models import Mlp, TrainConfig, fit_cart, fit_logistic, forward, init_mlp, knn_score, train
+from .models import Mlp, TrainConfig, cart_scores, fit_cart, fit_logistic, forward_batch, init_mlp, knn_scores, train
 from .smote import SmoteConfig, smote_balance
 from .stats import HolmReport, RankTable, compare_methods, friedman_iman_davenport, holm, nemenyi_z, rank_methods
 

@@ -21,6 +21,8 @@ __all__ = [
     "optimal_decision",
     "regret",
     "surrogate",
+    "smooth_regret_terms",
+    "smooth_regret_loss",
     "smooth_regret",
     "smooth_regret_grad",
     "total_profit",
@@ -73,9 +75,11 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
+
+
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _cost_coefficient(y, params: CampaignParams, clv):
@@ -116,10 +120,7 @@ def midpoint(params: CampaignParams, clv):
     den = params.gamma * (params.d - clv) - params.d
     if np.any(np.abs(den) < 1e-12):
         raise ValueError("degenerate midpoint denominator; requires clv > 0 and d > 0")
-    m = num / den
-    if m.ndim == 0:
-        return float(m)
-    return m
+    return _scalar_or_array(num / den)
 
 
 def prescribe(y_hat, m):
@@ -152,10 +153,7 @@ def regret(y, y_hat, params: CampaignParams, clv):
     """
     z_hat = prescribe(y_hat, midpoint(params, clv))
     z_opt = optimal_decision(y, params, clv)
-    out = campaign_cost(z_hat, y, params, clv) - campaign_cost(z_opt, y, params, clv)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(campaign_cost(z_hat, y, params, clv) - campaign_cost(z_opt, y, params, clv))
 
 
 def surrogate(y_hat, m, slope: float):
@@ -169,34 +167,44 @@ def surrogate(y_hat, m, slope: float):
     return 1.0 - sigmoid(slope * (np.asarray(y_hat, dtype=float) - np.asarray(m, dtype=float)))
 
 
+def smooth_regret_terms(y, params: CampaignParams, clv):
+    """Per-customer constants of the smooth regret: (midpoint, targeting cost, optimal cost).
+
+    The targeting cost is the cost of z = 1, the optimal cost that of the
+    optimal decision; neither depends on the score.
+    """
+    y = np.asarray(y, dtype=float)
+    clv = np.asarray(clv, dtype=float)
+    opt_cost = campaign_cost(optimal_decision(y, params, clv), y, params, clv)
+    return np.asarray(midpoint(params, clv)), _cost_coefficient(y, params, clv), opt_cost
+
+
+def smooth_regret_loss(y_hat, terms, slope: float):
+    """Smooth regret and its derivative in y_hat, given smooth_regret_terms.
+
+    With g = surrogate(y_hat, m, slope) the loss is coeff*g - opt_cost,
+    since the cost is linear in the relaxed decision, and its derivative
+    is coeff * (-slope * g * (1 - g)).
+    """
+    m, coeff, opt_cost = terms
+    g = surrogate(y_hat, m, slope)
+    return coeff * g - opt_cost, coeff * (-slope * g * (1.0 - g))
+
+
 def smooth_regret(y, y_hat, params: CampaignParams, clv):
     """Regret with the step decision replaced by its sigmoid relaxation.
 
     The cost is extended linearly to relaxed decisions in [0, 1], which
     makes the loss continuous and differentiable in y_hat everywhere.
     """
-    g = surrogate(y_hat, midpoint(params, clv), params.slope)
-    z_opt = optimal_decision(y, params, clv)
-    out = campaign_cost(g, y, params, clv) - campaign_cost(z_opt, y, params, clv)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    loss, _ = smooth_regret_loss(y_hat, smooth_regret_terms(y, params, clv), params.slope)
+    return _scalar_or_array(loss)
 
 
 def smooth_regret_grad(y, y_hat, params: CampaignParams, clv):
-    """d smooth_regret / d y_hat, in closed form.
-
-    The optimal-decision term is constant in y_hat, so the gradient is the
-    targeting cost times the surrogate's derivative
-    -slope * sig * (1 - sig) with sig = sigmoid(slope*(y_hat - m)).
-    """
-    m = midpoint(params, clv)
-    sig = sigmoid(params.slope * (np.asarray(y_hat, dtype=float) - np.asarray(m)))
-    dg = -params.slope * sig * (1.0 - sig)
-    out = _cost_coefficient(y, params, clv) * dg
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    """d smooth_regret / d y_hat, in closed form (see smooth_regret_loss)."""
+    _, grad = smooth_regret_loss(y_hat, smooth_regret_terms(y, params, clv), params.slope)
+    return _scalar_or_array(grad)
 
 
 def total_profit(decisions, labels, params: CampaignParams, clvs) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments as ex
 from .data import load_dataset, save_dataset
-from .stats import compare_methods, friedman_iman_davenport, rank_methods
+from .stats import comparison_summary, rank_methods
 
 __all__ = ["main"]
 
@@ -103,19 +103,13 @@ def _run_config(config: dict) -> ex.RunConfig:
 def _build_datasets(config: dict, cfg: ex.RunConfig):
     """Materialize (name, train, test) triples from the config."""
     spec = config.get("datasets", "bundled")
-    out = []
     if spec == "bundled":
-        for s in ex.bundled_specs(cfg.seed):
-            train, test = ex.generate_synthetic(s)
-            out.append((s.name, train, test))
-        return out
-    if isinstance(spec, dict) and "synthetic" in spec:
-        for i, raw in enumerate(spec["synthetic"]):
-            s = _spec_from_dict(raw, default_seed=cfg.seed + i)
-            train, test = ex.generate_synthetic(s)
-            out.append((s.name, train, test))
-        return out
-    if isinstance(spec, list):
+        out = [(s.name, *ex.generate_synthetic(s)) for s in ex.bundled_specs(cfg.seed)]
+    elif isinstance(spec, dict) and "synthetic" in spec:
+        specs = [_spec_from_dict(raw, default_seed=cfg.seed + i) for i, raw in enumerate(spec["synthetic"])]
+        out = [(s.name, *ex.generate_synthetic(s)) for s in specs]
+    elif isinstance(spec, list):
+        out = []
         for entry in spec:
             for key in ("name", "train", "test"):
                 if key not in entry:
@@ -128,8 +122,11 @@ def _build_datasets(config: dict, cfg: ex.RunConfig):
             except ValueError as exc:
                 raise _CliError(str(exc))
             out.append((entry["name"], train, test))
-        return out
-    raise _CliError("config key 'datasets' must be 'bundled', a {synthetic: [...]} block, or a list of files")
+    else:
+        raise _CliError("config key 'datasets' must be 'bundled', a {synthetic: [...]} block, or a list of files")
+    if not out:
+        raise _CliError("config key 'datasets' lists no dataset")
+    return out
 
 
 def _write_json(payload: dict, path: Path) -> Path:
@@ -177,9 +174,7 @@ def cmd_benchmark(args) -> int:
     n_ok = sum(1 for c in report.cells if c.status == "ok")
     print(f"wrote {cells_path} ({n_ok}/{len(report.cells)} cells ok)")
     print(f"wrote {summary_path}")
-    for c in report.failed:
-        print(f"FAILED {c.dataset} d={c.d_label} {c.method}: {c.error}", file=sys.stderr)
-    return 2 if report.failed else 0
+    return _report_failures(report)
 
 
 def cmd_sweep(args) -> int:
@@ -188,6 +183,11 @@ def cmd_sweep(args) -> int:
     for stem, rows in tables.items():
         path = ex.write_table_csv(rows, out / f"{stem}.csv")
         print(f"wrote {path} ({len(rows)} rows)")
+    return _report_failures(report)
+
+
+def _report_failures(report: ex.BenchmarkReport) -> int:
+    """List each failed cell on stderr; the exit code of the run."""
     for c in report.failed:
         print(f"FAILED {c.dataset} d={c.d_label} {c.method}: {c.error}", file=sys.stderr)
     return 2 if report.failed else 0
@@ -213,6 +213,8 @@ def _read_profit_matrix(path: str):
             values.append([float(v) for v in row[1:]])
         except ValueError:
             raise _CliError(f"{path}: line {i}: non-numeric profit value")
+        if not np.all(np.isfinite(values[-1])):
+            raise _CliError(f"{path}: line {i}: non-finite profit value")
     if not datasets:
         raise _CliError(f"{path}: no data rows")
     return methods, datasets, np.asarray(values).T  # (methods x datasets)
@@ -223,46 +225,38 @@ def cmd_stats(args) -> int:
     if len(methods) < 3:
         raise _CliError(f"need at least 3 methods for the Friedman test, got {len(methods)}")
     table = rank_methods(profits, methods, datasets)
-    try:
-        fr = friedman_iman_davenport(table.avg_ranks, len(datasets))
-        friedman_block = {"chi2": fr.chi2, "f_stat": fr.f_stat, "p_value": fr.p_value, "df": [fr.df1, fr.df2]}
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    holm_report = compare_methods(table, args.alpha)
+    summary = comparison_summary(table, args.alpha)
+    fr = summary["friedman"]
+    if "note" in fr:
+        raise _CliError(fr["note"])
 
-    print(f"Friedman (Iman-Davenport): F = {fr.f_stat:.4f}, p = {fr.p_value:.6f}")
+    print(f"Friedman (Iman-Davenport): F = {fr['f_stat']:.4f}, p = {fr['p_value']:.6f}")
     print(f"{'method':<16} {'avg rank':>9} {'avg profit':>11} {'p-value':>9} {'threshold':>10} outcome")
     order = np.argsort(table.avg_ranks, kind="stable")
-    by_method = {c.method: c for c in holm_report.comparisons}
+    by_method = {c["method"]: c for c in summary["holm"]["comparisons"]}
     for i in order:
         m = table.methods[i]
         c = by_method.get(m)
-        stat = f"{c.p_value:>9.4f} {c.threshold:>10.4f} {'reject' if c.reject else 'not reject'}" if c else f"{'-':>9} {'-':>10} -"
+        stat = f"{c['p_value']:>9.4f} {c['threshold']:>10.4f} {c['outcome']}" if c else f"{'-':>9} {'-':>10} -"
         print(f"{m:<16} {table.avg_ranks[i]:>9.4f} {table.avg_profits[i]:>11.2f} {stat}")
 
-    payload = {
-        "alpha": args.alpha,
-        "avg_ranks": {m: float(r) for m, r in zip(table.methods, table.avg_ranks)},
-        "avg_profits": {m: float(p) for m, p in zip(table.methods, table.avg_profits)},
-        "friedman": friedman_block,
-        "holm": {
-            "best": holm_report.best,
-            "comparisons": [
-                {
-                    "method": c.method,
-                    "avg_rank": c.avg_rank,
-                    "z": c.z,
-                    "p_value": c.p_value,
-                    "threshold": c.threshold,
-                    "outcome": "reject" if c.reject else "not reject",
-                }
-                for c in holm_report.comparisons
-            ],
-        },
-    }
-    path = _write_json(payload, Path(args.out or _default_out()) / "stats.json")
+    path = _write_json({"alpha": args.alpha, **summary}, Path(args.out or _default_out()) / "stats.json")
     print(f"wrote {path}")
     return 0
+
+
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -281,14 +275,14 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run config (defaults to the bundled synthetic run)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel worker processes")
+        p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1, help="parallel worker processes")
         if name == "benchmark":
-            p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+            p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("stats", help="rank a profit matrix CSV and run Friedman/Nemenyi/Holm")
     p.add_argument("--profits", required=True, help="CSV: header 'dataset,<method>,...', one row per dataset")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     p.add_argument("--out", help="output directory for stats.json")
     p.set_defaults(fn=cmd_stats)
     return parser

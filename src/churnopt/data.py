@@ -13,34 +13,23 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "CustomerRecord",
     "Dataset",
     "SegmentAssignment",
     "FeatureScaler",
     "load_dataset",
     "save_dataset",
     "standardize",
-    "segment_by_clv",
     "quantile_segments",
     "segment_edges",
     "assign_segments",
 ]
 
 RESERVED_COLUMNS = ("clv", "label")
-
-
-@dataclass(frozen=True)
-class CustomerRecord:
-    """One customer: feature vector, binary label (0 = churner), CLV in euros."""
-
-    features: np.ndarray
-    label: int
-    clv: float
 
 
 @dataclass(frozen=True)
@@ -90,12 +79,6 @@ class Dataset:
     @property
     def churn_rate(self) -> float:
         return float(np.mean(self.labels == 0))
-
-    def record(self, i: int) -> CustomerRecord:
-        return CustomerRecord(self.features[i], int(self.labels[i]), float(self.clvs[i]))
-
-    def records(self) -> Iterator[CustomerRecord]:
-        return (self.record(i) for i in range(len(self)))
 
     def subset(self, idx, name: str | None = None) -> "Dataset":
         idx = np.asarray(idx)
@@ -284,11 +267,6 @@ def quantile_segments(clvs, q: int) -> SegmentAssignment:
         segment_of[order[start : start + size]] = s
         start += size
     return SegmentAssignment(q=q, segment_of=segment_of)
-
-
-def segment_by_clv(ds: Dataset, q: int) -> SegmentAssignment:
-    """Split records into q near-equal CLV-sorted segments."""
-    return quantile_segments(ds.clvs, q)
 
 
 def segment_edges(clvs, assignment: SegmentAssignment) -> np.ndarray:

@@ -31,7 +31,7 @@ from .campaign import (
     total_profit,
 )
 from .data import Dataset, assign_segments, segment_edges, quantile_segments, standardize
-from .metrics import msp, targeted_fraction
+from .metrics import accuracy, msp, targeted_fraction
 from .models import (
     CartConfig,
     TrainConfig,
@@ -46,7 +46,7 @@ from .models import (
     train,
 )
 from .smote import SmoteConfig, smote_balance
-from .stats import compare_methods, friedman_iman_davenport, rank_methods
+from .stats import comparison_summary, rank_methods
 
 __all__ = [
     "SyntheticSpec",
@@ -208,6 +208,8 @@ def monte_carlo_cv(
     """
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
+    if splits < 1 or n_seeds < 1:
+        raise ValueError(f"splits and n_seeds must be >= 1, got {splits} and {n_seeds}")
     base = base if base is not None else TrainConfig()
     if hidden is None:
         hidden = default_hidden(data.n_features)
@@ -309,8 +311,15 @@ class RunConfig:
             raise ValueError(f"unknown method(s) {unknown}; available: {METHODS}")
         if self.regret_net_accuracy not in ("threshold", "midpoint"):
             raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
+        if not self.methods or not self.d_grid:
+            raise ValueError("methods and d_grid must be nonempty")
         if self.q < 1:
             raise ValueError("q must be >= 1")
+        for name in ("knn_k", "cv_splits", "cv_seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        CartConfig(self.cart_max_depth, self.cart_min_leaf)
+        SmoteConfig(self.smote_k, self.smote_ratio)
 
     def campaign(self, d: float) -> CampaignParams:
         return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)
@@ -460,7 +469,7 @@ def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_sc
         profit = total_profit(decisions, test_s.labels, params, test_s.clvs)
         optimal = optimal_total_profit(test_s.labels, params, test_s.clvs)
         gap = normalized_gap(-optimal, -profit) if optimal != 0 else np.nan
-        acc = float(np.mean((classified == 1) == (test_s.labels == 0)))
+        acc = accuracy(classified, test_s.labels)
         return CellResult(name, d_label, d, method, profit, acc, gap, targeted_fraction(decisions), optimal)
     except Exception as exc:  # isolate the cell, keep the run going
         return _failed(name, d_label, d, method, exc)
@@ -486,28 +495,8 @@ class BenchmarkReport:
         return out
 
     def to_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["dataset", "d_label", "d", "method", "profit", "accuracy", "gap", "eta", "status"]
-            )
-            for c in self.cells:
-                writer.writerow(
-                    [
-                        c.dataset,
-                        c.d_label,
-                        _fmt(c.d),
-                        c.method,
-                        _fmt(c.profit),
-                        _fmt(c.accuracy),
-                        _fmt(c.gap),
-                        _fmt(c.eta),
-                        c.status,
-                    ]
-                )
-        return path
+        columns = ("dataset", "d_label", "d", "method", "profit", "accuracy", "gap", "eta", "status")
+        return write_table_csv([{k: getattr(c, k) for k in columns} for c in self.cells], path)
 
 
 def _fmt(x) -> str:
@@ -587,41 +576,11 @@ def benchmark_summary(report: BenchmarkReport, cfg: RunConfig, datasets_names, a
     }
     for entry in cfg.d_grid:
         d_label = str(entry)
-        block: dict = {}
         profits = report.profit_matrix(d_label, methods, datasets_names)
         if np.isnan(profits).any():
-            block["note"] = "skipped: missing or failed cells"
+            summary["per_d"][d_label] = {"note": "skipped: missing or failed cells"}
         else:
-            table = rank_methods(profits, methods, datasets_names)
-            block["avg_ranks"] = {m: float(r) for m, r in zip(methods, table.avg_ranks)}
-            block["avg_profits"] = {m: float(p) for m, p in zip(methods, table.avg_profits)}
-            try:
-                fr = friedman_iman_davenport(table.avg_ranks, len(datasets_names))
-                block["friedman"] = {
-                    "chi2": fr.chi2,
-                    "f_stat": fr.f_stat,
-                    "p_value": fr.p_value,
-                    "df": [fr.df1, fr.df2],
-                }
-            except ValueError as exc:
-                block["friedman"] = {"note": str(exc)}
-            holm_report = compare_methods(table, alpha)
-            block["holm"] = {
-                "best": holm_report.best,
-                "alpha": alpha,
-                "comparisons": [
-                    {
-                        "method": c.method,
-                        "avg_rank": c.avg_rank,
-                        "z": c.z,
-                        "p_value": c.p_value,
-                        "threshold": c.threshold,
-                        "outcome": "reject" if c.reject else "not reject",
-                    }
-                    for c in holm_report.comparisons
-                ],
-            }
-        summary["per_d"][d_label] = block
+            summary["per_d"][d_label] = comparison_summary(rank_methods(profits, methods, datasets_names), alpha)
     return summary
 
 
@@ -682,12 +641,9 @@ def write_table_csv(rows: list[dict], path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        if not rows:
-            fh.write("")
-            return path
-        writer = csv.writer(fh)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row.values()])
+        if rows:
+            writer = csv.writer(fh)
+            writer.writerow(list(rows[0]))
+            for row in rows:
+                writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row.values()])
     return path

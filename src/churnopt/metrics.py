@@ -22,7 +22,6 @@ __all__ = [
     "threshold_candidates",
     "mp",
     "msp",
-    "msp_best_q",
     "accuracy",
     "targeted_fraction",
 ]
@@ -136,18 +135,10 @@ def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
     )
 
 
-def msp_best_q(scores, labels, clvs, q_values, params: CampaignParams) -> MspResult:
-    """MSP maximized over a sweep of segment counts."""
-    results = [msp(scores, labels, clvs, q, params) for q in q_values]
-    if not results:
-        raise ValueError("q_values must be nonempty")
-    return max(results, key=lambda r: r.msp)
-
-
-def accuracy(scores, labels, class_threshold: float = 0.5) -> float:
-    """Fraction of customers where (score <= threshold) matches (label == 0)."""
-    scores, labels = _as_scores_labels(scores, labels)
-    return float(np.mean((scores <= class_threshold) == (labels == 0)))
+def accuracy(decisions, labels) -> float:
+    """Share of customers whose decision (1 = classified churner) matches label == 0."""
+    decisions, labels = _as_scores_labels(decisions, labels)
+    return float(np.mean((decisions == 1) == (labels == 0)))
 
 
 def targeted_fraction(decisions) -> float:

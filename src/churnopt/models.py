@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignParams, campaign_cost, midpoint, optimal_decision, sigmoid
+from .campaign import CampaignParams, sigmoid, smooth_regret_loss, smooth_regret_terms
 from .data import Dataset
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "AdamState",
     "default_hidden",
     "init_mlp",
-    "forward",
     "forward_batch",
     "adam_step",
     "train",
@@ -37,12 +36,10 @@ __all__ = [
     "load_mlp",
     "LogisticModel",
     "fit_logistic",
-    "knn_score",
     "knn_scores",
     "CartConfig",
     "CartNode",
     "fit_cart",
-    "cart_score",
     "cart_scores",
 ]
 
@@ -57,7 +54,6 @@ class Mlp:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: np.ndarray  # scalar, shape ()
-    activation: str = "tanh"
     seed: int = 0
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
 
@@ -71,16 +67,6 @@ class Mlp:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            activation=self.activation,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -154,14 +140,6 @@ def forward_batch(mlp: Mlp, X: np.ndarray) -> np.ndarray:
     return scores
 
 
-def forward(mlp: Mlp, x) -> float:
-    """Score for a single feature vector, in (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (mlp.input_dim,):
-        raise ValueError(f"expected feature vector of length {mlp.input_dim}, got {x.shape}")
-    return float(forward_batch(mlp, x.reshape(1, -1))[0])
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators per parameter plus a step counter."""
@@ -200,40 +178,38 @@ def adam_step(
     return out, state
 
 
-def _regret_terms(labels, params: CampaignParams, clvs):
-    """Per-customer constants of the smooth regret loss."""
-    labels = np.asarray(labels, dtype=float)
-    clvs = np.asarray(clvs, dtype=float)
-    coeff = np.asarray(campaign_cost(1.0, labels, params, clvs))
-    opt_cost = np.asarray(
-        campaign_cost(optimal_decision(labels, params, clvs), labels, params, clvs)
-    )
-    return np.asarray(midpoint(params, clvs)), coeff, opt_cost
+def _loss_targets(loss: str, labels, params: CampaignParams, clvs) -> np.ndarray:
+    """What the loss compares scores against, one customer per last-axis entry.
 
-
-def _losses_and_dscore(scores, u, labels, loss: str, regret_terms, slope: float):
-    """Per-example losses and dloss/dscore-path terms.
-
-    Returns (losses, du) where du is dloss/du for the output pre-activation,
-    not yet averaged over the batch.
+    The labels for cross-entropy; the stacked smooth_regret_terms for the
+    smooth regret, so a batch is targets[..., idx] either way.
     """
-    y = np.asarray(labels, dtype=float)
+    labels = np.asarray(labels, dtype=float)
     if loss == "cross-entropy":
-        losses = np.logaddexp(0.0, -u) + (1.0 - y) * u
-        du = scores - y
-        return losses, du
-    m, coeff, opt_cost = regret_terms
-    g = 1.0 - sigmoid(slope * (scores - m))
-    losses = coeff * g - opt_cost
-    dscore = coeff * (-slope * g * (1.0 - g))
-    du = dscore * scores * (1.0 - scores)
-    return losses, du
+        return labels
+    return np.stack(smooth_regret_terms(labels, params, clvs))
 
 
-def _loss_and_grads(p, X, labels, loss, regret_terms, slope):
+def _cross_entropy(u, y):
+    """Binary cross-entropy of sigmoid(u) against labels y, from the logit u."""
+    return np.logaddexp(0.0, -u) + (1.0 - y) * u
+
+
+def _losses_and_du(scores, u, targets, loss: str, slope: float):
+    """Per-example losses and dloss/du for the output pre-activation u.
+
+    Not yet averaged over the batch.
+    """
+    if loss == "cross-entropy":
+        return _cross_entropy(u, targets), scores - targets
+    losses, dscore = smooth_regret_loss(scores, targets, slope)
+    return losses, dscore * scores * (1.0 - scores)
+
+
+def _loss_and_grads(p, X, targets, loss, slope):
     """Mean loss over the batch and its gradients for every parameter."""
     scores, u, A = _forward_full(p, X)
-    losses, du = _losses_and_dscore(scores, u, labels, loss, regret_terms, slope)
+    losses, du = _losses_and_du(scores, u, targets, loss, slope)
     n = X.shape[0]
     du = du / n
     grads = {
@@ -245,13 +221,6 @@ def _loss_and_grads(p, X, labels, loss, regret_terms, slope):
     grads["w1"] = dH.T @ X
     grads["b1"] = dH.sum(axis=0)
     return float(losses.mean()), grads
-
-
-def _batch_regret_terms(regret_terms, idx):
-    if regret_terms is None:
-        return None
-    m, coeff, opt_cost = regret_terms
-    return m[idx], coeff[idx], opt_cost[idx]
 
 
 def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
@@ -268,10 +237,10 @@ def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> 
     X, y, clv = data.features, data.labels, data.clvs
     if X.shape[1] != mlp.input_dim:
         raise ValueError(f"model expects {mlp.input_dim} features, data has {X.shape[1]}")
-    regret_terms = _regret_terms(y, params, clv) if cfg.loss == "smooth-regret" else None
+    targets = _loss_targets(cfg.loss, y, params, clv)
 
-    model = mlp.copy()
-    p = model.params()
+    p = mlp.params()  # adam_step returns new arrays, so mlp is left as it is
+    history: list[float] = []
     state = AdamState.zeros_like(p)
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
@@ -282,28 +251,24 @@ def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> 
         epoch_loss = 0.0
         for b, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
-            loss, grads = _loss_and_grads(
-                p, X[idx], y[idx], cfg.loss, _batch_regret_terms(regret_terms, idx), params.slope
-            )
+            loss, grads = _loss_and_grads(p, X[idx], targets[..., idx], cfg.loss, params.slope)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
             p, state = adam_step(
                 p, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
             )
             epoch_loss += loss * idx.size
-        model.loss_history.append(epoch_loss / n)
-
-    model.w1, model.b1, model.w2, model.b2 = p["w1"], p["b1"], p["w2"], p["b2"]
-    return model
+        history.append(epoch_loss / n)
+    return Mlp(**p, seed=mlp.seed, loss_history=history)
 
 
 def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> float:
     """Mean per-customer loss of a fixed model on a dataset."""
     if loss not in LOSS_KINDS:
         raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
-    regret_terms = _regret_terms(data.labels, params, data.clvs) if loss == "smooth-regret" else None
+    targets = _loss_targets(loss, data.labels, params, data.clvs)
     scores, u, _ = _forward_full(mlp.params(), data.features)
-    losses, _ = _losses_and_dscore(scores, u, data.labels, loss, regret_terms, params.slope)
+    losses, _ = _losses_and_du(scores, u, targets, loss, params.slope)
     return float(losses.mean())
 
 
@@ -325,14 +290,12 @@ def gradient_check(
     if not 1e-8 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
     X = np.asarray(X, dtype=float)
-    regret_terms = _regret_terms(labels, params, clvs) if loss == "smooth-regret" else None
+    targets = _loss_targets(loss, labels, params, clvs)
     p = {k: v.copy() for k, v in mlp.params().items()}
-    _, analytic = _loss_and_grads(p, X, labels, loss, regret_terms, params.slope)
+    _, analytic = _loss_and_grads(p, X, targets, loss, params.slope)
 
     def loss_at(pp):
-        scores, u, _ = _forward_full(pp, X)
-        losses, _ = _losses_and_dscore(scores, u, labels, loss, regret_terms, params.slope)
-        return float(losses.mean())
+        return _loss_and_grads(pp, X, targets, loss, params.slope)[0]
 
     worst = 0.0
     for k, theta in p.items():
@@ -351,13 +314,12 @@ def gradient_check(
     return worst
 
 
-_MLP_JSON_KEYS = ("activation", "seed", "w1", "b1", "w2", "b2")
+_MLP_JSON_KEYS = ("seed", "w1", "b1", "w2", "b2")
 
 
 def save_mlp(mlp: Mlp, path: str | Path) -> Path:
     """Serialize weights and config as flat JSON (exact float round trip)."""
     payload = {
-        "activation": mlp.activation,
         "seed": mlp.seed,
         "w1": mlp.w1.tolist(),
         "b1": mlp.b1.tolist(),
@@ -370,16 +332,18 @@ def save_mlp(mlp: Mlp, path: str | Path) -> Path:
 
 
 def load_mlp(path: str | Path) -> Mlp:
+    """Read a model written by save_mlp; files that still carry "activation": "tanh" load too."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     missing = [k for k in _MLP_JSON_KEYS if k not in payload]
     if missing:
         raise ValueError(f"model file {path} missing key(s) {missing}")
+    if payload.get("activation", "tanh") != "tanh":
+        raise ValueError(f"model file {path}: unsupported activation {payload['activation']!r}")
     return Mlp(
         w1=np.asarray(payload["w1"], dtype=float),
         b1=np.asarray(payload["b1"], dtype=float),
         w2=np.asarray(payload["w2"], dtype=float),
         b2=np.asarray(payload["b2"], dtype=float),
-        activation=payload["activation"],
         seed=int(payload["seed"]),
     )
 
@@ -394,9 +358,6 @@ class LogisticModel:
     def score_batch(self, X) -> np.ndarray:
         return np.asarray(sigmoid(np.asarray(X, dtype=float) @ self.w + self.b))
 
-    def score(self, x) -> float:
-        return float(self.score_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
 
 def fit_logistic(data: Dataset, cfg: TrainConfig | None = None) -> LogisticModel:
     """Full-batch Adam cross-entropy fit from a zero start (deterministic)."""
@@ -409,11 +370,10 @@ def fit_logistic(data: Dataset, cfg: TrainConfig | None = None) -> LogisticModel
     state = AdamState.zeros_like(p)
     for epoch in range(cfg.epochs):
         u = X @ p["w"] + p["b"]
-        scores = sigmoid(u)
-        loss = float(np.mean(np.logaddexp(0.0, -u) + (1.0 - y) * u))
+        loss = float(np.mean(_cross_entropy(u, y)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
-        du = (scores - y) / len(y)
+        du = (sigmoid(u) - y) / len(y)
         grads = {"w": X.T @ du, "b": np.asarray(du.sum())}
         p, state = adam_step(p, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     return LogisticModel(w=p["w"], b=float(p["b"]))
@@ -438,18 +398,16 @@ def knn_scores(train: Dataset, X, k: int) -> np.ndarray:
     return out
 
 
-def knn_score(train: Dataset, x, k: int) -> float:
-    return float(knn_scores(train, np.asarray(x, dtype=float).reshape(1, -1), k)[0])
-
-
 @dataclass(frozen=True)
 class CartConfig:
     max_depth: int = 6
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0 or self.min_leaf < 1:
-            raise ValueError("max_depth must be >= 0 and min_leaf >= 1")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
 
 
 @dataclass(frozen=True)
@@ -513,14 +471,13 @@ def fit_cart(data: Dataset, cfg: CartConfig | None = None) -> CartNode:
     return _grow(data.features, (data.labels == 1).astype(float), cfg, depth=0)
 
 
-def cart_score(tree: CartNode, x) -> float:
-    x = np.asarray(x, dtype=float)
-    node = tree
-    while node.feature is not None:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.score
-
-
 def cart_scores(tree: CartNode, X) -> np.ndarray:
+    """Score of the leaf each row of X reaches."""
     X = np.asarray(X, dtype=float)
-    return np.array([cart_score(tree, row) for row in X])
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = tree
+        while node.feature is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out[i] = node.score
+    return out

@@ -31,6 +31,7 @@ __all__ = [
     "nemenyi_z",
     "holm",
     "compare_methods",
+    "comparison_summary",
 ]
 
 
@@ -271,3 +272,37 @@ def compare_methods(table: RankTable, alpha: float = 0.05) -> HolmReport:
     return HolmReport(
         best=table.methods[best], best_rank=float(avg[best]), alpha=alpha, comparisons=comparisons
     )
+
+
+def comparison_summary(table: RankTable, alpha: float = 0.05) -> dict:
+    """JSON-ready average ranks and profits, Friedman test and Holm table.
+
+    A Friedman test that cannot be computed (k < 3, perfectly consistent
+    ranks) carries a note instead of its statistics.
+    """
+    summary: dict = {
+        "avg_ranks": {m: float(r) for m, r in zip(table.methods, table.avg_ranks)},
+        "avg_profits": {m: float(p) for m, p in zip(table.methods, table.avg_profits)},
+    }
+    try:
+        fr = friedman_iman_davenport(table.avg_ranks, len(table.datasets))
+        summary["friedman"] = {"chi2": fr.chi2, "f_stat": fr.f_stat, "p_value": fr.p_value, "df": [fr.df1, fr.df2]}
+    except ValueError as exc:
+        summary["friedman"] = {"note": str(exc)}
+    report = compare_methods(table, alpha)
+    summary["holm"] = {
+        "best": report.best,
+        "alpha": alpha,
+        "comparisons": [
+            {
+                "method": c.method,
+                "avg_rank": c.avg_rank,
+                "z": c.z,
+                "p_value": c.p_value,
+                "threshold": c.threshold,
+                "outcome": "reject" if c.reject else "not reject",
+            }
+            for c in report.comparisons
+        ],
+    }
+    return summary

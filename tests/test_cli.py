@@ -149,6 +149,28 @@ class TestBenchmark:
         assert f"d entry {entry!r}" in err and "dataset 'a'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"baselines": {"knn_k": 0}}, "knn_k"),
+            ({"baselines": {"cart_min_leaf": 0}}, "min_leaf"),
+            ({"baselines": {"cart_max_depth": -1}}, "max_depth"),
+            ({"smote": {"k_neighbors": 0}}, "k_neighbors"),
+            ({"smote": {"ratio": 0}}, "ratio"),
+            ({"cv": {"splits": 0}}, "cv_splits"),
+            ({"cv": {"seeds": 0}}, "cv_seeds"),
+            ({"methods": []}, "methods"),
+            ({"d_grid": []}, "d_grid"),
+            ({"datasets": {"synthetic": []}}, "datasets"),
+        ],
+    )
+    def test_out_of_range_setting_exits_1_naming_it(self, tmp_path, capsys, change, field):
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | change)
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHURNOPT_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -219,6 +241,12 @@ class TestStats:
         assert main(["stats", "--profits", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_profit_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("dataset,a,b,c\nd1,1.0,2.0,3.0\nd2,1.0,nan,3.0\n")
+        assert main(["stats", "--profits", str(bad)]) == 1
+        assert "line 3: non-finite" in capsys.readouterr().err
+
     def test_published_profit_matrix_reproduces_rank_column(self, tmp_path, capsys):
         # typing the published per-month profits into a CSV must rebuild
         # the published average-rank column to +-0.05 and the same
@@ -250,6 +278,24 @@ class TestParsing:
             main(["--help"])
         assert exc.value.code == 0
         assert "benchmark" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark", "--alpha", "0"],
+            ["benchmark", "--alpha", "1"],
+            ["benchmark", "--alpha", "nan"],
+            ["stats", "--profits", "m.csv", "--alpha", "1.5"],
+            ["benchmark", "--jobs", "0"],
+            ["benchmark", "--jobs", "-4"],
+            ["sweep", "--jobs", "0"],
+        ],
+    )
+    def test_bad_alpha_or_jobs_rejected_before_any_work(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_subcommand_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from churnopt.data import (
     load_dataset,
     quantile_segments,
     save_dataset,
-    segment_by_clv,
     segment_edges,
     standardize,
 )
@@ -35,9 +34,7 @@ class TestLoad:
         assert ds.schema == ("f1", "f2")
         assert ds.labels.tolist() == [0, 1, 1]
         assert ds.clvs.tolist() == [85.0, 10.0, 42.5]
-        rec = ds.record(0)
-        assert rec.label == 0 and rec.clv == 85.0
-        assert rec.features.tolist() == [1.5, -2.0]
+        assert ds.features[0].tolist() == [1.5, -2.0]
 
     def test_negative_clv_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -164,12 +161,12 @@ class TestStandardize:
 class TestSegmentation:
     def test_single_segment(self):
         ds = make_dataset([[0.0]] * 4, [0, 1, 0, 1], [10.0, 20.0, 30.0, 40.0])
-        a = segment_by_clv(ds, 1)
+        a = quantile_segments(ds.clvs, 1)
         assert a.segment_of.tolist() == [0, 0, 0, 0]
 
     def test_two_even_segments(self):
         ds = make_dataset([[0.0]] * 4, [0, 1, 0, 1], [30.0, 10.0, 40.0, 20.0])
-        a = segment_by_clv(ds, 2)
+        a = quantile_segments(ds.clvs, 2)
         # {10, 20} -> segment 0, {30, 40} -> segment 1
         assert a.segment_of.tolist() == [1, 0, 1, 0]
 
@@ -186,7 +183,7 @@ class TestSegmentation:
         ds = make_dataset([[0.0]] * 3, [0, 1, 0], [1.0, 2.0, 3.0])
         for q in (0, 4):
             with pytest.raises(ValueError, match="q must be"):
-                segment_by_clv(ds, q)
+                quantile_segments(ds.clvs, q)
 
     def test_partition_property(self):
         # every (n, q) yields a partition into near-equal contiguous chunks

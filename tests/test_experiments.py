@@ -68,7 +68,7 @@ class TestSyntheticSpec:
         train, test = ex.generate_synthetic(spec)
         tr, te, _ = standardize(train, test)
         model = fit_logistic(tr)
-        acc = accuracy(model.score_batch(te.features), te.labels, 0.5)
+        acc = accuracy(model.score_batch(te.features) <= 0.5, te.labels)
         prior = max(te.churn_rate, 1 - te.churn_rate)
         assert acc <= prior + 0.03  # no better than guessing the majority
 
@@ -89,7 +89,7 @@ class TestSyntheticSpec:
         for t in threshold_candidates(scores):
             z = (scores <= t).astype(int)
             profit = total_profit(z, te.labels, P, te.clvs)
-            acc = float(np.mean((z == 1) == (te.labels == 0)))
+            acc = accuracy(z, te.labels)
             if profit > best_profit:
                 best_profit, z_profit = profit, z
             if acc > best_acc:
@@ -149,6 +149,12 @@ class TestMonteCarloCv:
         _, train, _ = datasets[0]
         with pytest.raises(ValueError, match="nonempty"):
             ex.monte_carlo_cv(train, [], P)
+
+    @pytest.mark.parametrize("splits, n_seeds", [(0, 1), (1, 0), (-2, 3)])
+    def test_no_validation_run_rejected(self, splits, n_seeds):
+        _, train, _ = small_benchmark_inputs(1)[0]
+        with pytest.raises(ValueError, match="splits and n_seeds must be >= 1"):
+            ex.monte_carlo_cv(train, [(0.01, 5)], P, splits=splits, n_seeds=n_seeds)
 
 
 class TestResolveD:
@@ -320,11 +326,16 @@ class TestSharedFits:
         assert all(c.error == "KeyError: 'x'" for c in report.failed)
         assert sum(c.status == "ok" for c in report.cells) == len(report.cells) - 6
 
-    def test_smote_settings_reach_only_smote_fits(self):
-        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("regret_net", "logistic"), smote_k=0, **FAST)
+    def test_smote_settings_reach_only_smote_fits(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = ex.RunConfig(
+            d_grid=("clv/20",), methods=("regret_net", "logistic"), smote_k=3, smote_ratio=0.8, **FAST
+        )
         report = ex.run_benchmark(small_benchmark_inputs(1), cfg)
-        assert [(c.method, c.status) for c in report.cells] == [("regret_net", "ok"), ("logistic", "failed")]
-        assert report.cells[1].error.startswith("ValueError: k_neighbors")
+        assert report.failed == ()
+        assert [(a[1].k_neighbors, a[1].ratio) for a in calls["smote_balance"]] == [(3, 0.8)]
+        assert [a[0].name for a in calls["fit_logistic"]] == ["ds0_train"]
+        assert len(calls["fit_logistic"][0][0]) > len(calls["train"][0][1])  # only logistic saw SMOTE rows
 
     def test_failed_rule_fails_only_its_cell(self, monkeypatch):
         def msp(*args):
@@ -402,6 +413,24 @@ class TestRunConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             ex.RunConfig(methods=("nonsense",))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("knn_k", 0, "knn_k must be >= 1"),
+            ("cv_splits", 0, "cv_splits must be >= 1"),
+            ("cv_seeds", -1, "cv_seeds must be >= 1"),
+            ("cart_min_leaf", 0, "min_leaf must be >= 1"),
+            ("cart_max_depth", -1, "max_depth must be >= 0"),
+            ("smote_k", 0, "k_neighbors must be >= 1"),
+            ("smote_ratio", 1.5, "ratio must lie in"),
+            ("methods", (), "nonempty"),
+            ("d_grid", (), "nonempty"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ex.RunConfig(**{field: value})
 
     def test_regret_net_accuracy_switch(self):
         datasets = small_benchmark_inputs(1)

@@ -8,7 +8,6 @@ from churnopt.metrics import (
     accuracy,
     mp,
     msp,
-    msp_best_q,
     profit_at_threshold,
     targeted_fraction,
     threshold_candidates,
@@ -232,24 +231,16 @@ class TestMsp:
             mp_value, _ = mp(scores, labels, P, 85.0)
             assert result.msp >= mp_value - 1e-12
 
-    def test_best_q_sweep(self):
-        rng = np.random.default_rng(7)
-        scores = rng.uniform(0, 1, 24)
-        labels = rng.integers(0, 2, 24)
-        clvs = rng.uniform(5, 300, 24)
-        best = msp_best_q(scores, labels, clvs, (1, 2, 3, 4), P)
-        assert best.msp == max(msp(scores, labels, clvs, q, P).msp for q in (1, 2, 3, 4))
-
 
 class TestAccuracy:
     def test_perfect_separation(self):
-        assert accuracy([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], 0.5) == 1.0
+        assert accuracy(np.array([0.1, 0.2, 0.8, 0.9]) <= 0.5, [0, 0, 1, 1]) == 1.0
 
     def test_inverted_scores(self):
-        assert accuracy([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1], 0.5) == 0.0
+        assert accuracy(np.array([0.9, 0.8, 0.1, 0.2]) <= 0.5, [0, 0, 1, 1]) == 0.0
 
     def test_hand_count(self):
-        assert accuracy([0.1, 0.9], [0, 0], 0.5) == 0.5
+        assert accuracy(np.array([0.1, 0.9]) <= 0.5, [0, 0]) == 0.5
 
 
 class TestTargetedFraction:

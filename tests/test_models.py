@@ -1,11 +1,22 @@
 """Scorers: network forward/backward, Adam, training, and baselines."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from churnopt.campaign import CampaignParams, break_even_clv, midpoint, optimal_total_profit, prescribe, total_profit
+from churnopt.campaign import (
+    CampaignParams,
+    break_even_clv,
+    midpoint,
+    optimal_total_profit,
+    prescribe,
+    smooth_regret,
+    total_profit,
+)
 from churnopt.data import Dataset
 from churnopt.models import (
     AdamState,
@@ -13,16 +24,13 @@ from churnopt.models import (
     Mlp,
     TrainConfig,
     adam_step,
-    cart_score,
     cart_scores,
     default_hidden,
     fit_cart,
     fit_logistic,
-    forward,
     forward_batch,
     gradient_check,
     init_mlp,
-    knn_score,
     knn_scores,
     load_mlp,
     mean_loss,
@@ -82,11 +90,11 @@ class TestInit:
 class TestForward:
     def test_zero_network_scores_half(self):
         mlp = Mlp(w1=np.zeros((3, 2)), b1=np.zeros(3), w2=np.zeros(3), b2=np.zeros(()))
-        assert forward(mlp, [1.0, -4.0]) == 0.5
+        assert forward_batch(mlp, np.array([[1.0, -4.0]]))[0] == 0.5
 
     def test_saturated_bias(self):
         mlp = Mlp(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=np.asarray(50.0))
-        assert forward(mlp, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
+        assert forward_batch(mlp, np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_computed_2_2_1(self):
         mlp = Mlp(
@@ -98,7 +106,7 @@ class TestForward:
         x = [0.4, -0.6]
         u = 1.5 * math.tanh(1.1) - 0.5 * math.tanh(-1.2) + 0.3
         expected = 1.0 / (1.0 + math.exp(-u))
-        assert forward(mlp, x) == pytest.approx(expected, rel=1e-15)
+        assert forward_batch(mlp, np.array([x]))[0] == pytest.approx(expected, rel=1e-15)
 
     def test_scale_stable(self):
         rng = np.random.default_rng(4)
@@ -116,7 +124,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward(init_mlp(3, 2, 0), [1.0, 2.0])
+            forward_batch(init_mlp(3, 2, 0), np.array([[1.0, 2.0]]))
 
 
 class TestAdam:
@@ -265,6 +273,28 @@ class TestGradientCheck:
             gradient_check(mlp, "cross-entropy", np.zeros((1, 2)), [1], [85.0], P, h=1e-2)
 
 
+class TestOneLossSource:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mean_loss_is_the_campaign_smooth_regret(self, data):
+        n = data.draw(st.integers(1, 12))
+        f = float(data.draw(st.integers(0, 5)))
+        d = float(data.draw(st.integers(1, 20)))
+        gamma = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        params = CampaignParams(f=f, d=d, gamma=gamma, slope=data.draw(st.floats(0.1, 100.0)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        clvs = np.array(data.draw(st.lists(st.floats(0.5, 500.0), min_size=n, max_size=n)))
+        # small integers and a power-of-two gamma make this midpoint exactly 0.5
+        clvs[0] = d + (d + 2 * f) / gamma
+        assert midpoint(params, clvs[0]) == 0.5
+        X = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        mlp = init_mlp(2, 3, seed=data.draw(st.integers(0, 2**16)))
+        if data.draw(st.booleans()):
+            mlp.w2 = np.zeros(3)  # every score is sigmoid(0) = 0.5: customer 0 sits on its midpoint
+        expected = np.mean(smooth_regret(labels, forward_batch(mlp, X), params, clvs))
+        assert mean_loss(mlp, make_dataset(X, labels, clvs), params, "smooth-regret") == expected
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         mlp = init_mlp(6, 3, seed=12)
@@ -275,7 +305,18 @@ class TestSerialization:
         assert np.array_equal(back.b1, mlp.b1)
         assert np.array_equal(back.w2, mlp.w2)
         assert float(back.b2) == float(mlp.b2)
-        assert back.activation == mlp.activation and back.seed == mlp.seed
+        assert back.seed == mlp.seed
+
+    def test_reads_files_that_carry_the_activation_key(self, tmp_path):
+        mlp = init_mlp(2, 2, seed=5)
+        payload = {"w1": mlp.w1.tolist(), "b1": [0.0, 0.0], "w2": mlp.w2.tolist(), "b2": 0.25, "seed": 5}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload | {"activation": "tanh"}))
+        back = load_mlp(path)
+        assert np.array_equal(back.w1, mlp.w1) and float(back.b2) == 0.25 and back.seed == 5
+        path.write_text(json.dumps(payload | {"activation": "relu"}))
+        with pytest.raises(ValueError, match="unsupported activation"):
+            load_mlp(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -304,16 +345,16 @@ class TestLogistic:
 class TestKnn:
     def test_query_on_training_point_k1(self):
         ds = make_dataset([[0.0, 0.0], [5.0, 5.0]], [0, 1], [10.0, 10.0])
-        assert knn_score(ds, [0.0, 0.0], 1) == 0.0
-        assert knn_score(ds, [5.0, 5.0], 1) == 1.0
+        assert knn_scores(ds, [[0.0, 0.0]], 1)[0] == 0.0
+        assert knn_scores(ds, [[5.0, 5.0]], 1)[0] == 1.0
 
     def test_k_equals_n_gives_class_rate(self):
         ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1], [10.0] * 4)
-        assert knn_score(ds, [99.0], 4) == 0.75
+        assert knn_scores(ds, [[99.0]], 4)[0] == 0.75
 
     def test_three_point_hand_instance(self):
         ds = make_dataset([[0.0], [1.0], [2.0]], [1, 1, 0], [10.0] * 3)
-        assert knn_score(ds, [0.5], 3) == pytest.approx(2.0 / 3.0)
+        assert knn_scores(ds, [[0.5]], 3)[0] == pytest.approx(2.0 / 3.0)
 
     def test_invariant_under_training_permutation(self):
         rng = np.random.default_rng(13)
@@ -330,7 +371,7 @@ class TestKnn:
         ds = make_dataset([[0.0], [1.0]], [0, 1], [10.0, 10.0])
         for k in (0, 3):
             with pytest.raises(ValueError):
-                knn_score(ds, [0.0], k)
+                knn_scores(ds, [[0.0]], k)
 
 
 class TestCart:
@@ -370,5 +411,4 @@ class TestCart:
     def test_score_walks_correct_branch(self):
         ds = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1], [10.0] * 4)
         tree = fit_cart(ds, CartConfig(max_depth=2, min_leaf=1))
-        assert cart_score(tree, [0.5]) == 0.0
-        assert cart_score(tree, [10.5]) == 1.0
+        assert cart_scores(tree, [[0.5], [10.5]]).tolist() == [0.0, 1.0]
