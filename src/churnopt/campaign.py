@@ -66,16 +66,13 @@ class CampaignParams:
 def sigmoid(x):
     """Numerically stable logistic 1 / (1 + exp(-x)).
 
-    Evaluates the exponential only on the non-overflowing branch, so
-    arguments of magnitude up to ~1e4 (slope times score gap) are safe.
+    With e = exp(-|x|), which never overflows, this is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) otherwise, so arguments of any magnitude
+    (slope times score gap) are safe.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _scalar_or_array(out)
+    e = np.exp(-np.abs(x))
+    return _scalar_or_array(np.where(x >= 0, 1.0, e) / (1.0 + e))
 
 
 def _scalar_or_array(out):

@@ -12,6 +12,7 @@ reproducible byte for byte no matter how fits are scheduled.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,6 +45,7 @@ from .models import (
     knn_scores,
     mean_loss,
     train,
+    train_epochs,
 )
 from .smote import SmoteConfig, smote_balance
 from .stats import comparison_summary, rank_methods
@@ -202,15 +204,23 @@ def monte_carlo_cv(
 
     Each grid cell is scored by the mean held-out loss over `splits`
     random splits times `n_seeds` training seeds (splits and seeds are
-    shared across cells, so the comparison is paired). Ties break toward
+    shared across cells, so the comparison is paired). The cells of one
+    learning rate share their epoch prefix: each (split, seed) is trained
+    once, to the largest epoch count of that learning rate, and scored
+    after every epoch count in the grid along the way. Ties break toward
     the smaller learning rate, then fewer epochs. Training failures are
-    excluded from the mean, counted, and reported via a warning.
+    excluded from the mean, counted, and reported via a warning; a run
+    that fails in epoch e fails the cells with e or more epochs.
     """
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
     if splits < 1 or n_seeds < 1:
         raise ValueError(f"splits and n_seeds must be >= 1, got {splits} and {n_seeds}")
     base = base if base is not None else TrainConfig()
+    epochs_by_lr: dict[float, list[int]] = {}
+    for lr, epochs in grid:
+        cfg = replace(base, learning_rate=lr, epochs=int(epochs))  # checks the grid point
+        epochs_by_lr.setdefault(lr, []).append(cfg.epochs)
     if hidden is None:
         hidden = default_hidden(data.n_features)
     rng = np.random.default_rng(seed)
@@ -228,27 +238,27 @@ def monte_carlo_cv(
     run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(splits * n_seeds)]
 
     failures = 0
-    best: tuple[float, float, int] | None = None  # (score, lr, epochs)
-    for lr, epochs in sorted(grid):
-        cfg = replace(base, learning_rate=lr, epochs=int(epochs))
-        losses = []
+    losses: dict[tuple[float, int], list[float]] = {}
+    for lr, epoch_counts in epochs_by_lr.items():
+        cfg = replace(base, learning_rate=lr, epochs=max(epoch_counts))
         for si, perm in enumerate(splits_idx):
             tr = data.subset(perm[: n - n_val])
             va = data.subset(perm[n - n_val :])
             for s in range(n_seeds):
                 run_seed = run_seeds[si * n_seeds + s]
+                init = init_mlp(data.n_features, hidden, seed=run_seed)
+                done = 0
                 try:
-                    model = train(
-                        init_mlp(data.n_features, hidden, seed=run_seed),
-                        tr,
-                        params,
-                        replace(cfg, seed=run_seed),
-                    )
+                    for model in train_epochs(init, tr, params, replace(cfg, seed=run_seed)):
+                        done += 1
+                        if done in epoch_counts:
+                            losses.setdefault((lr, done), []).append(mean_loss(model, va, params, cfg.loss))
                 except RuntimeError:
-                    failures += 1
-                    continue
-                losses.append(mean_loss(model, va, params, cfg.loss))
-        score = float(np.mean(losses)) if losses else np.inf
+                    failures += sum(e > done for e in epoch_counts)
+    best: tuple[float, float, int] | None = None  # (score, lr, epochs)
+    for lr, epochs in sorted(grid):
+        cell = losses.get((lr, int(epochs)))
+        score = float(np.mean(cell)) if cell else np.inf
         if best is None or score < best[0]:
             best = (score, lr, int(epochs))
     if failures:
@@ -277,6 +287,14 @@ DEFAULT_METHODS = METHODS[:8]
 DEFAULT_D_GRID = ("clv/20", "clv/15", "clv/10", "clv/5", "clv/3")
 
 
+# RunConfig fields that count something, so must hold an int (not a bool);
+# hidden and batch_size may also be None
+_COUNT_FIELDS = (
+    "q", "knn_k", "cv_splits", "cv_seeds", "smote_k", "cart_max_depth", "cart_min_leaf",
+    "epochs", "hidden", "batch_size",
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a benchmark run needs beyond the datasets themselves."""
@@ -291,7 +309,7 @@ class RunConfig:
     learning_rate: float = 0.01
     epochs: int = 50
     batch_size: int | None = None
-    cv_learning_rates: tuple[float, ...] = ()  # nonempty grid enables tuning
+    cv_learning_rates: tuple[float, ...] = ()  # nonempty (with cv_epochs) enables tuning
     cv_epochs: tuple[int, ...] = ()
     cv_splits: int = 5
     cv_seeds: int = 10
@@ -313,13 +331,30 @@ class RunConfig:
             raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
         if not self.methods or not self.d_grid:
             raise ValueError("methods and d_grid must be nonempty")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        for name in ("knn_k", "cv_splits", "cv_seeds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        counts = [(name, getattr(self, name)) for name in _COUNT_FIELDS]
+        for name, value in counts + [("cv_epochs", e) for e in self.cv_epochs]:
+            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (is_int or (value is None and name in ("hidden", "batch_size"))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("q", "knn_k", "cv_splits", "cv_seeds", "hidden"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         CartConfig(self.cart_max_depth, self.cart_min_leaf)
         SmoteConfig(self.smote_k, self.smote_ratio)
+        TrainConfig(self.learning_rate, self.epochs, self.batch_size)
+        if bool(self.cv_learning_rates) != bool(self.cv_epochs):
+            raise ValueError("cv_learning_rates and cv_epochs must both be given or both be empty")
+        for lr, epochs in self.cv_grid:
+            try:
+                TrainConfig(lr, epochs)
+            except ValueError as exc:
+                raise ValueError(f"cv grid point (learning_rate={lr}, epochs={epochs}): {exc}") from None
+
+    @property
+    def cv_grid(self) -> list[tuple[float, int]]:
+        """The (learning rate, epochs) points that Monte Carlo CV compares; empty: no tuning."""
+        return [(lr, e) for lr in self.cv_learning_rates for e in self.cv_epochs]
 
     def campaign(self, d: float) -> CampaignParams:
         return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)
@@ -380,10 +415,9 @@ def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, pa
 
 def _fit_net(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds, loss: str):
     tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
-    if loss == "smooth-regret" and cfg.cv_learning_rates and cfg.cv_epochs:
-        grid = [(lr, e) for lr in cfg.cv_learning_rates for e in cfg.cv_epochs]
+    if loss == "smooth-regret" and cfg.cv_grid:
         best = monte_carlo_cv(
-            data, grid, params, base=tc, hidden=cfg.hidden,
+            data, cfg.cv_grid, params, base=tc, hidden=cfg.hidden,
             splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
         )
         tc = replace(best, seed=seeds[1])

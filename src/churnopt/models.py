@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "init_mlp",
     "forward_batch",
     "adam_step",
+    "train_epochs",
     "train",
     "mean_loss",
     "gradient_check",
@@ -87,6 +89,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("Adam betas must lie in [0, 1)")
         if not self.eps > 0:
@@ -206,28 +210,42 @@ def _losses_and_du(scores, u, targets, loss: str, slope: float):
     return losses, dscore * scores * (1.0 - scores)
 
 
-def _loss_and_grads(p, X, targets, loss, slope):
-    """Mean loss over the batch and its gradients for every parameter."""
+def _flat(mlp: Mlp) -> np.ndarray:
+    """A new float vector holding w1 (row-major), b1, w2 and b2, in that order."""
+    return np.concatenate([np.ravel(a) for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2)], dtype=float)
+
+
+def _views(theta: np.ndarray, hidden: int, input_dim: int) -> dict[str, np.ndarray]:
+    """w1, b1, w2 and b2 as views into a vector laid out by _flat."""
+    k = hidden * input_dim
+    return {
+        "w1": theta[:k].reshape(hidden, input_dim),
+        "b1": theta[k : k + hidden],
+        "w2": theta[k + hidden : k + 2 * hidden],
+        "b2": theta[-1:].reshape(()),
+    }
+
+
+def _loss_and_grad(p, X, targets, loss, slope, grads) -> float:
+    """Mean loss over the batch; writes its gradients into the arrays of grads."""
     scores, u, A = _forward_full(p, X)
     losses, du = _losses_and_du(scores, u, targets, loss, slope)
-    n = X.shape[0]
-    du = du / n
-    grads = {
-        "w2": A.T @ du,
-        "b2": np.asarray(du.sum()),
-    }
-    dA = np.outer(du, p["w2"])
-    dH = dA * (1.0 - A * A)
-    grads["w1"] = dH.T @ X
-    grads["b1"] = dH.sum(axis=0)
-    return float(losses.mean()), grads
+    du = du / X.shape[0]
+    np.matmul(A.T, du, out=grads["w2"])
+    np.sum(du, out=grads["b2"])
+    dH = np.outer(du, p["w2"]) * (1.0 - A * A)
+    np.matmul(dH.T, X, out=grads["w1"])
+    np.sum(dH, axis=0, out=grads["b1"])
+    return float(losses.mean())
 
 
-def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
-    """Mini-batch Adam training; returns a new trained model.
+def train_epochs(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Iterator[Mlp]:
+    """Mini-batch Adam training that yields a new model after each epoch.
 
-    Shuffling, batching and updates are fully determined by cfg.seed. The
-    per-epoch mean training loss is recorded on the returned model's
+    The model yielded after epoch e is the one train returns with
+    cfg.epochs = e, so one run serves every shorter epoch count.
+    Shuffling, batching and updates are fully determined by cfg.seed.
+    Each model carries the per-epoch mean training loss so far on its
     loss_history (not asserted monotone; the optimizer is stochastic).
 
     Raises:
@@ -239,9 +257,15 @@ def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> 
         raise ValueError(f"model expects {mlp.input_dim} features, data has {X.shape[1]}")
     targets = _loss_targets(cfg.loss, y, params, clv)
 
-    p = mlp.params()  # adam_step returns new arrays, so mlp is left as it is
+    # the four parameters are views into theta and their gradients views
+    # into g, so one Adam update of the flat vector moves them all
+    shape = mlp.w1.shape
+    theta = _flat(mlp)
+    p = _views(theta, *shape)
+    g = np.empty_like(theta)
+    grads = _views(g, *shape)
+    state = AdamState.zeros_like({"theta": theta})
     history: list[float] = []
-    state = AdamState.zeros_like(p)
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
     batch = cfg.resolve_batch_size(n)
@@ -251,15 +275,26 @@ def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> 
         epoch_loss = 0.0
         for b, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
-            loss, grads = _loss_and_grads(p, X[idx], targets[..., idx], cfg.loss, params.slope)
+            loss = _loss_and_grad(p, X[idx], targets[..., idx], cfg.loss, params.slope, grads)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
-            p, state = adam_step(
-                p, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
+            stepped, state = adam_step(
+                {"theta": theta}, {"theta": g}, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
             )
+            theta[...] = stepped["theta"]
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
-    return Mlp(**p, seed=mlp.seed, loss_history=history)
+        yield Mlp(**_views(theta.copy(), *shape), seed=mlp.seed, loss_history=history[:])
+
+
+def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
+    """Mini-batch Adam training for cfg.epochs epochs; returns a new trained model.
+
+    mlp is left as it is. See train_epochs, whose last model this is.
+    """
+    for model in train_epochs(mlp, data, params, cfg):
+        pass
+    return model
 
 
 def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> float:
@@ -291,26 +326,27 @@ def gradient_check(
         raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
     X = np.asarray(X, dtype=float)
     targets = _loss_targets(loss, labels, params, clvs)
-    p = {k: v.copy() for k, v in mlp.params().items()}
-    _, analytic = _loss_and_grads(p, X, targets, loss, params.slope)
+    theta = _flat(mlp)
+    analytic = np.empty_like(theta)
+    p = _views(theta, *mlp.w1.shape)
+    _loss_and_grad(p, X, targets, loss, params.slope, _views(analytic, *mlp.w1.shape))
+    discarded = _views(np.empty_like(theta), *mlp.w1.shape)
 
-    def loss_at(pp):
-        return _loss_and_grads(pp, X, targets, loss, params.slope)[0]
+    def loss_at():
+        return _loss_and_grad(p, X, targets, loss, params.slope, discarded)
 
     worst = 0.0
-    for k, theta in p.items():
-        flat = theta.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = loss_at(p)
-            flat[i] = keep - h
-            down = loss_at(p)
-            flat[i] = keep
-            numeric = (up - down) / (2 * h)
-            a = float(np.asarray(analytic[k]).reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            worst = max(worst, err)
+    for i in range(theta.size):
+        keep = theta[i]
+        theta[i] = keep + h
+        up = loss_at()
+        theta[i] = keep - h
+        down = loss_at()
+        theta[i] = keep
+        numeric = (up - down) / (2 * h)
+        a = float(analytic[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+        worst = max(worst, err)
     return worst
 
 

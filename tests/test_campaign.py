@@ -3,7 +3,10 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnopt.campaign import (
     CampaignParams,
@@ -318,3 +321,31 @@ def test_sigmoid_stable_and_symmetric():
     assert sigmoid(-1e4) == pytest.approx(0.0, abs=1e-300)
     x = np.linspace(-30, 30, 61)
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -700.0, 745.2, -745.2, 1e308, -1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=700.0),
+            st.floats(max_value=-700.0),
+            _EDGE_FLOATS,
+        ),
+        max_size=40,
+    ),
+    step=st.sampled_from([1, 2]),
+)
+def test_sigmoid_matches_mask_oracle_bit_for_bit(xs, step):
+    x = np.array(xs, dtype=float)[::step]  # step 2: a strided view
+    got, want = sigmoid(x), oracles.sigmoid(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(want[~np.isnan(want)]))
+    for value in xs[:3]:
+        scalar = sigmoid(value)
+        assert isinstance(scalar, float)
+        assert scalar == float(oracles.sigmoid(value)) or (np.isnan(scalar) and np.isnan(oracles.sigmoid(value)))

@@ -162,6 +162,20 @@ class TestBenchmark:
             ({"methods": []}, "methods"),
             ({"d_grid": []}, "d_grid"),
             ({"datasets": {"synthetic": []}}, "datasets"),
+            ({"model": {"epochs": 0}}, "epochs"),
+            ({"model": {"learning_rate": 0}}, "learning_rate"),
+            ({"model": {"hidden": 0}}, "hidden"),
+            ({"model": {"batch_size": 0}}, "batch_size"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [0]}}, "cv grid point"),
+            ({"cv": {"learning_rates": [-0.1], "epochs": [5]}}, "cv grid point"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [2.5]}}, "cv_epochs"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [True]}}, "cv_epochs"),
+            ({"cv": {"learning_rates": [0.01]}}, "cv_epochs"),
+            ({"baselines": {"knn_k": 2.5}}, "knn_k"),
+            ({"baselines": {"cart_max_depth": 2.5}}, "cart_max_depth"),
+            ({"smote": {"k_neighbors": 2.5}}, "smote_k"),
+            ({"cv": {"splits": 2.0}}, "cv_splits"),
+            ({"q": 1.5}, "q must be an integer"),
         ],
     )
     def test_out_of_range_setting_exits_1_naming_it(self, tmp_path, capsys, change, field):

@@ -1,7 +1,12 @@
 """Synthetic generation, cross-validation, and the benchmark engine."""
 
+import warnings
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnopt import experiments as ex
 from churnopt.campaign import CampaignParams, midpoint, optimal_total_profit, prescribe, total_profit
@@ -155,6 +160,49 @@ class TestMonteCarloCv:
         _, train, _ = small_benchmark_inputs(1)[0]
         with pytest.raises(ValueError, match="splits and n_seeds must be >= 1"):
             ex.monte_carlo_cv(train, [(0.01, 5)], P, splits=splits, n_seeds=n_seeds)
+
+
+def _cv_with_warnings(cv, data, grid, **kwargs):
+    """(learning rate, epochs) a CV function picks and the CV warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        best = cv(data, grid, P, **kwargs)
+    messages = [str(w.message) for w in caught if "cross-validation" in str(w.message)]
+    return (best.learning_rate, best.epochs), messages
+
+
+class TestMonteCarloCvMatchesOracle:
+    """Shared epoch prefixes against training every grid point from scratch (tests/oracles.py)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        epochs_by_lr=st.dictionaries(
+            st.sampled_from([0.003, 0.05, 0.4, 1e308]),
+            st.lists(st.integers(1, 6), min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        batch_size=st.sampled_from([None, 24]),
+        seed=st.integers(0, 1000),
+    )
+    def test_same_pick_and_warning(self, epochs_by_lr, batch_size, seed):
+        _, train, _ = small_benchmark_inputs(1)[0]
+        tr, _, _ = standardize(train, train)
+        grid = [(lr, e) for lr, counts in epochs_by_lr.items() for e in counts]
+        kwargs = dict(base=TrainConfig(batch_size=batch_size), splits=2, n_seeds=2, seed=seed)
+        assert _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs) == _cv_with_warnings(
+            oracles.monte_carlo_cv, tr, grid, **kwargs
+        )
+
+    def test_mid_run_divergence_fails_only_the_longer_cells(self):
+        # at learning rate 1e308 every run of this split turns non-finite in epoch 4
+        _, train, _ = small_benchmark_inputs(1)[0]
+        tr, _, _ = standardize(train, train)
+        grid = [(1e308, 6), (1e308, 2), (1e308, 3), (1e308, 8), (0.05, 2)]
+        kwargs = dict(splits=2, n_seeds=2, seed=0)
+        got = _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs)
+        assert got == _cv_with_warnings(oracles.monte_carlo_cv, tr, grid, **kwargs)
+        assert got[1] == ["8 training run(s) failed during cross-validation"]
 
 
 class TestResolveD:
@@ -426,11 +474,45 @@ class TestRunConfig:
             ("smote_ratio", 1.5, "ratio must lie in"),
             ("methods", (), "nonempty"),
             ("d_grid", (), "nonempty"),
+            ("epochs", 0, "epochs must be >= 1"),
+            ("learning_rate", 0, "learning_rate must be > 0"),
+            ("hidden", 0, "hidden must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("knn_k", 2.5, "knn_k must be an integer"),
+            ("q", 1.5, "q must be an integer"),
+            ("cv_splits", 2.0, "cv_splits must be an integer"),
+            ("cv_seeds", True, "cv_seeds must be an integer"),
+            ("smote_k", 2.5, "smote_k must be an integer"),
+            ("cart_max_depth", 3.5, "cart_max_depth must be an integer"),
+            ("cart_min_leaf", 1.5, "cart_min_leaf must be an integer"),
+            ("epochs", 2.5, "epochs must be an integer"),
+            ("epochs", True, "epochs must be an integer"),
+            ("hidden", 1.5, "hidden must be an integer"),
+            ("batch_size", 32.0, "batch_size must be an integer"),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ex.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cv_learning_rates": (0.01, 0.03), "cv_epochs": (5, 0)}, "cv grid point .* epochs must be >= 1"),
+            ({"cv_learning_rates": (-0.1,), "cv_epochs": (5,)}, "cv grid point .* learning_rate must be > 0"),
+            ({"cv_learning_rates": (0.01,), "cv_epochs": (2.5,)}, "cv_epochs must be an integer"),
+            ({"cv_learning_rates": (0.01,), "cv_epochs": (True,)}, "cv_epochs must be an integer"),
+            ({"cv_learning_rates": (0.01,)}, "cv_learning_rates and cv_epochs must both"),
+            ({"cv_epochs": (5,)}, "cv_learning_rates and cv_epochs must both"),
+        ],
+    )
+    def test_bad_cv_grid_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ex.RunConfig(**fields)
+
+    def test_count_fields_accept_numpy_integers_and_unset_optionals(self):
+        cfg = ex.RunConfig(knn_k=np.int64(3), hidden=None, batch_size=None, cv_learning_rates=(0.01,), cv_epochs=(2, 4))
+        assert cfg.cv_grid == [(0.01, 2), (0.01, 4)]
 
     def test_regret_net_accuracy_switch(self):
         datasets = small_benchmark_inputs(1)
@@ -438,7 +520,16 @@ class TestRunConfig:
         r1 = ex.run_benchmark(datasets, ex.RunConfig(**base))
         r2 = ex.run_benchmark(datasets, ex.RunConfig(regret_net_accuracy="midpoint", **base))
         assert r1.cells[0].profit == r2.cells[0].profit  # decisions unchanged
-        assert r1.cells[0].accuracy != r2.cells[0].accuracy or True  # may coincide, must not crash
+
+        _, train_raw, test_raw = datasets[0]
+        tr, te, _ = standardize(train_raw, test_raw)
+        params = ex.RunConfig(**base).campaign(ex.resolve_d("clv/20", float(train_raw.clvs.mean())))
+        _, seed, _ = ex._cell_seeds(0, 0, 0, 0)
+        tc = TrainConfig(loss="smooth-regret", seed=seed, **FAST)
+        scores = forward_batch(train(init_mlp(3, default_hidden(3), seed=seed), tr, params, tc), te.features)
+        assert r1.cells[0].accuracy == accuracy(scores <= 0.5, te.labels)
+        assert r2.cells[0].accuracy == accuracy(prescribe(scores, midpoint(params, te.clvs)), te.labels)
+        assert r1.cells[0].accuracy != r2.cells[0].accuracy
 
     def test_drop_below_break_even_flag(self):
         datasets = small_benchmark_inputs(1)

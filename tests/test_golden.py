@@ -1,11 +1,14 @@
-"""Golden bytes: a small fixed run must reproduce its checked-in outputs.
+"""Golden bytes: small fixed runs must reproduce their checked-in outputs.
 
-The run covers every method, an absolute and a CLV-relative d entry, the
-Monte Carlo CV path and MSP thresholds on two synthetic datasets. The
-expected files were written once with
+`golden/` covers every method, an absolute and a CLV-relative d entry,
+the Monte Carlo CV path and MSP thresholds on two synthetic datasets.
+`golden_cv/` runs regret_net with mini-batches and a CV grid of two
+learning rates x epochs {2, 5}, whose picks include both epoch counts,
+so it pins the models tuned on shared epoch prefixes. The expected files
+were written once with
 
-    churnopt benchmark --config tests/data/golden/run.json \
-        --out tests/data/golden --jobs 1
+    churnopt benchmark --config tests/data/<dir>/run.json \
+        --out tests/data/<dir> --jobs 1
 
 and any byte that moves is an output change that must be declared.
 """
@@ -16,12 +19,20 @@ import pytest
 
 from churnopt.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_reproduces(golden: Path, out: Path, jobs: str) -> None:
+    assert main(["benchmark", "--config", str(golden / "run.json"), "--out", str(out), "--jobs", jobs]) == 0
+    for name in ("benchmark_cells.csv", "summary.json"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_small_run_reproduces_golden_bytes(tmp_path, jobs):
-    out = tmp_path / "out"
-    assert main(["benchmark", "--config", str(GOLDEN / "run.json"), "--out", str(out), "--jobs", jobs]) == 0
-    for name in ("benchmark_cells.csv", "summary.json"):
-        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    _assert_reproduces(DATA / "golden", tmp_path / "out", jobs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_multi_epoch_cv_run_reproduces_golden_bytes(tmp_path, jobs):
+    _assert_reproduces(DATA / "golden_cv", tmp_path / "out", jobs)

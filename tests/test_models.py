@@ -2,8 +2,10 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from churnopt.models import (
     mean_loss,
     save_mlp,
     train,
+    train_epochs,
 )
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
@@ -227,6 +230,47 @@ class TestTrain:
         assert mean_loss(model, ds, P, "cross-entropy") == pytest.approx(
             model.loss_history[-1], rel=0.5
         )
+
+
+class TestFlatTrainingMatchesOracle:
+    """train_epochs and train against the dict-based Adam loop of tests/oracles.py."""
+
+    @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
+    @pytest.mark.parametrize("batching", ["full", "divides", "remainder"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_every_epoch_bit_identical(self, loss, batching, data):
+        batch = data.draw(st.integers(2, 9))
+        n = batch * data.draw(st.integers(1, 5))
+        if batching == "remainder":
+            n += data.draw(st.integers(1, batch - 1))
+        k, hidden = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        ds = make_dataset(rng.normal(size=(n, k)), labels, rng.uniform(5.0, 300.0, n))
+        cfg = TrainConfig(
+            learning_rate=data.draw(st.sampled_from([0.001, 0.03, 0.5])),
+            epochs=data.draw(st.integers(1, 4)),
+            batch_size=None if batching == "full" else batch,
+            loss=loss,
+            seed=seed,
+        )
+        mlp = init_mlp(k, hidden, seed=seed + 1)
+        models = list(train_epochs(mlp, ds, P, cfg))
+        assert len(models) == cfg.epochs
+        for e, model in enumerate(models, start=1):
+            want = oracles.train(mlp, ds, P, replace(cfg, epochs=e))
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(model, name), getattr(want, name)), (e, name)
+                assert getattr(model, name).shape == getattr(want, name).shape
+            assert model.loss_history == want.loss_history
+        last = train(mlp, ds, P, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(last.params().values(), models[-1].params().values()))
+        assert last.loss_history == models[-1].loss_history
+        fresh = init_mlp(k, hidden, seed=seed + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(mlp.params().values(), fresh.params().values()))
 
 
 class TestGradientCheck:
