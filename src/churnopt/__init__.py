@@ -40,7 +40,7 @@ from .experiments import (
     run_benchmark,
     sensitivity_sweep,
 )
-from .metrics import MspResult, ThresholdedEvaluation, accuracy, mp, msp, profit_at_threshold, targeted_fraction
+from .metrics import MspResult, accuracy, mp, msp, targeted_fraction
 from .models import Mlp, TrainConfig, cart_scores, fit_cart, fit_logistic, forward_batch, init_mlp, knn_scores, train
 from .smote import SmoteConfig, smote_balance
 from .stats import HolmReport, RankTable, compare_methods, friedman_iman_davenport, holm, nemenyi_z, rank_methods

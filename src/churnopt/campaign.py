@@ -59,9 +59,6 @@ class CampaignParams:
         if not (self.slope > 0 and np.isfinite(self.slope)):
             raise ValueError(f"surrogate slope must be finite and > 0, got {self.slope}")
 
-    def with_d(self, d: float) -> "CampaignParams":
-        return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)
-
 
 def sigmoid(x):
     """Numerically stable logistic 1 / (1 + exp(-x)).

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,51 +50,69 @@ def _load_json(path: str) -> dict:
         raise _CliError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
-def _spec_from_dict(raw: dict, default_seed: int = 0) -> ex.SyntheticSpec:
-    known = {f.name for f in fields(ex.SyntheticSpec)}
-    unknown = set(raw) - known
-    if unknown:
-        raise _CliError(f"unknown synthetic-spec key(s) {sorted(unknown)}")
+def _spec_from_dict(raw, default_seed: int = 0) -> ex.SyntheticSpec:
+    if not isinstance(raw, dict):
+        raise _CliError(f"a synthetic spec must be a JSON object, got {raw!r}")
     raw = dict(raw)
     raw.setdefault("seed", default_seed)
     try:
         return ex.SyntheticSpec(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError names an unknown key
         raise _CliError(f"invalid synthetic spec: {exc}")
 
 
-def _run_config(config: dict) -> ex.RunConfig:
-    campaign = config.get("campaign", {})
-    model = config.get("model", {})
-    cv = config.get("cv", {})
-    smote = config.get("smote", {})
-    base = config.get("baselines", {})
+def _generate(spec: ex.SyntheticSpec):
     try:
-        return ex.RunConfig(
-            f=campaign.get("f", 1.36),
-            gamma=campaign.get("gamma", 0.3),
-            slope=campaign.get("slope", 10.0),
-            d_grid=tuple(config.get("d_grid", ex.DEFAULT_D_GRID)),
-            methods=tuple(config.get("methods", ex.DEFAULT_METHODS)),
-            q=config.get("q", 2),
-            hidden=model.get("hidden"),
-            learning_rate=model.get("learning_rate", 0.01),
-            epochs=model.get("epochs", 50),
-            batch_size=model.get("batch_size"),
-            cv_learning_rates=tuple(cv.get("learning_rates", ())),
-            cv_epochs=tuple(cv.get("epochs", ())),
-            cv_splits=cv.get("splits", 5),
-            cv_seeds=cv.get("seeds", 10),
-            smote_k=smote.get("k_neighbors", 5),
-            smote_ratio=smote.get("ratio", 1.0),
-            knn_k=base.get("knn_k", 5),
-            cart_max_depth=base.get("cart_max_depth", 6),
-            cart_min_leaf=base.get("cart_min_leaf", 5),
-            class_threshold=config.get("class_threshold", 0.5),
-            regret_net_accuracy=config.get("regret_net_accuracy", "threshold"),
-            drop_below_break_even=config.get("drop_below_break_even", False),
-            seed=config.get("seed", 0),
-        )
+        return ex.generate_synthetic(spec)
+    except (ValueError, OverflowError) as exc:  # e.g. never both classes, or CLVs beyond float range
+        raise _CliError(f"invalid synthetic spec: {exc}")
+
+
+# run-config block (None: top level) -> key -> RunConfig field; the
+# defaults live in RunConfig alone
+_CONFIG_FIELDS = {
+    None: {key: key for key in (
+        "d_grid", "methods", "q", "class_threshold", "regret_net_accuracy", "drop_below_break_even", "seed",
+    )},
+    "campaign": {"f": "f", "gamma": "gamma", "slope": "slope"},
+    "model": {"hidden": "hidden", "learning_rate": "learning_rate", "epochs": "epochs", "batch_size": "batch_size"},
+    "cv": {"learning_rates": "cv_learning_rates", "epochs": "cv_epochs", "splits": "cv_splits", "seeds": "cv_seeds"},
+    "smote": {"k_neighbors": "smote_k", "ratio": "smote_ratio"},
+    "baselines": {"knn_k": "knn_k", "cart_max_depth": "cart_max_depth", "cart_min_leaf": "cart_min_leaf"},
+}
+# RunConfig fields that hold a tuple, given as a JSON list
+_LIST_FIELDS = ("d_grid", "methods", "cv_learning_rates", "cv_epochs")
+# the keys a config may hold at top level: RunConfig fields, blocks, and
+# the keys read outside RunConfig
+_TOP_LEVEL_KEYS = set(_CONFIG_FIELDS[None]) | {block for block in _CONFIG_FIELDS if block} | {"datasets", "out_dir"}
+
+
+def _run_config(config) -> ex.RunConfig:
+    """RunConfig from the keys a JSON config sets; an unknown key or block is an error."""
+    if not isinstance(config, dict):
+        raise _CliError(f"the config must be a JSON object, got {type(config).__name__}")
+    if not isinstance(config.get("out_dir", ""), str):
+        raise _CliError(f"config key 'out_dir' must be a string, got {config['out_dir']!r}")
+    kwargs = {}
+    for block, keys in _CONFIG_FIELDS.items():
+        scope = config if block is None else config.get(block, {})
+        if not isinstance(scope, dict):
+            raise _CliError(f"config key {block!r} must be a JSON object, got {scope!r}")
+        known = _TOP_LEVEL_KEYS if block is None else set(keys)
+        unknown = sorted(f"{block}.{key}" if block else key for key in set(scope) - known)
+        if unknown:
+            raise _CliError(f"unknown config key(s) {unknown}")
+        for key, field in keys.items():
+            if key not in scope:
+                continue
+            value = scope[key]
+            if field in _LIST_FIELDS:
+                if not isinstance(value, list):
+                    raise _CliError(f"config key {field!r} must be a list, got {value!r}")
+                value = tuple(value)
+            kwargs[field] = value
+    try:
+        return ex.RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise _CliError(f"invalid config: {exc}")
 
@@ -105,20 +122,20 @@ def _build_datasets(config: dict, cfg: ex.RunConfig):
     spec = config.get("datasets", "bundled")
     if spec == "bundled":
         out = [(s.name, *ex.generate_synthetic(s)) for s in ex.bundled_specs(cfg.seed)]
-    elif isinstance(spec, dict) and "synthetic" in spec:
+    elif isinstance(spec, dict) and set(spec) == {"synthetic"} and isinstance(spec["synthetic"], list):
         specs = [_spec_from_dict(raw, default_seed=cfg.seed + i) for i, raw in enumerate(spec["synthetic"])]
-        out = [(s.name, *ex.generate_synthetic(s)) for s in specs]
+        out = [(s.name, *_generate(s)) for s in specs]
     elif isinstance(spec, list):
         out = []
         for entry in spec:
-            for key in ("name", "train", "test"):
-                if key not in entry:
-                    raise _CliError(f"dataset entry missing key {key!r}: {entry}")
+            if not (isinstance(entry, dict) and set(entry) == {"name", "train", "test"}
+                    and all(isinstance(v, str) for v in entry.values())):
+                raise _CliError(f"dataset entry {entry!r} must be an object of strings 'name', 'train' and 'test'")
             try:
                 train = load_dataset(entry["train"], name=f"{entry['name']}_train")
                 test = load_dataset(entry["test"], name=f"{entry['name']}_test")
-            except FileNotFoundError as exc:
-                raise _CliError(f"dataset file not found: {exc.filename}")
+            except OSError as exc:
+                raise _CliError(f"dataset file {exc.filename}: {exc.strerror}")
             except ValueError as exc:
                 raise _CliError(str(exc))
             out.append((entry["name"], train, test))
@@ -143,10 +160,12 @@ def cmd_generate(args) -> int:
         raw_specs = raw
     else:
         raw_specs = [raw]
+    if not isinstance(raw_specs, list):
+        raise _CliError("'specs' must be a list of synthetic specs")
     specs = [_spec_from_dict(r, default_seed=i) for i, r in enumerate(raw_specs)]
     out = Path(args.out)
     for s in specs:
-        train, test = ex.generate_synthetic(s)
+        train, test = _generate(s)
         for ds, tag in ((train, "train"), (test, "test")):
             path = save_dataset(ds, out / f"{s.name}_{tag}.csv")
             print(f"wrote {path} ({len(ds)} rows)")

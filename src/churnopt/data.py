@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -80,15 +80,9 @@ class Dataset:
     def churn_rate(self) -> float:
         return float(np.mean(self.labels == 0))
 
-    def subset(self, idx, name: str | None = None) -> "Dataset":
+    def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(
-            name=name if name is not None else self.name,
-            schema=self.schema,
-            features=self.features[idx],
-            labels=self.labels[idx],
-            clvs=self.clvs[idx],
-        )
+        return replace(self, features=self.features[idx], labels=self.labels[idx], clvs=self.clvs[idx])
 
     def require_both_classes(self) -> "Dataset":
         """Raise unless churners and non-churners are both present."""
@@ -207,13 +201,7 @@ class FeatureScaler:
     std: np.ndarray  # zero-variance columns carry std 1 (centering only)
 
     def transform(self, ds: Dataset) -> Dataset:
-        return Dataset(
-            name=ds.name,
-            schema=ds.schema,
-            features=(ds.features - self.mean) / self.std,
-            labels=ds.labels,
-            clvs=ds.clvs,
-        )
+        return replace(ds, features=(ds.features - self.mean) / self.std)
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, FeatureScaler]:

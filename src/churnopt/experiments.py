@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import numbers
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +32,7 @@ from .campaign import (
     prescribe,
     total_profit,
 )
-from .data import Dataset, assign_segments, segment_edges, quantile_segments, standardize
+from .data import Dataset, assign_segments, standardize
 from .metrics import accuracy, msp, targeted_fraction
 from .models import (
     CartConfig,
@@ -67,6 +68,32 @@ __all__ = [
 ]
 
 
+# what a field annotated with each type must hold; a bool is neither an int nor a float
+_HOLDS = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    # the bound also rules out NaN, +-inf and ints beyond the float range
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_field_types(obj) -> None:
+    """Raise ValueError naming the first dataclass field whose value its annotation
+    rules out: "T | None" also admits None, "tuple[T, ...]" holds T entries."""
+    for fld in fields(obj):
+        kind, values = fld.type.removesuffix(" | None"), [getattr(obj, fld.name)]
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind, values = kind[len("tuple["):-len(", ...]")], values[0]
+        elif kind != fld.type and values[0] is None:
+            continue
+        what, holds = _HOLDS.get(kind, ("", lambda v: True))
+        for value in values:
+            if not holds(value):
+                raise ValueError(f"{fld.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for one synthetic churn dataset with individual CLVs.
@@ -90,6 +117,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_train < 10 or self.n_test < 10:
             raise ValueError("n_train and n_test must be >= 10")
         if self.n_features < 1:
@@ -287,14 +317,6 @@ DEFAULT_METHODS = METHODS[:8]
 DEFAULT_D_GRID = ("clv/20", "clv/15", "clv/10", "clv/5", "clv/3")
 
 
-# RunConfig fields that count something, so must hold an int (not a bool);
-# hidden and batch_size may also be None
-_COUNT_FIELDS = (
-    "q", "knn_k", "cv_splits", "cv_seeds", "smote_k", "cart_max_depth", "cart_min_leaf",
-    "epochs", "hidden", "batch_size",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a benchmark run needs beyond the datasets themselves."""
@@ -324,6 +346,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown method(s) {unknown}; available: {METHODS}")
@@ -331,15 +354,10 @@ class RunConfig:
             raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
         if not self.methods or not self.d_grid:
             raise ValueError("methods and d_grid must be nonempty")
-        counts = [(name, getattr(self, name)) for name in _COUNT_FIELDS]
-        for name, value in counts + [("cv_epochs", e) for e in self.cv_epochs]:
-            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (is_int or (value is None and name in ("hidden", "batch_size"))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("q", "knn_k", "cv_splits", "cv_seeds", "hidden"):
+        for name, low in (("q", 1), ("knn_k", 1), ("cv_splits", 1), ("cv_seeds", 1), ("hidden", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         CartConfig(self.cart_max_depth, self.cart_min_leaf)
         SmoteConfig(self.smote_k, self.smote_ratio)
         TrainConfig(self.learning_rate, self.epochs, self.batch_size)
@@ -366,6 +384,8 @@ def resolve_d(entry, train_clv_mean: float) -> float:
     Raises ValueError unless the entry parses and d is finite and > 0.
     """
     try:
+        if isinstance(entry, bool):
+            raise ValueError
         if not isinstance(entry, str):
             d = float(entry)
         elif entry.strip().lower().startswith("clv/"):
@@ -374,7 +394,7 @@ def resolve_d(entry, train_clv_mean: float) -> float:
             raise ValueError
     except ZeroDivisionError:
         d = np.inf
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"d entry {entry!r} must be a number or look like 'clv/20'") from None
     if not (d > 0 and np.isfinite(d)):
         raise ValueError(f"d entry {entry!r} gives d = {d}; d must be finite and > 0")
@@ -408,8 +428,7 @@ def _threshold_decisions(scores, t):
 def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, params):
     """Per-segment thresholds fitted on train, carried to test by CLV edges."""
     result = msp(train_scores, train_s.labels, train_s.clvs, q, params)
-    edges = segment_edges(train_s.clvs, quantile_segments(train_s.clvs, q))
-    seg = assign_segments(test_clvs, edges)
+    seg = assign_segments(test_clvs, result.edges)
     return _threshold_decisions(test_scores, result.thresholds[seg])
 
 

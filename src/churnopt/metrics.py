@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .campaign import CampaignParams
-from .data import quantile_segments
+from .data import quantile_segments, segment_edges
 
 __all__ = [
-    "ThresholdedEvaluation",
     "MspResult",
-    "profit_at_threshold",
     "threshold_candidates",
     "mp",
     "msp",
@@ -27,47 +25,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdedEvaluation:
-    """Average campaign profit when targeting every score <= threshold."""
-
-    threshold: float
-    profit_per_customer: float
-    targeted_churners: int
-    targeted_nonchurners: int
-
-
 def _as_scores_labels(scores, labels):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores {scores.shape} and labels {labels.shape} must be equal-length 1-D")
     return scores, labels
-
-
-def profit_at_threshold(
-    scores, labels, t: float, params: CampaignParams, clv_avg: float
-) -> ThresholdedEvaluation:
-    """Per-customer average profit of targeting all scores <= t.
-
-    Each targeted churner contributes gamma*(clv_avg - d) - f, each
-    targeted non-churner costs d + f; both are averaged over the whole
-    population of n customers.
-    """
-    scores, labels = _as_scores_labels(scores, labels)
-    n = scores.size
-    targeted = scores <= t
-    n0 = int(np.sum(targeted & (labels == 0)))
-    n1 = int(np.sum(targeted & (labels == 1)))
-    churner_gain = params.gamma * (clv_avg - params.d) - params.f
-    nonchurner_cost = params.d + params.f
-    profit = (churner_gain * n0 - nonchurner_cost * n1) / n
-    return ThresholdedEvaluation(
-        threshold=float(t),
-        profit_per_customer=float(profit),
-        targeted_churners=n0,
-        targeted_nonchurners=n1,
-    )
 
 
 def threshold_candidates(scores) -> np.ndarray:
@@ -84,19 +47,30 @@ def threshold_candidates(scores) -> np.ndarray:
 def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, float]:
     """Maximum profit over a single threshold; ties go to the smallest campaign.
 
-    Returns (best per-customer profit, best threshold).
+    Targeting every score <= t, each targeted churner contributes
+    gamma*(clv_avg - d) - f and each targeted non-churner costs d + f,
+    averaged over all n customers. One sorted sweep counts both classes
+    at every candidate threshold. Returns (best per-customer profit,
+    best threshold).
     """
     scores, labels = _as_scores_labels(scores, labels)
     if scores.size == 0:
         raise ValueError("mp needs at least one customer")
-    best_profit = -np.inf
-    best_t = -np.inf
-    for t in threshold_candidates(scores):
-        profit = profit_at_threshold(scores, labels, t, params, clv_avg).profit_per_customer
-        if profit > best_profit:
-            best_profit = profit
-            best_t = t
-    return float(best_profit), float(best_t)
+    if np.isnan(scores).any():
+        raise ValueError("mp needs scores that are not NaN")
+    t = threshold_candidates(scores)
+    n0 = np.searchsorted(np.sort(scores[labels == 0]), t, side="right")
+    n1 = np.searchsorted(np.sort(scores[labels == 1]), t, side="right")
+    # the midpoint of -inf and +inf is NaN, and no score is <= NaN
+    n0[np.isnan(t)] = 0
+    n1[np.isnan(t)] = 0
+    churner_gain = params.gamma * (clv_avg - params.d) - params.f
+    nonchurner_cost = params.d + params.f
+    profit = (churner_gain * n0 - nonchurner_cost * n1) / scores.size
+    # with an infinite clv_avg, a campaign without churners scores inf * 0 = NaN: never the best
+    profit[np.isnan(profit)] = -np.inf
+    i = int(np.argmax(profit))
+    return float(profit[i]), float(t[i])
 
 
 @dataclass(frozen=True)
@@ -105,12 +79,12 @@ class MspResult:
 
     q: int
     thresholds: np.ndarray  # (q,) best threshold per segment
-    segment_clv: np.ndarray  # (q,) mean CLV per segment
+    edges: np.ndarray  # (q - 1,) upper CLV edge of each segment but the last
     msp: float  # unweighted mean of segment maxima, euros per customer
 
     def __post_init__(self) -> None:
-        if len(self.thresholds) != self.q or len(self.segment_clv) != self.q:
-            raise ValueError("thresholds and segment_clv must have length q")
+        if len(self.thresholds) != self.q or len(self.edges) != self.q - 1:
+            raise ValueError("thresholds must have length q and edges length q - 1")
 
 
 def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
@@ -118,21 +92,16 @@ def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
 
     Each segment is maximized independently using its own mean CLV; the
     MSP value is the unweighted average of the segment maxima. Note that
-    with unequal segment sizes this is not a population average.
+    with unequal segment sizes this is not a population average. The
+    segment edges carry the thresholds over to other customers through
+    :func:`~churnopt.data.assign_segments`.
     """
     scores, labels = _as_scores_labels(scores, labels)
     clvs = np.asarray(clvs, dtype=float)
     assignment = quantile_segments(clvs, q)
-    thresholds = np.empty(q, dtype=float)
-    seg_clv = np.empty(q, dtype=float)
-    seg_profit = np.empty(q, dtype=float)
-    for s in range(q):
-        idx = assignment.indices(s)
-        seg_clv[s] = clvs[idx].mean()
-        seg_profit[s], thresholds[s] = mp(scores[idx], labels[idx], params, seg_clv[s])
-    return MspResult(
-        q=q, thresholds=thresholds, segment_clv=seg_clv, msp=float(seg_profit.mean())
-    )
+    segments = [assignment.indices(s) for s in range(q)]
+    seg_profit, thresholds = np.array([mp(scores[i], labels[i], params, clvs[i].mean()) for i in segments]).T
+    return MspResult(q, thresholds, segment_edges(clvs, assignment), float(seg_profit.mean()))
 
 
 def accuracy(decisions, labels) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "load_mlp",
     "LogisticModel",
     "fit_logistic",
+    "nearest_neighbors",
     "knn_scores",
     "CartConfig",
     "CartNode",
@@ -415,6 +416,25 @@ def fit_logistic(data: Dataset, cfg: TrainConfig | None = None) -> LogisticModel
     return LogisticModel(w=p["w"], b=float(p["b"]))
 
 
+def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    """Indices of the k Euclidean-nearest rows of ref for each row of X, nearest first.
+
+    Distance ties break toward the lower ref index. With exclude_self, X is
+    ref and each row's own index counts as infinitely far. Blocks of 128
+    queries share one difference buffer of 128 x len(ref) x n_features.
+    """
+    buf = np.empty((min(128, X.shape[0]), ref.shape[0], ref.shape[1]))
+    out = np.empty((X.shape[0], k), dtype=np.intp)
+    for start in range(0, X.shape[0], 128):
+        block = X[start : start + 128]
+        diff = np.subtract(block[:, None, :], ref[None, :, :], out=buf[: len(block)])
+        dist = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+        if exclude_self:
+            dist[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
+        out[start : start + len(block)] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return out
+
+
 def knn_scores(train: Dataset, X, k: int) -> np.ndarray:
     """k-nearest-neighbor scores for each query row.
 
@@ -423,15 +443,8 @@ def knn_scores(train: Dataset, X, k: int) -> np.ndarray:
     """
     if not 1 <= k <= len(train):
         raise ValueError(f"k must be in [1, {len(train)}], got {k}")
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], 128):  # chunked to bound the distance tensor
-        block = X[start : start + 128]
-        diff = block[:, None, :] - train.features[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        out[start : start + 128] = (train.labels[nearest] == 1).mean(axis=1)
-    return out
+    nearest = nearest_neighbors(train.features, np.asarray(X, dtype=float), k)
+    return (train.labels[nearest] == 1).mean(axis=1)
 
 
 @dataclass(frozen=True)

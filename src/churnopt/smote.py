@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .models import nearest_neighbors
 
 __all__ = ["SmoteConfig", "smote_balance"]
 
@@ -65,12 +66,7 @@ def smote_balance(train: Dataset, cfg: SmoteConfig) -> Dataset:
     min_idx = np.flatnonzero(labels == minority)
     Xm = train.features[min_idx]
     clv_m = train.clvs[min_idx]
-    # k nearest minority neighbors of each minority point, self excluded,
-    # distance ties broken by index
-    diff = Xm[:, None, :] - Xm[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neighbors = nearest_neighbors(Xm, Xm, k, exclude_self=True)
 
     rng = np.random.default_rng(cfg.seed)
     new_feats = np.empty((n_new, train.n_features))

@@ -226,9 +226,6 @@ class HolmReport:
     alpha: float
     comparisons: tuple[HolmComparison, ...]
 
-    def rejected(self) -> tuple[str, ...]:
-        return tuple(c.method for c in self.comparisons if c.reject)
-
 
 def holm(p_values, alpha: float = 0.05) -> list[tuple[float, bool]]:
     """Judge rank-ordered p-values against thresholds alpha/(j-1).

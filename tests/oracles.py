@@ -1,4 +1,4 @@
-"""Slow reference versions of the regret network's fast paths.
+"""Slow reference versions of the package's fast paths.
 
 Tests compare the package against these for exact equality:
 
@@ -8,13 +8,19 @@ Tests compare the package against these for exact equality:
   gradients of each array built separately.
 - monte_carlo_cv: trains every (learning rate, epochs) grid point from
   scratch, with no sharing of epoch prefixes.
+- profit_at_threshold and mp: rescan every customer at each candidate
+  threshold instead of one sorted sweep.
+- knn_scores and smote_balance: each with its own pairwise-distance
+  kernel; SMOTE's is unchunked.
 """
 
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from churnopt.data import Dataset
+from churnopt.metrics import _as_scores_labels, threshold_candidates
 from churnopt.models import (
     AdamState,
     Mlp,
@@ -129,3 +135,98 @@ def monte_carlo_cv(data, grid, params, base=None, hidden=None, splits=5, n_seeds
     if failures:
         warnings.warn(f"{failures} training run(s) failed during cross-validation", stacklevel=2)
     return replace(base, learning_rate=best[1], epochs=best[2])
+
+
+@dataclass(frozen=True)
+class ThresholdedEvaluation:
+    threshold: float
+    profit_per_customer: float
+    targeted_churners: int
+    targeted_nonchurners: int
+
+
+def profit_at_threshold(scores, labels, t, params, clv_avg):
+    scores, labels = _as_scores_labels(scores, labels)
+    n = scores.size
+    targeted = scores <= t
+    n0 = int(np.sum(targeted & (labels == 0)))
+    n1 = int(np.sum(targeted & (labels == 1)))
+    churner_gain = params.gamma * (clv_avg - params.d) - params.f
+    nonchurner_cost = params.d + params.f
+    profit = (churner_gain * n0 - nonchurner_cost * n1) / n
+    return ThresholdedEvaluation(
+        threshold=float(t),
+        profit_per_customer=float(profit),
+        targeted_churners=n0,
+        targeted_nonchurners=n1,
+    )
+
+
+def mp(scores, labels, params, clv_avg):
+    scores, labels = _as_scores_labels(scores, labels)
+    if scores.size == 0:
+        raise ValueError("mp needs at least one customer")
+    best_profit = -np.inf
+    best_t = -np.inf
+    for t in threshold_candidates(scores):
+        profit = profit_at_threshold(scores, labels, t, params, clv_avg).profit_per_customer
+        if profit > best_profit:
+            best_profit = profit
+            best_t = t
+    return float(best_profit), float(best_t)
+
+
+def knn_scores(train, X, k):
+    if not 1 <= k <= len(train):
+        raise ValueError(f"k must be in [1, {len(train)}], got {k}")
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], 128):
+        block = X[start : start + 128]
+        diff = block[:, None, :] - train.features[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        out[start : start + 128] = (train.labels[nearest] == 1).mean(axis=1)
+    return out
+
+
+def smote_balance(train, cfg):
+    labels = train.labels
+    counts = {0: int(np.sum(labels == 0)), 1: int(np.sum(labels == 1))}
+    if counts[0] == 0 or counts[1] == 0:
+        raise ValueError(f"dataset {train.name!r} has a single class; SMOTE needs both")
+    minority = 0 if counts[0] <= counts[1] else 1
+    n_min, n_maj = counts[minority], counts[1 - minority]
+    n_new = round(cfg.ratio * n_maj) - n_min
+    if n_new <= 0:
+        return train
+    if n_min < 2:
+        raise ValueError("minority class of size 1 cannot be oversampled")
+    k = min(cfg.k_neighbors, n_min - 1)
+    if k < cfg.k_neighbors:
+        warnings.warn(f"k_neighbors clamped to {k} (minority class has {n_min} records)", stacklevel=2)
+    min_idx = np.flatnonzero(labels == minority)
+    Xm = train.features[min_idx]
+    clv_m = train.clvs[min_idx]
+    diff = Xm[:, None, :] - Xm[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    np.fill_diagonal(dist, np.inf)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+    rng = np.random.default_rng(cfg.seed)
+    new_feats = np.empty((n_new, train.n_features))
+    new_clvs = np.empty(n_new)
+    for i in range(n_new):
+        a = rng.integers(n_min)
+        b = neighbors[a, rng.integers(k)]
+        u = rng.uniform(0.0, 1.0)
+        new_feats[i] = Xm[a] + u * (Xm[b] - Xm[a])
+        new_clvs[i] = clv_m[a] + u * (clv_m[b] - clv_m[a])
+
+    return Dataset(
+        name=train.name,
+        schema=train.schema,
+        features=np.vstack([train.features, new_feats]),
+        labels=np.concatenate([train.labels, np.full(n_new, minority, dtype=np.int64)]),
+        clvs=np.concatenate([train.clvs, new_clvs]),
+    )

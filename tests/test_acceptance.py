@@ -6,6 +6,7 @@ one PASS/FAIL line per criterion at the end of the run.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_criterion_7_monotone_sensitivity(tmp_path):
         clv_mean = float(train_ds.clvs.mean())
         profits = [
             optimal_total_profit(
-                test_ds.labels, P.with_d(ex.resolve_d(entry, clv_mean)), test_ds.clvs
+                test_ds.labels, replace(P, d=ex.resolve_d(entry, clv_mean)), test_ds.clvs
             )
             for entry in ex.DEFAULT_D_GRID
         ]

@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
+import copy
 import csv
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from churnopt import cli
+from churnopt import experiments as ex
 from churnopt.cli import main
 from reference import (
     MONTHS,
@@ -176,6 +183,25 @@ class TestBenchmark:
             ({"smote": {"k_neighbors": 2.5}}, "smote_k"),
             ({"cv": {"splits": 2.0}}, "cv_splits"),
             ({"q": 1.5}, "q must be an integer"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+            ({"smote": {"ratio": "1"}}, "smote_ratio"),
+            ({"campaign": {"f": "1.36"}}, "f must be a finite number"),
+            ({"class_threshold": "0.5"}, "class_threshold"),
+            ({"class_threshold": float("nan")}, "class_threshold"),
+            ({"drop_below_break_even": "no"}, "drop_below_break_even"),
+            ({"cv": {"learning_rates": ["0.1"], "epochs": [5]}}, "cv_learning_rates"),
+            ({"model": {"epoch": 1}}, "model.epoch"),
+            ({"bogus": 1}, "bogus"),
+            ({"model": 5}, "'model'"),
+            ({"methods": "knn"}, "'methods'"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"datasets": [5]}, "dataset entry"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 10.5, "n_test": 20}]}}, "n_train"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_sigma": 1e300}]}}, "spec"),
         ],
     )
     def test_out_of_range_setting_exits_1_naming_it(self, tmp_path, capsys, change, field):
@@ -184,6 +210,11 @@ class TestBenchmark:
         assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", [SMALL_RUN])
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHURNOPT_OUT", str(tmp_path / "envout"))
@@ -318,3 +349,81 @@ class TestParsing:
         text = capsys.readouterr().out
         for flag in ("--config", "--out", "--jobs", "--alpha"):
             assert flag in text
+
+
+# every key a run config can hold, with small valid values
+FUZZ_BASE = {
+    "seed": 0,
+    "out_dir": "out",
+    "campaign": {"f": 1.36, "gamma": 0.3, "slope": 10.0},
+    "d_grid": ["clv/20", 3.0],
+    "methods": ["regret_net", "msp_knn"],
+    "q": 2,
+    "model": {"hidden": 2, "learning_rate": 0.05, "epochs": 2, "batch_size": 16},
+    "cv": {"learning_rates": [0.01], "epochs": [2], "splits": 2, "seeds": 1},
+    "smote": {"k_neighbors": 3, "ratio": 1.0},
+    "baselines": {"knn_k": 3, "cart_max_depth": 2, "cart_min_leaf": 2},
+    "class_threshold": 0.5,
+    "regret_net_accuracy": "threshold",
+    "drop_below_break_even": False,
+    "datasets": {
+        "synthetic": [
+            {
+                "name": "a", "n_train": 40, "n_test": 20, "n_features": 3, "churn_rate": 0.3,
+                "clv_mean": 85.0, "clv_sigma": 0.8, "signal": 1.2, "clv_churn_corr": 0.0, "seed": 4,
+            }
+        ]
+    },
+}
+
+# integers stay small enough that a synthetic spec of that size is cheap to draw
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.sampled_from([2**63, 10**400])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every (dict key | list index) path below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _set(config, path, value):
+    try:
+        node = functools.reduce(operator.getitem, path[:-1], config)
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier change removed the path
+
+
+class TestConfigFuzz:
+    """Random JSON in any config key: a config error (exit 1) or a plan, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_config_stage_raises_only_config_errors(self, data):
+        config = copy.deepcopy(FUZZ_BASE)
+        paths = list(_paths(FUZZ_BASE))
+        dicts = [()] + [p for p in paths if isinstance(functools.reduce(operator.getitem, p, FUZZ_BASE), dict)]
+        for _ in range(data.draw(st.integers(1, 3), label="changes")):
+            if data.draw(st.booleans(), label="new key"):
+                path = data.draw(st.sampled_from(dicts)) + (data.draw(st.text(max_size=6), label="key"),)
+            else:
+                path = data.draw(st.sampled_from(paths), label="path")
+            _set(config, path, data.draw(JSON_VALUES, label="value"))
+        config = json.loads(json.dumps(config))  # what the CLI reads back
+        try:
+            cfg = cli._run_config(config)
+            datasets = cli._build_datasets(config, cfg)
+            ex._plan(datasets, cfg)  # the CLI turns its ValueError into exit 1
+        except (cli._CliError, ValueError):
+            pass

@@ -1,6 +1,7 @@
 """Synthetic generation, cross-validation, and the benchmark engine."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -219,7 +220,9 @@ class TestResolveD:
         with pytest.raises(ValueError):
             ex.resolve_d(-1.0, 85.0)
 
-    @pytest.mark.parametrize("entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf"), None])
+    @pytest.mark.parametrize(
+        "entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf"), None, True, 10**400]
+    )
     def test_rejects_entries_without_a_finite_positive_d(self, entry):
         with pytest.raises(ValueError, match="d entry"):
             ex.resolve_d(entry, 85.0)
@@ -291,7 +294,7 @@ class TestRunBenchmark:
         for _, train, test in datasets:
             clv_mean = float(train.clvs.mean())
             profits = [
-                optimal_total_profit(test.labels, P.with_d(ex.resolve_d(e, clv_mean)), test.clvs)
+                optimal_total_profit(test.labels, replace(P, d=ex.resolve_d(e, clv_mean)), test.clvs)
                 for e in ex.DEFAULT_D_GRID
             ]
             assert all(a >= b - 1e-9 for a, b in zip(profits, profits[1:]))
@@ -489,6 +492,20 @@ class TestRunConfig:
             ("epochs", True, "epochs must be an integer"),
             ("hidden", 1.5, "hidden must be an integer"),
             ("batch_size", 32.0, "batch_size must be an integer"),
+            ("seed", "x", "seed must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+            ("f", "1.36", "f must be a finite number"),
+            ("f", 10**400, "f must be a finite number"),
+            ("gamma", True, "gamma must be a finite number"),
+            ("slope", np.inf, "slope must be a finite number"),
+            ("learning_rate", "0.1", "learning_rate must be a finite number"),
+            ("smote_ratio", "1", "smote_ratio must be a finite number"),
+            ("class_threshold", "0.5", "class_threshold must be a finite number"),
+            ("class_threshold", np.nan, "class_threshold must be a finite number"),
+            ("cv_learning_rates", ("0.1",), "cv_learning_rates must be a finite number"),
+            ("drop_below_break_even", "no", "drop_below_break_even must be true or false"),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):

@@ -1,14 +1,18 @@
 """Threshold-profit metrics against brute-force enumeration oracles."""
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import profit_at_threshold
 
 from churnopt.campaign import CampaignParams
+from churnopt.data import quantile_segments, segment_edges
 from churnopt.metrics import (
     accuracy,
     mp,
     msp,
-    profit_at_threshold,
     targeted_fraction,
     threshold_candidates,
 )
@@ -131,6 +135,10 @@ class TestMp:
             assert v1 == pytest.approx(v2, abs=1e-12)
             assert np.array_equal(scores <= t1, transform(scores) <= t2)
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mp(np.array([0.2, np.nan]), np.array([0, 1]), P, 85.0)
+
     def test_candidates_cover_all_campaigns(self):
         scores = np.array([0.2, 0.2, 0.5])
         cands = threshold_candidates(scores)
@@ -138,7 +146,67 @@ class TestMp:
         assert len(cands) == 3  # one midpoint for two distinct values
 
 
+def _same_mp(scores, labels, params, clv_avg):
+    got, want = mp(scores, labels, params, clv_avg), oracles.mp(scores, labels, params, clv_avg)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want)), (got, want)
+
+
+class TestMpSweep:
+    """The sorted sweep against the per-candidate rescan of tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_rescan(self, data):
+        n = data.draw(st.integers(1, 40))
+        eps = np.finfo(float).eps
+        pool = data.draw(
+            st.sampled_from(["rounded", "adjacent", "signed_zero_inf"]), label="pool"
+        )
+        if pool == "rounded":  # few distinct values, many ties
+            values = st.integers(0, 6).map(lambda v: v / 6)
+        elif pool == "adjacent":  # consecutive doubles, whose midpoints round onto an end
+            values = st.integers(0, 8).map(lambda j: 0.5 + j * eps / 4)
+        else:
+            values = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 0.25, -0.25])
+        scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+        params = CampaignParams(
+            f=data.draw(st.sampled_from([0.0, 1.0, 1.36])),
+            d=data.draw(st.sampled_from([1.0, 4.25, 40.0])),
+            gamma=data.draw(st.sampled_from([0.3, 0.5, 1.0])),
+        )
+        clv_avg = data.draw(st.sampled_from([0.0, 7.0, 85.0, 300.0, np.inf, -np.inf]))
+        _same_mp(scores, labels, params, clv_avg)
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            ([-np.inf, np.inf], [1, 1]),  # the only candidate between them is NaN
+            ([-np.inf, np.inf, np.inf], [0, 1, 0]),
+            ([-0.0, 0.0, -0.0], [0, 1, 0]),
+            ([0.3, 0.3, 0.3], [0, 0, 0]),
+            ([0.3, 0.7], [1, 1]),
+        ],
+    )
+    def test_edge_inputs(self, scores, labels):
+        for params in (P, CampaignParams(f=1.0, d=1.0, gamma=0.5)):
+            for clv_avg in (1.0, 7.0, 85.0):
+                _same_mp(np.array(scores), np.array(labels), params, clv_avg)
+
+    def test_exact_tie_parameters(self):
+        params = CampaignParams(f=1.0, d=1.0, gamma=0.5)
+        _same_mp(np.array([0.1, 0.5, 0.6, 0.9]), np.array([0, 1, 0, 1]), params, 7.0)
+
+
 class TestMsp:
+    @pytest.mark.parametrize("q", [1, 2, 3, 7])
+    def test_edges_are_the_training_segmentation(self, q):
+        rng = np.random.default_rng(9)
+        clvs = rng.uniform(5, 300, 20).round(0)  # rounded to tie CLVs
+        result = msp(rng.uniform(0, 1, 20), rng.integers(0, 2, 20), clvs, q, P)
+        assert np.array_equal(result.edges, segment_edges(clvs, quantile_segments(clvs, q)))
+
     def test_q1_degenerates_to_mp(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

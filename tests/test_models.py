@@ -417,6 +417,23 @@ class TestKnn:
             with pytest.raises(ValueError):
                 knn_scores(ds, [[0.0]], k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_parent_kernel(self, data):
+        # integer-valued features and repeated rows make distance ties the rule;
+        # more than 128 queries span several blocks of the shared kernel
+        n, f = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4))
+        n_query = data.draw(st.sampled_from([0, 1, 127, 128, 129, 300]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = rng.integers(-2, 3, (n, f)).astype(float)
+        X[n // 2 :] = X[: n - n // 2]
+        ds = make_dataset(X, rng.integers(0, 2, n), np.full(n, 10.0))
+        repeats = X[rng.integers(n, size=n_query // 2)]
+        queries = np.vstack([repeats, rng.integers(-3, 4, (n_query - len(repeats), f))])
+        k = data.draw(st.integers(1, n))
+        got, want = knn_scores(ds, queries, k), oracles.knn_scores(ds, queries, k)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
 
 class TestCart:
     def test_pure_node_is_leaf(self):

@@ -1,7 +1,12 @@
 """SMOTE oversampling invariants."""
 
+import warnings
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnopt.data import Dataset
 from churnopt.smote import SmoteConfig, smote_balance
@@ -133,3 +138,30 @@ class TestSmote:
         with pytest.warns(UserWarning, match="clamped"):
             out = smote_balance(ds, SmoteConfig(k_neighbors=5, seed=0))
         assert int(np.sum(out.labels == 0)) == 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_equals_parent_kernel(data):
+    # a minority class above 128 rows puts self-exclusion on both sides of a
+    # block boundary; integer-valued features and repeated rows tie distances
+    n_min = data.draw(st.sampled_from([2, 3, 20, 128, 129, 200]))
+    n_maj = n_min + data.draw(st.integers(1, 60))
+    f = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    X = rng.integers(-2, 3, (n_min + n_maj, f)).astype(float)
+    X[n_min // 2 : n_min] = X[: n_min - n_min // 2]
+    labels = np.r_[np.zeros(n_min, int), np.ones(n_maj, int)]
+    order = rng.permutation(n_min + n_maj)
+    ds = make_dataset(X[order], labels[order], rng.uniform(5, 200, n_min + n_maj))
+    cfg = SmoteConfig(k_neighbors=data.draw(st.integers(1, 6)), ratio=1.0, seed=data.draw(st.integers(0, 99)))
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = smote_balance(ds, cfg)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = oracles.smote_balance(ds, cfg)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.clvs, want.clvs)

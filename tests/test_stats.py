@@ -164,7 +164,7 @@ class TestCompareMethods:
         table = rank_methods(REFERENCE_PROFITS, REFERENCE_METHODS, MONTHS)
         report = compare_methods(table, alpha=0.05)
         assert report.best == "regret_net"
-        assert set(report.rejected()) == REJECTED_METHODS
+        assert {c.method for c in report.comparisons if c.reject} == REJECTED_METHODS
         thresholds = [c.threshold for c in report.comparisons]
         assert thresholds == sorted(thresholds, reverse=True)
         assert thresholds[:3] == pytest.approx([0.0500, 0.0250, 0.0167], abs=5e-5)
@@ -173,6 +173,6 @@ class TestCompareMethods:
         profits = np.tile(np.array([[3.0], [3.0], [3.0]]), (1, 4))
         table = rank_methods(profits, ["a", "b", "c"], list("wxyz"))
         report = compare_methods(table)
-        assert report.rejected() == ()
+        assert tuple(c.method for c in report.comparisons if c.reject) == ()
         result = friedman_iman_davenport(table.avg_ranks, 4)
         assert result.p_value == 1.0
