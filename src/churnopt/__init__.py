@@ -21,15 +21,7 @@ from .campaign import (
     surrogate,
     total_profit,
 )
-from .data import (
-    Dataset,
-    FeatureScaler,
-    SegmentAssignment,
-    load_dataset,
-    quantile_segments,
-    save_dataset,
-    standardize,
-)
+from .data import Dataset, load_dataset, quantile_segments, save_dataset, standardize
 from .experiments import (
     BenchmarkReport,
     RunConfig,

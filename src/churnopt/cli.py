@@ -11,7 +11,6 @@ output directory; flags override config-file values.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as ex
-from .data import load_dataset, save_dataset
+from .data import load_dataset, read_csv_rows, save_dataset
 from .stats import comparison_summary, rank_methods
 
 __all__ = ["main"]
@@ -44,10 +43,12 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise _CliError(f"{path}: no such file")
+    except OSError as exc:
+        raise _CliError(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise _CliError(f"{path}: {exc}")
 
 
 def _spec_from_dict(raw, default_seed: int = 0) -> ex.SyntheticSpec:
@@ -214,10 +215,11 @@ def _report_failures(report: ex.BenchmarkReport) -> int:
 
 def _read_profit_matrix(path: str):
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise _CliError(f"{path}: no such file")
+        rows = list(read_csv_rows(Path(path)))
+    except OSError as exc:
+        raise _CliError(f"{path}: {exc.strerror}")
+    except ValueError as exc:
+        raise _CliError(str(exc))
     if not rows or len(rows[0]) < 2:
         raise _CliError(f"{path}: expected header 'dataset,<method>,...'")
     methods = [h.strip() for h in rows[0][1:]]

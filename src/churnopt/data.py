@@ -19,13 +19,11 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "SegmentAssignment",
-    "FeatureScaler",
+    "read_csv_rows",
     "load_dataset",
     "save_dataset",
     "standardize",
     "quantile_segments",
-    "segment_edges",
     "assign_segments",
 ]
 
@@ -91,6 +89,15 @@ class Dataset:
         return self
 
 
+def read_csv_rows(path: Path):
+    """Yield the rows of a UTF-8 CSV file; undecodable or malformed text raises ValueError naming it."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: str | None = None) -> Dataset:
     """Load and validate a dataset CSV.
 
@@ -104,68 +111,69 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
         name: dataset identifier; defaults to the file stem.
 
     Raises:
-        ValueError: missing/unexpected column, non-numeric or non-finite
-            cell, clv <= 0, or label outside {0, 1} -- each reported with
-            its data row number (first data row is row 1).
+        ValueError: text that is not UTF-8 CSV, a missing or unexpected
+            column, a non-numeric or non-finite cell, clv <= 0, or label
+            outside {0, 1} -- each reported with the path and, for a
+            cell, its data row number (first data row is row 1).
+        OSError: the file cannot be opened.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in RESERVED_COLUMNS:
-            if col not in header:
-                raise ValueError(f"{path}: missing required column {col!r}")
-        if schema is None:
-            feature_cols = [h for h in header if h not in RESERVED_COLUMNS]
-        else:
-            feature_cols = list(schema)
-            missing = [c for c in feature_cols if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing feature column(s) {missing}")
-            extra = [h for h in header if h not in feature_cols and h not in RESERVED_COLUMNS]
-            if extra:
-                raise ValueError(f"{path}: unexpected column(s) {extra}")
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
-        col_index = {h: i for i, h in enumerate(header)}
-        feat_idx = [col_index[c] for c in feature_cols]
-        clv_idx = col_index["clv"]
-        label_idx = col_index["label"]
+    reader = read_csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    for col in RESERVED_COLUMNS:
+        if col not in header:
+            raise ValueError(f"{path}: missing required column {col!r}")
+    if schema is None:
+        feature_cols = [h for h in header if h not in RESERVED_COLUMNS]
+    else:
+        feature_cols = list(schema)
+        missing = [c for c in feature_cols if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing feature column(s) {missing}")
+        extra = [h for h in header if h not in feature_cols and h not in RESERVED_COLUMNS]
+        if extra:
+            raise ValueError(f"{path}: unexpected column(s) {extra}")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    col_index = {h: i for i, h in enumerate(header)}
+    feat_idx = [col_index[c] for c in feature_cols]
+    clv_idx = col_index["clv"]
+    label_idx = col_index["label"]
 
-        rows_feat: list[list[float]] = []
-        rows_label: list[int] = []
-        rows_clv: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue  # ignore blank lines
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
+    rows_feat: list[list[float]] = []
+    rows_label: list[int] = []
+    rows_clv: list[float] = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue  # ignore blank lines
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
 
-            def parse(cell: str, col: str) -> float:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_no}, column {col!r}: non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}: row {row_no}, column {col!r}: non-finite value {cell!r}")
-                return value
+        def parse(cell: str, col: str) -> float:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {row_no}, column {col!r}: non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {row_no}, column {col!r}: non-finite value {cell!r}")
+            return value
 
-            feats = [parse(row[i], feature_cols[j]) for j, i in enumerate(feat_idx)]
-            clv = parse(row[clv_idx], "clv")
-            if not clv > 0:
-                raise ValueError(f"{path}: row {row_no}: clv must be > 0, got {clv}")
-            label_f = parse(row[label_idx], "label")
-            if label_f not in (0.0, 1.0):
-                raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {row[label_idx]!r}")
-            rows_feat.append(feats)
-            rows_label.append(int(label_f))
-            rows_clv.append(clv)
+        feats = [parse(row[i], feature_cols[j]) for j, i in enumerate(feat_idx)]
+        clv = parse(row[clv_idx], "clv")
+        if not clv > 0:
+            raise ValueError(f"{path}: row {row_no}: clv must be > 0, got {clv}")
+        label_f = parse(row[label_idx], "label")
+        if label_f not in (0.0, 1.0):
+            raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {row[label_idx]!r}")
+        rows_feat.append(feats)
+        rows_label.append(int(label_f))
+        rows_clv.append(clv)
 
     if not rows_feat:
         raise ValueError(f"{path}: no data rows")
@@ -193,80 +201,47 @@ def save_dataset(ds: Dataset, path: str | Path) -> Path:
     return path
 
 
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Per-feature affine transform fitted on a training split."""
-
-    mean: np.ndarray
-    std: np.ndarray  # zero-variance columns carry std 1 (centering only)
-
-    def transform(self, ds: Dataset) -> Dataset:
-        return replace(ds, features=(ds.features - self.mean) / self.std)
-
-
-def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, FeatureScaler]:
+def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Z-score both splits using statistics computed on train only.
 
     Train columns come out with mean 0 and (population) std 1. A
     zero-variance train column is centered but not scaled, so it maps to
     constant 0 on train; a warning is emitted because the column carries
     no information. Labels and CLVs are untouched.
+
+    Raises ValueError naming the first column whose std or standardized
+    values are not finite (values near the float maximum overflow).
     """
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    dead = std == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+        dead = std == 0
+        std = np.where(dead, 1.0, std)
+        train_z = (train.features - mean) / std
+        test_z = (test.features - mean) / std
+    finite = np.isfinite(std) & np.isfinite(train_z).all(axis=0) & np.isfinite(test_z).all(axis=0)
+    if not finite.all():
+        col = train.schema[int(np.argmin(finite))]
+        raise ValueError(f"feature column {col!r} does not standardize to finite values")
     if np.any(dead):
         cols = [train.schema[j] for j in np.flatnonzero(dead)]
         warnings.warn(f"zero-variance feature column(s) {cols}; mapped to constant 0", stacklevel=2)
-        std = np.where(dead, 1.0, std)
-    scaler = FeatureScaler(mean=mean, std=std)
-    return scaler.transform(train), scaler.transform(test), scaler
+    return replace(train, features=train_z), replace(test, features=test_z)
 
 
-@dataclass(frozen=True)
-class SegmentAssignment:
-    """Partition of records into q contiguous CLV quantile segments.
+def quantile_segments(clvs, q: int) -> list[np.ndarray]:
+    """Split a raw CLV vector into q near-equal segments of row indices.
 
-    Segment 0 holds the lowest CLVs. Sizes differ by at most one; when n
-    is not divisible by q the lower-CLV segments take the extra record.
-    CLV ties are broken by record index (stable sort), so the split is
-    deterministic.
+    Segment 0 holds the lowest CLVs, and each segment lists its rows in
+    index order. Sizes differ by at most one; when n is not divisible by
+    q the lower-CLV segments take the extra row. CLV ties are broken by
+    row index (stable sort), so the split is deterministic.
     """
-
-    q: int
-    segment_of: np.ndarray  # (n,) int, values in [0, q)
-
-    def indices(self, segment: int) -> np.ndarray:
-        return np.flatnonzero(self.segment_of == segment)
-
-
-def quantile_segments(clvs, q: int) -> SegmentAssignment:
-    """Split a raw CLV vector into q near-equal sorted segments."""
     clvs = np.asarray(clvs, dtype=float)
     n = clvs.size
     if not 1 <= q <= n:
         raise ValueError(f"q must be in [1, {n}], got {q}")
-    order = np.argsort(clvs, kind="stable")
-    base, extra = divmod(n, q)
-    segment_of = np.empty(n, dtype=np.int64)
-    start = 0
-    for s in range(q):
-        size = base + (1 if s < extra else 0)
-        segment_of[order[start : start + size]] = s
-        start += size
-    return SegmentAssignment(q=q, segment_of=segment_of)
-
-
-def segment_edges(clvs, assignment: SegmentAssignment) -> np.ndarray:
-    """Upper CLV edge of each segment except the last (q - 1 values).
-
-    Together with :func:`assign_segments` this carries a training-split
-    segmentation over to unseen customers.
-    """
-    clvs = np.asarray(clvs, dtype=float)
-    return np.array(
-        [clvs[assignment.indices(s)].max() for s in range(assignment.q - 1)], dtype=float
-    )
+    return [np.sort(i) for i in np.array_split(np.argsort(clvs, kind="stable"), q)]
 
 
 def assign_segments(clvs, edges: np.ndarray) -> np.ndarray:

@@ -194,13 +194,7 @@ _MONTHLY = (
 )
 
 
-def bundled_specs(
-    master_seed: int = 0,
-    n_features: int = 24,
-    signal: float = 1.2,
-    clv_sigma: float = 0.8,
-    clv_churn_corr: float = 0.25,
-) -> list[SyntheticSpec]:
+def bundled_specs(master_seed: int = 0) -> list[SyntheticSpec]:
     """Twelve monthly synthetic specs sized like a year of customer bases."""
     seeds = np.random.SeedSequence(master_seed).generate_state(len(_MONTHLY))
     return [
@@ -208,12 +202,9 @@ def bundled_specs(
             name=name,
             n_train=n_train,
             n_test=n_test,
-            n_features=n_features,
             churn_rate=rate,
             clv_mean=clv_mean,
-            clv_sigma=clv_sigma,
-            signal=signal,
-            clv_churn_corr=clv_churn_corr,
+            clv_churn_corr=0.25,
             seed=int(seed),
         )
         for (name, n_train, n_test, rate, clv_mean), seed in zip(_MONTHLY, seeds)
@@ -480,15 +471,9 @@ def _failed(name, d_label, d, method, exc: Exception) -> CellResult:
 
 def _run_task(task) -> list[CellResult]:
     """Fit one scorer, then run every cell it serves; see _plan."""
-    name, train_ds, test_ds, scorer, cfg, seeds, cells = task
+    name, train_s, test_s, scorer, cfg, seeds, cells = task
     try:
-        train_s, test_s, _ = standardize(train_ds, test_ds)
         params = cfg.campaign(cells[0][2])
-        if cfg.drop_below_break_even:
-            keep = np.flatnonzero(train_s.clvs > break_even_clv(params))
-            if keep.size == 0:
-                raise ValueError("no training customers above break-even CLV")
-            train_s = train_s.subset(keep)
         balance, fit = _SCORERS[scorer]
         data = train_s
         if balance:
@@ -560,30 +545,51 @@ def _fmt(x) -> str:
 
 
 def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
-    """Resolve the d grid on every dataset and group the cells by their fit.
+    """Standardize every dataset, resolve its d grid and group the cells by their fit.
 
-    A task is (name, train, test, scorer, cfg, seeds, cells), each cell
-    (row, d_label, d, method). regret_net, and every scorer under
-    drop_below_break_even, is fitted per (dataset, d), any other scorer
-    per dataset, with the seeds of the first cell it serves in row order.
+    A task is (name, train, test, scorer, cfg, seeds, cells), with both
+    splits standardized and the training split cut to the customers above
+    break-even under drop_below_break_even; each cell is (row, d_label, d,
+    method). regret_net, and every scorer under drop_below_break_even, is
+    fitted per (dataset, d), any other scorer per dataset, with the seeds
+    of the first cell it serves in row order.
+
+    Raises ValueError naming the dataset when a split does not standardize,
+    a d entry gives no campaign, or a d leaves no training customer (fewer
+    than q with an MSP method).
     """
+    uses_msp = any(_METHOD_TABLE[m][1] == "msp" for m in cfg.methods)
     tasks: dict[tuple, tuple] = {}
     row = 0
     for di, (name, train_ds, test_ds) in enumerate(datasets):
         clv_mean = float(train_ds.clvs.mean())
+        try:
+            train_s, test_s = standardize(train_ds, test_ds)
+        except ValueError as exc:
+            raise ValueError(f"dataset {name!r}: {exc}") from None
         for dj, entry in enumerate(cfg.d_grid):
             try:
                 d = resolve_d(entry, clv_mean)
-                cfg.campaign(d)  # checks f, gamma and slope too
+                params = cfg.campaign(d)  # checks f, gamma and slope too
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"dataset {name!r}: {exc}") from None
+            train_d, where = train_s, ""
+            if cfg.drop_below_break_even:
+                keep = np.flatnonzero(train_s.clvs > break_even_clv(params))
+                where = f" above break-even CLV at d = {entry!r}"
+                if keep.size == 0:
+                    raise ValueError(f"dataset {name!r}: no training customers{where}")
+                train_d = train_s.subset(keep)
+            if uses_msp and len(train_d) < cfg.q:
+                n = len(train_d)
+                raise ValueError(f"dataset {name!r}: q must be at most the {n} training customers{where}, got {cfg.q}")
             for mi, method in enumerate(cfg.methods):
                 scorer = _METHOD_TABLE[method][0]
                 per_d = scorer == "regret_net" or cfg.drop_below_break_even
                 key = (di, dj if per_d else None, scorer)
                 if key not in tasks:
                     seeds = _cell_seeds(cfg.seed, di, dj, mi)
-                    tasks[key] = (name, train_ds, test_ds, scorer, cfg, seeds, [])
+                    tasks[key] = (name, train_d, test_s, scorer, cfg, seeds, [])
                 tasks[key][-1].append((row, str(entry), d, method))
                 row += 1
     return list(tasks.values())
@@ -598,8 +604,7 @@ def run_benchmark(
 
     Each fit is one job serving one or more cells, run in a process pool
     when jobs > 1; per-fit seeding keeps the report identical either way.
-    Raises ValueError, before any fit runs, when a d-grid entry gives no
-    valid campaign on some dataset.
+    Raises ValueError, before any fit runs, when _plan rejects a dataset.
     """
     tasks = _plan(datasets, cfg)
     if jobs > 1:

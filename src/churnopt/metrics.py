@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .campaign import CampaignParams
-from .data import quantile_segments, segment_edges
+from .data import quantile_segments
 
 __all__ = [
     "MspResult",
@@ -77,14 +77,9 @@ def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, f
 class MspResult:
     """Per-segment maximum profits with segment-specific thresholds."""
 
-    q: int
     thresholds: np.ndarray  # (q,) best threshold per segment
     edges: np.ndarray  # (q - 1,) upper CLV edge of each segment but the last
     msp: float  # unweighted mean of segment maxima, euros per customer
-
-    def __post_init__(self) -> None:
-        if len(self.thresholds) != self.q or len(self.edges) != self.q - 1:
-            raise ValueError("thresholds must have length q and edges length q - 1")
 
 
 def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
@@ -98,10 +93,10 @@ def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
     """
     scores, labels = _as_scores_labels(scores, labels)
     clvs = np.asarray(clvs, dtype=float)
-    assignment = quantile_segments(clvs, q)
-    segments = [assignment.indices(s) for s in range(q)]
+    segments = quantile_segments(clvs, q)
     seg_profit, thresholds = np.array([mp(scores[i], labels[i], params, clvs[i].mean()) for i in segments]).T
-    return MspResult(q, thresholds, segment_edges(clvs, assignment), float(seg_profit.mean()))
+    edges = np.array([clvs[i].max() for i in segments[:-1]], dtype=float)
+    return MspResult(thresholds, edges, float(seg_profit.mean()))
 
 
 def accuracy(decisions, labels) -> float:

@@ -11,10 +11,8 @@ so low scores flag likely churners.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -34,8 +32,6 @@ __all__ = [
     "train",
     "mean_loss",
     "gradient_check",
-    "save_mlp",
-    "load_mlp",
     "LogisticModel",
     "fit_logistic",
     "nearest_neighbors",
@@ -57,7 +53,6 @@ class Mlp:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: np.ndarray  # scalar, shape ()
-    seed: int = 0
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
 
     @property
@@ -79,9 +74,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 50
     batch_size: int | None = None  # None: full batch up to 1024 rows, else 128
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss: str = "smooth-regret"
     seed: int = 0
 
@@ -92,10 +84,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("Adam eps must be > 0")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
 
@@ -122,7 +110,6 @@ def init_mlp(input_dim: int, hidden_dim: int, seed: int = 0) -> Mlp:
         b1=np.zeros(hidden_dim),
         w2=rng.uniform(-lim2, lim2, size=hidden_dim),
         b2=np.zeros(()),
-        seed=seed,
     )
 
 
@@ -161,25 +148,26 @@ class AdamState:
         )
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+_DECAY_M, _DECAY_V, _EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update; advances the state in place."""
     state.t += 1
     out: dict[str, np.ndarray] = {}
     for k, theta in params.items():
         g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1 - beta2) * g * g
-        m_hat = state.m[k] / (1 - beta1**state.t)
-        v_hat = state.v[k] / (1 - beta2**state.t)
-        out[k] = theta - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[k] = _DECAY_M * state.m[k] + (1 - _DECAY_M) * g
+        state.v[k] = _DECAY_V * state.v[k] + (1 - _DECAY_V) * g * g
+        m_hat = state.m[k] / (1 - _DECAY_M**state.t)
+        v_hat = state.v[k] / (1 - _DECAY_V**state.t)
+        out[k] = theta - learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
     return out, state
 
 
@@ -279,13 +267,11 @@ def train_epochs(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConf
             loss = _loss_and_grad(p, X[idx], targets[..., idx], cfg.loss, params.slope, grads)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
-            stepped, state = adam_step(
-                {"theta": theta}, {"theta": g}, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
-            )
+            stepped, state = adam_step({"theta": theta}, {"theta": g}, state, cfg.learning_rate)
             theta[...] = stepped["theta"]
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
-        yield Mlp(**_views(theta.copy(), *shape), seed=mlp.seed, loss_history=history[:])
+        yield Mlp(**_views(theta.copy(), *shape), loss_history=history[:])
 
 
 def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
@@ -351,40 +337,6 @@ def gradient_check(
     return worst
 
 
-_MLP_JSON_KEYS = ("seed", "w1", "b1", "w2", "b2")
-
-
-def save_mlp(mlp: Mlp, path: str | Path) -> Path:
-    """Serialize weights and config as flat JSON (exact float round trip)."""
-    payload = {
-        "seed": mlp.seed,
-        "w1": mlp.w1.tolist(),
-        "b1": mlp.b1.tolist(),
-        "w2": mlp.w2.tolist(),
-        "b2": float(mlp.b2),
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    return path
-
-
-def load_mlp(path: str | Path) -> Mlp:
-    """Read a model written by save_mlp; files that still carry "activation": "tanh" load too."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [k for k in _MLP_JSON_KEYS if k not in payload]
-    if missing:
-        raise ValueError(f"model file {path} missing key(s) {missing}")
-    if payload.get("activation", "tanh") != "tanh":
-        raise ValueError(f"model file {path}: unsupported activation {payload['activation']!r}")
-    return Mlp(
-        w1=np.asarray(payload["w1"], dtype=float),
-        b1=np.asarray(payload["b1"], dtype=float),
-        w2=np.asarray(payload["w2"], dtype=float),
-        b2=np.asarray(payload["b2"], dtype=float),
-        seed=int(payload["seed"]),
-    )
-
-
 @dataclass(frozen=True)
 class LogisticModel:
     """Linear scorer: sigmoid(w . x + b)."""
@@ -396,23 +348,21 @@ class LogisticModel:
         return np.asarray(sigmoid(np.asarray(X, dtype=float) @ self.w + self.b))
 
 
-def fit_logistic(data: Dataset, cfg: TrainConfig | None = None) -> LogisticModel:
-    """Full-batch Adam cross-entropy fit from a zero start (deterministic)."""
-    if cfg is None:
-        cfg = TrainConfig(learning_rate=0.05, epochs=300, loss="cross-entropy")
+def fit_logistic(data: Dataset) -> LogisticModel:
+    """300 full-batch Adam cross-entropy steps at learning rate 0.05 from a zero start."""
     X, y = data.features, data.labels.astype(float)
     w = np.zeros(X.shape[1])
     b = np.zeros(())
     p = {"w": w, "b": b}
     state = AdamState.zeros_like(p)
-    for epoch in range(cfg.epochs):
+    for epoch in range(300):
         u = X @ p["w"] + p["b"]
         loss = float(np.mean(_cross_entropy(u, y)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
         du = (sigmoid(u) - y) / len(y)
         grads = {"w": X.T @ du, "b": np.asarray(du.sum())}
-        p, state = adam_step(p, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+        p, state = adam_step(p, grads, state, 0.05)
     return LogisticModel(w=p["w"], b=float(p["b"]))
 
 
@@ -513,10 +463,8 @@ def _grow(X, y01, cfg: CartConfig, depth: int) -> CartNode:
     )
 
 
-def fit_cart(data: Dataset, cfg: CartConfig | None = None) -> CartNode:
+def fit_cart(data: Dataset, cfg: CartConfig) -> CartNode:
     """Greedy Gini-impurity binary tree on single-feature thresholds."""
-    if cfg is None:
-        cfg = CartConfig()
     return _grow(data.features, (data.labels == 1).astype(float), cfg, depth=0)
 
 

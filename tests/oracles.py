@@ -12,6 +12,9 @@ Tests compare the package against these for exact equality:
   threshold instead of one sorted sweep.
 - knn_scores and smote_balance: each with its own pairwise-distance
   kernel; SMOTE's is unchunked.
+- quantile_segments and segment_edges: a segment label per customer,
+  filled by a loop over segment sizes, and each segment's rows found
+  again by scanning those labels.
 """
 
 import warnings
@@ -84,10 +87,10 @@ def train(mlp, data, params, cfg):
             loss, grads = _loss_and_grads(p, X[idx], targets[..., idx], cfg.loss, params.slope)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
-            p, state = adam_step(p, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+            p, state = adam_step(p, grads, state, cfg.learning_rate)
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
-    return Mlp(**p, seed=mlp.seed, loss_history=history)
+    return Mlp(**p, loss_history=history)
 
 
 def monte_carlo_cv(data, grid, params, base=None, hidden=None, splits=5, n_seeds=10, seed=0):
@@ -230,3 +233,33 @@ def smote_balance(train, cfg):
         labels=np.concatenate([train.labels, np.full(n_new, minority, dtype=np.int64)]),
         clvs=np.concatenate([train.clvs, new_clvs]),
     )
+
+
+@dataclass(frozen=True)
+class SegmentAssignment:
+    q: int
+    segment_of: np.ndarray  # (n,) int, values in [0, q)
+
+    def indices(self, segment):
+        return np.flatnonzero(self.segment_of == segment)
+
+
+def quantile_segments(clvs, q):
+    clvs = np.asarray(clvs, dtype=float)
+    n = clvs.size
+    if not 1 <= q <= n:
+        raise ValueError(f"q must be in [1, {n}], got {q}")
+    order = np.argsort(clvs, kind="stable")
+    base, extra = divmod(n, q)
+    segment_of = np.empty(n, dtype=np.int64)
+    start = 0
+    for s in range(q):
+        size = base + (1 if s < extra else 0)
+        segment_of[order[start : start + size]] = s
+        start += size
+    return SegmentAssignment(q=q, segment_of=segment_of)
+
+
+def segment_edges(clvs, assignment):
+    clvs = np.asarray(clvs, dtype=float)
+    return np.array([clvs[assignment.indices(s)].max() for s in range(assignment.q - 1)], dtype=float)

@@ -174,7 +174,7 @@ def test_criterion_6_end_to_end_learning():
         clv_mean=85.0, clv_sigma=0.8, signal=6.0, clv_churn_corr=0.25, seed=0,
     )
     train_raw, test_raw = ex.generate_synthetic(spec)
-    tr, te, _ = standardize(train_raw, test_raw)
+    tr, te = standardize(train_raw, test_raw)
     model = train(
         init_mlp(8, 4, seed=0), tr, P, TrainConfig(learning_rate=0.05, epochs=200, seed=0)
     )
@@ -192,7 +192,7 @@ def test_criterion_6_end_to_end_learning():
             clv_mean=85.0, clv_sigma=1.0, signal=1.0, clv_churn_corr=0.7, seed=100 + seed,
         )
         train_raw, test_raw = ex.generate_synthetic(spec)
-        tr, te, _ = standardize(train_raw, test_raw)
+        tr, te = standardize(train_raw, test_raw)
         regret_model = train(
             init_mlp(8, 4, seed=seed), tr, P,
             TrainConfig(learning_rate=0.05, epochs=120, loss="smooth-regret", seed=seed),

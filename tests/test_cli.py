@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from churnopt import cli
@@ -216,6 +216,37 @@ class TestBenchmark:
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"q": 1000, "methods": ["msp_logistic"]}, "q must be at most the 60 training customers, got 1000"),
+            # at d = clv/2, 38 of the 60 training customers lie above break-even CLV
+            (
+                {"q": 45, "methods": ["msp_knn"], "d_grid": ["clv/20", "clv/2"], "drop_below_break_even": True},
+                "q must be at most the 38 training customers above break-even CLV at d = 'clv/2', got 45",
+            ),
+            (
+                {"d_grid": [1e6], "drop_below_break_even": True},
+                "no training customers above break-even CLV at d = 1000000.0",
+            ),
+        ],
+        ids=["q-beyond-train", "q-beyond-above-break-even", "none-above-break-even"],
+    )
+    def test_too_few_training_customers_exits_1_before_any_fit(self, tmp_path, capsys, change, message):
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | change)
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"dataset 'a': {message}" in err and "FAILED" not in err
+        assert not out_dir.exists()
+
+    def test_features_that_overflow_standardize_exit_1_before_any_fit(self, tmp_path, capsys):
+        synthetic = [dict(SMALL_RUN["datasets"]["synthetic"][0], signal=1e308)]
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | {"datasets": {"synthetic": synthetic}})
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "dataset 'a': feature column 'f" in err and "FAILED" not in err
+
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHURNOPT_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -309,6 +340,75 @@ class TestStats:
         }
         assert rejected == REJECTED_METHODS
         assert payload["friedman"]["f_stat"] == pytest.approx(4.1018, abs=0.06)
+
+
+def _dataset_config(tmp_path, data_path):
+    entry = {"name": "x", "train": str(data_path), "test": str(data_path)}
+    return write_json(tmp_path / "run.json", {"datasets": [entry]})
+
+
+class TestFileReaders:
+    """Every file the CLI reads: an unreadable one exits 1 naming its path."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda d, tmp: ["benchmark", "--config", d],
+            lambda d, tmp: ["sweep", "--config", d],
+            lambda d, tmp: ["generate", "--spec", d],
+            lambda d, tmp: ["stats", "--profits", d],
+            lambda d, tmp: ["benchmark", "--config", _dataset_config(tmp, d)],
+        ],
+        ids=["benchmark-config", "sweep-config", "generate-spec", "stats-profits", "dataset-csv"],
+    )
+    def test_directory_exits_1_naming_it(self, tmp_path, capsys, argv):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(argv(str(folder), tmp_path) + ["--out", str(tmp_path / "out")]) == 1
+        assert f"{folder}: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("config", b'{"seed": "\xff"}'),
+            ("spec", b'{"name": "\xff"}'),
+            ("profits", b"dataset,a,b,c\nd1,\xff,1,2\n"),
+            ("profits", b"dataset,a,b,c\nd1," + b"1" * 131_073 + b",1,2\n"),
+            ("dataset", b"f1,clv,label\n\xff,10,0\n"),
+            ("dataset", b"f1,clv,label\n" + b"1" * 131_073 + b",10,0\n"),
+            ("config", b"[" * 100_000),
+        ],
+        ids=["config-not-utf8", "spec-not-utf8", "profits-not-utf8", "profits-huge-field",
+             "dataset-not-utf8", "dataset-huge-field", "config-nested-too-deep"],
+    )
+    def test_unreadable_file_exits_1_naming_it(self, tmp_path, capsys, kind, content):
+        path = tmp_path / f"input.{kind}"
+        path.write_bytes(content)
+        argv = {
+            "config": ["benchmark", "--config", str(path)],
+            "spec": ["generate", "--spec", str(path)],
+            "profits": ["stats", "--profits", str(path)],
+            "dataset": ["benchmark", "--config", _dataset_config(tmp_path, path)],
+        }[kind]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.lists(
+                st.sampled_from(
+                    ["dataset", "a", "b", "c", ",", "\n", '"', "0", "1", "-2.5", "1e308", "-1e308", "nan", "\xff"]
+                ),
+                max_size=60,
+            ).map(lambda parts: "".join(parts).encode("latin-1")),
+        )
+    )
+    def test_stats_on_any_bytes_exits_0_or_1(self, tmp_path, content):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(content)
+        assert main(["stats", "--profits", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
 
 
 class TestParsing:

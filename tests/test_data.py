@@ -1,7 +1,12 @@
 """Dataset loading, validation, standardization, and CLV segmentation."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnopt.data import (
     Dataset,
@@ -9,7 +14,6 @@ from churnopt.data import (
     load_dataset,
     quantile_segments,
     save_dataset,
-    segment_edges,
     standardize,
 )
 
@@ -90,6 +94,30 @@ class TestLoad:
         assert np.array_equal(reloaded.clvs, ds.clvs)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.lists(
+                st.sampled_from(
+                    ["f1", "clv", "label", ",", "\n", "\r", '"', "0", "1", "-2.5", "1e308", "nan", " ", "\x00", "\xff"]
+                ),
+                max_size=40,
+            ).map(lambda parts: "f1,clv,label\n".encode() + "".join(parts).encode("latin-1")),
+        )
+    )
+    def test_any_bytes_load_or_raise_value_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(content)
+            try:
+                ds = load_dataset(path)
+            except ValueError as exc:
+                assert "fuzz.csv" in str(exc)
+            else:
+                assert isinstance(ds, Dataset)
+
+
 class TestDatasetInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
@@ -122,17 +150,16 @@ class TestStandardize:
     def test_hand_arithmetic(self):
         train = make_dataset([[1.0], [3.0]], [0, 1], [10.0, 20.0])
         test = make_dataset([[5.0]], [1], [30.0])
-        train_s, test_s, scaler = standardize(train, test)
-        assert train_s.features[:, 0].tolist() == [-1.0, 1.0]
+        train_s, test_s = standardize(train, test)
+        assert train_s.features[:, 0].tolist() == [-1.0, 1.0]  # mean 2, std 1
         assert test_s.features[0, 0] == 3.0
-        assert scaler.mean[0] == 2.0 and scaler.std[0] == 1.0
 
     def test_train_moments(self):
         rng = np.random.default_rng(1)
         train = make_dataset(
             rng.normal(3, 7, size=(50, 3)), rng.integers(0, 2, 50), rng.uniform(1, 9, 50)
         )
-        train_s, _, _ = standardize(train, train)
+        train_s, _ = standardize(train, train)
         assert np.all(np.abs(train_s.features.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(train_s.features.std(axis=0) - 1) < 1e-9)
 
@@ -141,49 +168,67 @@ class TestStandardize:
         train = make_dataset(
             rng.normal(size=(30, 2)), rng.integers(0, 2, 30), rng.uniform(1, 9, 30)
         )
-        once, _, _ = standardize(train, train)
-        twice, _, _ = standardize(once, once)
+        once, _ = standardize(train, train)
+        twice, _ = standardize(once, once)
         assert np.all(np.abs(twice.features - once.features) < 1e-9)
 
     def test_zero_variance_warns_and_zeroes(self):
         train = make_dataset([[7.0, 1.0], [7.0, 3.0]], [0, 1], [5.0, 6.0])
         with pytest.warns(UserWarning, match="zero-variance"):
-            train_s, _, _ = standardize(train, train)
+            train_s, _ = standardize(train, train)
         assert np.all(train_s.features[:, 0] == 0.0)
 
     def test_labels_and_clvs_untouched(self):
         train = make_dataset([[1.0], [3.0]], [0, 1], [10.0, 20.0])
-        train_s, _, _ = standardize(train, train)
+        train_s, _ = standardize(train, train)
         assert np.array_equal(train_s.labels, train.labels)
         assert np.array_equal(train_s.clvs, train.clvs)
 
 
+    @pytest.mark.parametrize("column", [[1e308, -1e308, 1e308], [1e308, 1e308, 1e308]])
+    def test_overflow_names_the_column(self, column):
+        # column f2's std overflows in one case, its mean in the other
+        train = make_dataset([[0.0, 1.0]] * 3, [0, 1, 0], [5.0, 6.0, 7.0])
+        wide = make_dataset(np.column_stack([[1.0, 2.0, 3.0], column]), [0, 1, 0], [5.0, 6.0, 7.0])
+        with pytest.raises(ValueError, match="'f2'"):
+            standardize(wide, train)
+
+    def test_test_split_overflow_names_the_column(self):
+        train = make_dataset([[0.0, 1.0], [1e-150, 2.0]], [0, 1], [5.0, 6.0])
+        with pytest.raises(ValueError, match="'f1'"):
+            standardize(train, make_dataset([[1e308, 1.0]], [0], [5.0]))
+
+
+def segment_labels(segments, n):
+    out = np.full(n, -1)
+    for s, rows in enumerate(segments):
+        out[rows] = s
+    return out
+
+
 class TestSegmentation:
     def test_single_segment(self):
-        ds = make_dataset([[0.0]] * 4, [0, 1, 0, 1], [10.0, 20.0, 30.0, 40.0])
-        a = quantile_segments(ds.clvs, 1)
-        assert a.segment_of.tolist() == [0, 0, 0, 0]
+        segments = quantile_segments([10.0, 20.0, 30.0, 40.0], 1)
+        assert [seg.tolist() for seg in segments] == [[0, 1, 2, 3]]
 
     def test_two_even_segments(self):
-        ds = make_dataset([[0.0]] * 4, [0, 1, 0, 1], [30.0, 10.0, 40.0, 20.0])
-        a = quantile_segments(ds.clvs, 2)
+        segments = quantile_segments([30.0, 10.0, 40.0, 20.0], 2)
         # {10, 20} -> segment 0, {30, 40} -> segment 1
-        assert a.segment_of.tolist() == [1, 0, 1, 0]
+        assert [seg.tolist() for seg in segments] == [[1, 3], [0, 2]]
 
     def test_odd_split_is_documented_rule(self):
         # lower-CLV segments take the extra record: sizes (3, 2)
-        a = quantile_segments([50.0, 40.0, 30.0, 20.0, 10.0], 2)
-        assert a.segment_of.tolist() == [1, 1, 0, 0, 0]
+        segments = quantile_segments([50.0, 40.0, 30.0, 20.0, 10.0], 2)
+        assert [seg.tolist() for seg in segments] == [[2, 3, 4], [0, 1]]
 
     def test_tie_break_by_index(self):
-        a = quantile_segments([5.0, 5.0, 5.0, 5.0], 2)
-        assert a.segment_of.tolist() == [0, 0, 1, 1]
+        segments = quantile_segments([5.0, 5.0, 5.0, 5.0], 2)
+        assert [seg.tolist() for seg in segments] == [[0, 1], [2, 3]]
 
     def test_q_out_of_range(self):
-        ds = make_dataset([[0.0]] * 3, [0, 1, 0], [1.0, 2.0, 3.0])
         for q in (0, 4):
             with pytest.raises(ValueError, match="q must be"):
-                quantile_segments(ds.clvs, q)
+                quantile_segments([1.0, 2.0, 3.0], q)
 
     def test_partition_property(self):
         # every (n, q) yields a partition into near-equal contiguous chunks
@@ -192,24 +237,25 @@ class TestSegmentation:
             n = int(rng.integers(1, 40))
             q = int(rng.integers(1, n + 1))
             clvs = rng.uniform(1, 100, size=n)
-            a = quantile_segments(clvs, q)
-            sizes = np.bincount(a.segment_of, minlength=q)
-            assert sizes.sum() == n
+            segments = quantile_segments(clvs, q)
+            sizes = np.array([len(seg) for seg in segments])
+            assert len(segments) == q and sizes.sum() == n
             assert sizes.max() - sizes.min() <= 1
+            segment_of = segment_labels(segments, n)
+            assert segment_of.min() == 0  # every row in some segment
             order = np.argsort(clvs, kind="stable")
-            assert np.all(np.diff(a.segment_of[order]) >= 0)  # contiguous in CLV order
+            assert np.all(np.diff(segment_of[order]) >= 0)  # contiguous in CLV order
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         clvs = rng.uniform(1, 100, size=37)
         a = quantile_segments(clvs, 5)
         b = quantile_segments(clvs, 5)
-        assert np.array_equal(a.segment_of, b.segment_of)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_edges_carry_segments_to_new_clvs(self):
         clvs = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        a = quantile_segments(clvs, 3)
-        edges = segment_edges(clvs, a)
+        edges = np.array([clvs[rows].max() for rows in quantile_segments(clvs, 3)[:-1]])
         assert edges.tolist() == [20.0, 40.0]
         assert assign_segments([15.0, 20.0, 25.0, 40.0, 41.0, 999.0], edges).tolist() == [
             0, 0, 1, 1, 2, 2,

@@ -72,7 +72,7 @@ class TestSyntheticSpec:
             clv_mean=85.0, signal=0.0, seed=5,
         )
         train, test = ex.generate_synthetic(spec)
-        tr, te, _ = standardize(train, test)
+        tr, te = standardize(train, test)
         model = fit_logistic(tr)
         acc = accuracy(model.score_batch(te.features) <= 0.5, te.labels)
         prior = max(te.churn_rate, 1 - te.churn_rate)
@@ -88,7 +88,7 @@ class TestSyntheticSpec:
             clv_mean=85.0, clv_sigma=1.0, signal=1.5, clv_churn_corr=0.8, seed=1,
         )
         train, test = ex.generate_synthetic(spec)
-        tr, te, _ = standardize(train, test)
+        tr, te = standardize(train, test)
         scores = fit_logistic(tr).score_batch(te.features)
         best_profit, best_acc = -np.inf, -np.inf
         z_profit = z_acc = None
@@ -126,7 +126,7 @@ class TestMonteCarloCv:
     def test_single_cell_returned(self):
         datasets = small_benchmark_inputs(1)
         _, train, _ = datasets[0]
-        tr, _, _ = standardize(train, train)
+        tr, _ = standardize(train, train)
         best = ex.monte_carlo_cv(tr, [(0.02, 5)], P, splits=2, n_seeds=1, seed=0)
         assert (best.learning_rate, best.epochs) == (0.02, 5)
 
@@ -144,7 +144,7 @@ class TestMonteCarloCv:
     def test_deterministic(self):
         datasets = small_benchmark_inputs(1)
         _, train, _ = datasets[0]
-        tr, _, _ = standardize(train, train)
+        tr, _ = standardize(train, train)
         grid = [(0.05, 5), (0.01, 5)]
         a = ex.monte_carlo_cv(tr, grid, P, splits=2, n_seeds=2, seed=3)
         b = ex.monte_carlo_cv(tr, grid, P, splits=2, n_seeds=2, seed=3)
@@ -188,7 +188,7 @@ class TestMonteCarloCvMatchesOracle:
     )
     def test_same_pick_and_warning(self, epochs_by_lr, batch_size, seed):
         _, train, _ = small_benchmark_inputs(1)[0]
-        tr, _, _ = standardize(train, train)
+        tr, _ = standardize(train, train)
         grid = [(lr, e) for lr, counts in epochs_by_lr.items() for e in counts]
         kwargs = dict(base=TrainConfig(batch_size=batch_size), splits=2, n_seeds=2, seed=seed)
         assert _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs) == _cv_with_warnings(
@@ -198,7 +198,7 @@ class TestMonteCarloCvMatchesOracle:
     def test_mid_run_divergence_fails_only_the_longer_cells(self):
         # at learning rate 1e308 every run of this split turns non-finite in epoch 4
         _, train, _ = small_benchmark_inputs(1)[0]
-        tr, _, _ = standardize(train, train)
+        tr, _ = standardize(train, train)
         grid = [(1e308, 6), (1e308, 2), (1e308, 3), (1e308, 8), (0.05, 2)]
         kwargs = dict(splits=2, n_seeds=2, seed=0)
         got = _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs)
@@ -350,7 +350,7 @@ class TestSharedFits:
         report = ex.run_benchmark(datasets, cfg)
         rows = iter(c for c in report.cells if c.method == "regret_net")
         for di, (_, train_raw, test_raw) in enumerate(datasets):
-            tr, te, _ = standardize(train_raw, test_raw)
+            tr, te = standardize(train_raw, test_raw)
             for dj, entry in enumerate(D3):
                 _, seed, _ = ex._cell_seeds(3, di, dj, 2)
                 params = cfg.campaign(ex.resolve_d(entry, float(train_raw.clvs.mean())))
@@ -539,7 +539,7 @@ class TestRunConfig:
         assert r1.cells[0].profit == r2.cells[0].profit  # decisions unchanged
 
         _, train_raw, test_raw = datasets[0]
-        tr, te, _ = standardize(train_raw, test_raw)
+        tr, te = standardize(train_raw, test_raw)
         params = ex.RunConfig(**base).campaign(ex.resolve_d("clv/20", float(train_raw.clvs.mean())))
         _, seed, _ = ex._cell_seeds(0, 0, 0, 0)
         tc = TrainConfig(loss="smooth-regret", seed=seed, **FAST)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import profit_at_threshold
 
 from churnopt.campaign import CampaignParams
-from churnopt.data import quantile_segments, segment_edges
+from churnopt.data import quantile_segments
 from churnopt.metrics import (
     accuracy,
     mp,
@@ -205,7 +205,23 @@ class TestMsp:
         rng = np.random.default_rng(9)
         clvs = rng.uniform(5, 300, 20).round(0)  # rounded to tie CLVs
         result = msp(rng.uniform(0, 1, 20), rng.integers(0, 2, 20), clvs, q, P)
-        assert np.array_equal(result.edges, segment_edges(clvs, quantile_segments(clvs, q)))
+        assert np.array_equal(result.edges, oracles.segment_edges(clvs, oracles.quantile_segments(clvs, q)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_segments_and_edges_match_the_oracle_for_every_q(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        # a few distinct CLVs, so most segments start or end inside a run of ties
+        clvs = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.5, 7.0, 7.5, 300.0]), min_size=n, max_size=n)))
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        for q in range(1, n + 1):
+            expected = oracles.quantile_segments(clvs, q)
+            segments = quantile_segments(clvs, q)
+            assert len(segments) == q
+            for s, rows in enumerate(segments):
+                assert np.array_equal(rows, expected.indices(s))
+            assert np.array_equal(msp(scores, labels, clvs, q, P).edges, oracles.segment_edges(clvs, expected))
 
     def test_q1_degenerates_to_mp(self):
         rng = np.random.default_rng(3)

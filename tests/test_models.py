@@ -1,6 +1,5 @@
 """Scorers: network forward/backward, Adam, training, and baselines."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -34,9 +33,7 @@ from churnopt.models import (
     gradient_check,
     init_mlp,
     knn_scores,
-    load_mlp,
     mean_loss,
-    save_mlp,
     train,
     train_epochs,
 )
@@ -337,36 +334,6 @@ class TestOneLossSource:
             mlp.w2 = np.zeros(3)  # every score is sigmoid(0) = 0.5: customer 0 sits on its midpoint
         expected = np.mean(smooth_regret(labels, forward_batch(mlp, X), params, clvs))
         assert mean_loss(mlp, make_dataset(X, labels, clvs), params, "smooth-regret") == expected
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        mlp = init_mlp(6, 3, seed=12)
-        mlp.b2 = np.asarray(0.1 + 0.2)  # not exactly representable as text unless repr-faithful
-        path = save_mlp(mlp, tmp_path / "model.json")
-        back = load_mlp(path)
-        assert np.array_equal(back.w1, mlp.w1)
-        assert np.array_equal(back.b1, mlp.b1)
-        assert np.array_equal(back.w2, mlp.w2)
-        assert float(back.b2) == float(mlp.b2)
-        assert back.seed == mlp.seed
-
-    def test_reads_files_that_carry_the_activation_key(self, tmp_path):
-        mlp = init_mlp(2, 2, seed=5)
-        payload = {"w1": mlp.w1.tolist(), "b1": [0.0, 0.0], "w2": mlp.w2.tolist(), "b2": 0.25, "seed": 5}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload | {"activation": "tanh"}))
-        back = load_mlp(path)
-        assert np.array_equal(back.w1, mlp.w1) and float(back.b2) == 0.25 and back.seed == 5
-        path.write_text(json.dumps(payload | {"activation": "relu"}))
-        with pytest.raises(ValueError, match="unsupported activation"):
-            load_mlp(path)
-
-    def test_missing_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"w1": [[0.0]]}')
-        with pytest.raises(ValueError, match="missing key"):
-            load_mlp(path)
 
 
 class TestLogistic:
