@@ -90,8 +90,11 @@ class Dataset:
 
 
 def read_csv_rows(path: Path):
-    """Yield the rows of a UTF-8 CSV file; undecodable or malformed text raises ValueError naming it."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    """Yield the rows of a UTF-8 CSV file, without a leading byte-order mark.
+
+    Undecodable or malformed text raises ValueError naming the file.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield from csv.reader(fh)
         except (UnicodeDecodeError, csv.Error) as exc:

@@ -366,22 +366,117 @@ def fit_logistic(data: Dataset) -> LogisticModel:
     return LogisticModel(w=p["w"], b=float(p["b"]))
 
 
+def _pairwise_distances(ref_t: np.ndarray, block: np.ndarray, slabs: list) -> np.ndarray:
+    """Euclidean distances from each row of block to each column of ref_t.
+
+    Built feature by feature on (len(block), len(ref)) slabs, and bitwise
+    equal to np.sqrt(np.sum(diff * diff, axis=2)) with diff =
+    block[:, None, :] - ref[None, :, :]: the squared terms are added in
+    the order of numpy's pairwise add-reduce over the feature axis.
+    Fewer than 8 terms are added in sequence; 8 to 128 terms in eight
+    lanes r0..r7 (lane j holds terms j, j+8, ...), combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), with the remainder added in
+    sequence; more than 128 terms split at n//2 rounded down to a
+    multiple of 8, each half summed the same way.
+
+    slabs holds the scratch arrays: slabs[0] for the current term and
+    slabs[d] for a partial sum at depth d of the summation tree. Missing
+    ones are appended, sized by this block, so a caller can pass the same
+    list for every later block of no more rows. The result is a view of
+    slabs[1].
+    """
+    block_t = block.T
+
+    def slab(depth):
+        while len(slabs) <= depth:
+            slabs.append(np.empty((block.shape[0], ref_t.shape[1])))
+        return slabs[depth][: block.shape[0]]
+
+    def square(j, out):
+        # ref_t[j] is broadcast over the rows by a copy: as a stride-0
+        # operand of subtract it costs more than the copy
+        np.copyto(out, ref_t[j])
+        np.subtract(block_t[j, :, None], out, out=out)
+        return np.multiply(out, out, out=out)
+
+    def chain(terms, depth):
+        acc = slab(depth)
+        if not terms:  # no features: every distance is 0
+            acc.fill(0.0)
+            return acc
+        square(terms[0], acc)
+        for j in terms[1:]:
+            acc += square(j, slab(0))
+        return acc
+
+    def lanes(lo, stop, a, b, depth):
+        # lanes a..b-1 of the terms [lo, stop), summed as a balanced tree
+        if b - a == 1:
+            return chain(range(lo + a, stop, 8), depth)
+        left = lanes(lo, stop, a, (a + b) // 2, depth)
+        left += lanes(lo, stop, (a + b) // 2, b, depth + 1)
+        return left
+
+    def pairwise(lo, n, depth):
+        if n < 8:
+            return chain(range(lo, lo + n), depth)
+        if n <= 128:
+            stop = lo + n - n % 8
+            acc = lanes(lo, stop, 0, 8, depth)
+            for j in range(stop, lo + n):
+                acc += square(j, slab(0))
+            return acc
+        half = n // 2 - (n // 2) % 8
+        acc = pairwise(lo, half, depth)
+        acc += pairwise(lo + half, n - half, depth + 1)
+        return acc
+
+    dist = pairwise(0, ref_t.shape[0], 1)
+    return np.sqrt(dist, out=dist)
+
+
 def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
     """Indices of the k Euclidean-nearest rows of ref for each row of X, nearest first.
 
     Distance ties break toward the lower ref index. With exclude_self, X is
-    ref and each row's own index counts as infinitely far. Blocks of 128
-    queries share one difference buffer of 128 x len(ref) x n_features.
+    ref and each row's own index counts as infinitely far.
+
+    Queries run in blocks of 64. A block's distances are computed feature
+    by feature against ref transposed once, in numpy's pairwise summation
+    order (see _pairwise_distances), so they equal the distances of the
+    3-D difference reduction bit for bit and no block x len(ref) x
+    n_features buffer is built. np.partition finds each row's k-th
+    smallest distance; where exactly k entries are <= it, only those
+    columns (in index order) are stable-sorted. A row with a tie at that
+    boundary stable-argsorts its whole distance row.
+
+    Raises:
+        ValueError: X is not (n, ref's feature count), or k lies outside
+            [1, len(ref) - exclude_self].
     """
-    buf = np.empty((min(128, X.shape[0]), ref.shape[0], ref.shape[1]))
+    if X.ndim != 2 or X.shape[1] != ref.shape[1]:
+        raise ValueError(f"queries have shape {X.shape}, expected (n, {ref.shape[1]}) like ref")
+    if not 1 <= k <= len(ref) - exclude_self:
+        raise ValueError(f"k must be in [1, {len(ref) - exclude_self}], got {k}")
+    ref_t = np.ascontiguousarray(ref.T)
+    slabs = []
     out = np.empty((X.shape[0], k), dtype=np.intp)
-    for start in range(0, X.shape[0], 128):
-        block = X[start : start + 128]
-        diff = np.subtract(block[:, None, :], ref[None, :, :], out=buf[: len(block)])
-        dist = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+    for start in range(0, X.shape[0], 64):
+        block = X[start : start + 64]
+        dist = _pairwise_distances(ref_t, block, slabs)
         if exclude_self:
-            dist[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
-        out[start : start + len(block)] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            rows = np.arange(len(block))
+            dist[rows, rows + start] = np.inf
+        kth = slabs[0][: len(block)]  # free again: _pairwise_distances is done with it
+        np.copyto(kth, dist)
+        kth.partition(k - 1, axis=1)
+        inside = dist <= kth[:, k - 1 : k]
+        exact = np.count_nonzero(inside, axis=1) == k
+        cols = np.nonzero(inside[exact])[1].reshape(-1, k)
+        order = np.argsort(dist[np.flatnonzero(exact)[:, None], cols], axis=1, kind="stable")
+        nearest = out[start : start + len(block)]
+        nearest[exact] = np.take_along_axis(cols, order, axis=1)
+        nearest[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -391,8 +486,6 @@ def knn_scores(train: Dataset, X, k: int) -> np.ndarray:
     The score is the fraction of the k Euclidean-nearest training labels
     equal to 1; distance ties break toward the lower training index.
     """
-    if not 1 <= k <= len(train):
-        raise ValueError(f"k must be in [1, {len(train)}], got {k}")
     nearest = nearest_neighbors(train.features, np.asarray(X, dtype=float), k)
     return (train.labels[nearest] == 1).mean(axis=1)
 

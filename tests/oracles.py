@@ -10,6 +10,10 @@ Tests compare the package against these for exact equality:
   scratch, with no sharing of epoch prefixes.
 - profit_at_threshold and mp: rescan every customer at each candidate
   threshold instead of one sorted sweep.
+- nearest_neighbors: each block of 128 queries fills one
+  128 x len(ref) x n_features difference buffer, reduces it over the
+  feature axis with np.sum and stable-argsorts every distance row in
+  full.
 - knn_scores and smote_balance: each with its own pairwise-distance
   kernel; SMOTE's is unchunked.
 - quantile_segments and segment_edges: a segment label per customer,
@@ -177,6 +181,25 @@ def mp(scores, labels, params, clv_avg):
             best_profit = profit
             best_t = t
     return float(best_profit), float(best_t)
+
+
+def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    """Indices of the k Euclidean-nearest rows of ref for each row of X, nearest first.
+
+    Distance ties break toward the lower ref index. With exclude_self, X is
+    ref and each row's own index counts as infinitely far. Blocks of 128
+    queries share one difference buffer of 128 x len(ref) x n_features.
+    """
+    buf = np.empty((min(128, X.shape[0]), ref.shape[0], ref.shape[1]))
+    out = np.empty((X.shape[0], k), dtype=np.intp)
+    for start in range(0, X.shape[0], 128):
+        block = X[start : start + 128]
+        diff = np.subtract(block[:, None, :], ref[None, :, :], out=buf[: len(block)])
+        dist = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+        if exclude_self:
+            dist[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
+        out[start : start + len(block)] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def knn_scores(train, X, k):

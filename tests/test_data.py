@@ -71,6 +71,20 @@ class TestLoad:
         with pytest.raises(ValueError, match="clv"):
             load_dataset(path)
 
+    def test_byte_order_mark_before_clv(self, tmp_path):
+        # spreadsheet tools often save UTF-8 CSV with a leading byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfclv,f1,label\n10.0,1.5,0\n20.0,2.5,1\n")
+        ds = load_dataset(path)
+        assert ds.schema == ("f1",)
+        assert ds.clvs.tolist() == [10.0, 20.0]
+
+    def test_byte_order_mark_before_feature(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("f1,clv,label\n1.5,10.0,0\n", encoding="utf-8-sig")
+        assert load_dataset(path).schema == ("f1",)
+        assert load_dataset(path, schema=["f1"]).features.tolist() == [[1.5]]
+
     def test_schema_enforced(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,clv,label\n1.0,2.0,10.0,0\n")

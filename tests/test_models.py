@@ -34,9 +34,11 @@ from churnopt.models import (
     init_mlp,
     knn_scores,
     mean_loss,
+    nearest_neighbors,
     train,
     train_epochs,
 )
+from churnopt.models import _pairwise_distances
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
 
@@ -400,6 +402,79 @@ class TestKnn:
         k = data.draw(st.integers(1, n))
         got, want = knn_scores(ds, queries, k), oracles.knn_scores(ds, queries, k)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestNearestNeighbors:
+    # Real-valued features: with 8 or more of them, adding the squared
+    # terms in any order but numpy's pairwise one changes some distance
+    # bits. Rounded and duplicated rows put ties at the k-th distance.
+    FEATURES = [1, 2, 7, 8, 9, 16, 24, 129, 300]
+
+    @staticmethod
+    def draw_rows(data, rng, n, f):
+        X = rng.standard_normal((n, f)) * rng.uniform(0.1, 10.0, f)
+        decimals = data.draw(st.sampled_from([None, 0, 1]))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        copies = rng.integers(n, size=n // 3)
+        X[rng.choice(n, size=n // 3, replace=False)] = X[copies]
+        return X
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_oracle(self, data):
+        f = data.draw(st.sampled_from(self.FEATURES))
+        exclude_self = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        if exclude_self:
+            # the queries are ref itself, so ref's size is the query count
+            ref = queries = self.draw_rows(data, rng, data.draw(st.sampled_from([2, 3, 20, 63, 64, 65, 128, 129])), f)
+        else:
+            ref = self.draw_rows(data, rng, data.draw(st.integers(1, 40)), f)
+            n_query = data.draw(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]))
+            repeats = ref[rng.integers(len(ref), size=n_query // 2)]
+            queries = np.vstack([repeats, self.draw_rows(data, rng, n_query - len(repeats), f)])
+        k = data.draw(st.integers(1, len(ref) - exclude_self))
+        got = nearest_neighbors(ref, queries, k, exclude_self)
+        want = oracles.nearest_neighbors(ref, queries, k, exclude_self)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_distances_equal_3d_reduction(self, data):
+        f = data.draw(st.sampled_from(self.FEATURES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ref = self.draw_rows(data, rng, data.draw(st.integers(1, 30)), f)
+        X = self.draw_rows(data, rng, data.draw(st.integers(1, 30)), f)
+        diff = X[:, None, :] - ref[None, :, :]
+        want = np.sqrt(np.sum(diff * diff, axis=2))
+        got = _pairwise_distances(np.ascontiguousarray(ref.T), X, [])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_boundary_tie_keeps_lower_index(self):
+        ref = np.array([[0.0], [1.0], [-1.0], [2.0]])
+        # k=2: three rows lie within the 2nd distance, so the full sort decides
+        assert nearest_neighbors(ref, np.array([[0.0]]), 2).tolist() == [[0, 1]]
+        # k=3: exactly three rows lie within the 3rd distance
+        assert nearest_neighbors(ref, np.array([[0.0]]), 3).tolist() == [[0, 1, 2]]
+
+    def test_no_features_keeps_index_order(self):
+        ref, queries = np.zeros((4, 0)), np.zeros((3, 0))
+        got = nearest_neighbors(ref, queries, 2)
+        assert np.array_equal(got, oracles.nearest_neighbors(ref, queries, 2))
+        assert got.tolist() == [[0, 1]] * 3
+
+    def test_feature_count_mismatch(self):
+        with pytest.raises(ValueError, match=r"\(2, 4\).*\(n, 3\)"):
+            nearest_neighbors(np.zeros((5, 3)), np.zeros((2, 4)), 1)
+
+    def test_k_outside_range(self):
+        ref = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 3\], got 4"):
+            nearest_neighbors(ref, ref, 4, exclude_self=True)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 4\], got 0"):
+            nearest_neighbors(ref, ref[:1], 0)
+        assert nearest_neighbors(ref, ref[:1], 4).tolist() == [[0, 1, 2, 3]]
 
 
 class TestCart:
