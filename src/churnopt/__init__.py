@@ -35,6 +35,6 @@ from .experiments import (
 from .metrics import MspResult, accuracy, mp, msp, targeted_fraction
 from .models import Mlp, TrainConfig, cart_scores, fit_cart, fit_logistic, forward_batch, init_mlp, knn_scores, train
 from .smote import SmoteConfig, smote_balance
-from .stats import HolmReport, RankTable, compare_methods, friedman_iman_davenport, holm, nemenyi_z, rank_methods
+from .stats import RankTable, compare_methods, friedman_iman_davenport, holm, nemenyi_z, rank_methods
 
 __version__ = "0.1.0"

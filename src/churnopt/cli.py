@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def _default_out() -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             return json.load(fh)
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror}")
@@ -81,8 +82,8 @@ _CONFIG_FIELDS = {
     "smote": {"k_neighbors": "smote_k", "ratio": "smote_ratio"},
     "baselines": {"knn_k": "knn_k", "cart_max_depth": "cart_max_depth", "cart_min_leaf": "cart_min_leaf"},
 }
-# RunConfig fields that hold a tuple, given as a JSON list
-_LIST_FIELDS = ("d_grid", "methods", "cv_learning_rates", "cv_epochs")
+# RunConfig fields annotated as tuples, given as a JSON list
+_LIST_FIELDS = {fld.name for fld in fields(ex.RunConfig) if fld.type.startswith("tuple[")}
 # the keys a config may hold at top level: RunConfig fields, blocks, and
 # the keys read outside RunConfig
 _TOP_LEVEL_KEYS = set(_CONFIG_FIELDS[None]) | {block for block in _CONFIG_FIELDS if block} | {"datasets", "out_dir"}

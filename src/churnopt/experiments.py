@@ -81,10 +81,12 @@ _HOLDS = {
 
 def _check_field_types(obj) -> None:
     """Raise ValueError naming the first dataclass field whose value its annotation
-    rules out: "T | None" also admits None, "tuple[T, ...]" holds T entries."""
+    rules out: "T | None" also admits None, "tuple[T, ...]" is a tuple of T entries."""
     for fld in fields(obj):
         kind, values = fld.type.removesuffix(" | None"), [getattr(obj, fld.name)]
         if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            if not isinstance(values[0], tuple):
+                raise ValueError(f"{fld.name} must be a tuple, got {values[0]!r}")
             kind, values = kind[len("tuple["):-len(", ...]")], values[0]
         elif kind != fld.type and values[0] is None:
             continue
@@ -315,7 +317,7 @@ class RunConfig:
     f: float = 1.36
     gamma: float = 0.3
     slope: float = 10.0
-    d_grid: tuple = DEFAULT_D_GRID
+    d_grid: tuple[str | float, ...] = DEFAULT_D_GRID
     methods: tuple[str, ...] = DEFAULT_METHODS
     q: int = 2
     hidden: int | None = None

@@ -20,9 +20,6 @@ import numpy as np
 
 __all__ = [
     "RankTable",
-    "FriedmanResult",
-    "HolmComparison",
-    "HolmReport",
     "normal_cdf",
     "f_sf",
     "average_ranks",
@@ -106,17 +103,9 @@ def f_sf(x: float, d1: float, d2: float) -> float:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Descending ranks of a 1-D array (rank 1 = largest), ties averaged."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(-np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    # a group of c tied values ending at rank e shares the mean rank e - (c - 1)/2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 @dataclass(frozen=True)
@@ -150,22 +139,12 @@ def rank_methods(profits, methods, datasets) -> RankTable:
     if not np.all(np.isfinite(profits)):
         raise ValueError("profit matrix contains missing or non-finite cells")
     ranks = np.column_stack([average_ranks(profits[:, j]) for j in range(n)])
-    return RankTable(
-        methods=tuple(methods), datasets=tuple(datasets), profits=profits, ranks=ranks
-    )
+    return RankTable(methods=tuple(methods), datasets=tuple(datasets), profits=profits, ranks=ranks)
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
-    chi2: float
-    f_stat: float
-    p_value: float
-    df1: int
-    df2: int
-
-
-def friedman_iman_davenport(avg_ranks, n_datasets: int) -> FriedmanResult:
-    """Friedman rank test with the Iman-Davenport F correction.
+def friedman_iman_davenport(avg_ranks, n_datasets: int) -> dict:
+    """Friedman rank test with the Iman-Davenport F correction, as the JSON
+    block {"chi2", "f_stat", "p_value", "df": [df1, df2]}.
 
     chi2 = 12N/(k(k+1)) * (sum R_j^2 - k(k+1)^2/4); the corrected statistic
     F = (N-1) chi2 / (N(k-1) - chi2) follows F(k-1, (k-1)(N-1)) under the
@@ -186,9 +165,7 @@ def friedman_iman_davenport(avg_ranks, n_datasets: int) -> FriedmanResult:
         )
     f_stat = (n - 1) * chi2 / denom
     df1, df2 = k - 1, (k - 1) * (n - 1)
-    return FriedmanResult(
-        chi2=float(chi2), f_stat=float(f_stat), p_value=f_sf(f_stat, df1, df2), df1=df1, df2=df2
-    )
+    return {"chi2": float(chi2), "f_stat": float(f_stat), "p_value": f_sf(f_stat, df1, df2), "df": [df1, df2]}
 
 
 def nemenyi_z(rank_best: float, rank_other: float, n_datasets: int, k_methods: int) -> tuple[float, float]:
@@ -202,31 +179,6 @@ def nemenyi_z(rank_best: float, rank_other: float, n_datasets: int, k_methods: i
     return z, min(1.0, 2.0 * (1.0 - normal_cdf(z)))
 
 
-@dataclass(frozen=True)
-class HolmComparison:
-    method: str
-    avg_rank: float
-    z: float
-    p_value: float
-    threshold: float  # alpha / (j - 1)
-    reject: bool
-
-
-@dataclass(frozen=True)
-class HolmReport:
-    """Comparisons of every method against the top-ranked one.
-
-    Row j (j = 2..k, in ascending-rank order) is judged against its own
-    threshold alpha/(j-1); each row is reported independently rather than
-    stopping at the first non-rejection.
-    """
-
-    best: str
-    best_rank: float
-    alpha: float
-    comparisons: tuple[HolmComparison, ...]
-
-
 def holm(p_values, alpha: float = 0.05) -> list[tuple[float, bool]]:
     """Judge rank-ordered p-values against thresholds alpha/(j-1).
 
@@ -237,38 +189,28 @@ def holm(p_values, alpha: float = 0.05) -> list[tuple[float, bool]]:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    out = []
-    for i, p in enumerate(p_values):
-        threshold = alpha / (i + 1)
-        out.append((threshold, bool(p < threshold)))
-    return out
+    return [(alpha / j, bool(p < alpha / j)) for j, p in enumerate(p_values, start=1)]
 
 
-def compare_methods(table: RankTable, alpha: float = 0.05) -> HolmReport:
-    """Full post-hoc protocol: Nemenyi z vs the top-ranked method + Holm."""
+def compare_methods(table: RankTable, alpha: float = 0.05) -> dict:
+    """Full post-hoc protocol: Nemenyi z vs the top-ranked method + Holm.
+
+    Returns the JSON block {"best", "alpha", "comparisons"}, one comparison
+    per other method in ascending-rank order. Row j (j = 2..k) is judged
+    against its own threshold alpha/(j-1): each row is judged on its own,
+    with no stop at the first non-rejection.
+    """
     avg = table.avg_ranks
     best = table.best_method()
     others = sorted((i for i in range(len(table.methods)) if i != best), key=lambda i: avg[i])
-    if not others:
-        return HolmReport(
-            best=table.methods[best], best_rank=float(avg[best]), alpha=alpha, comparisons=()
-        )
-    zs, ps = zip(*(nemenyi_z(avg[best], avg[i], len(table.datasets), len(table.methods)) for i in others))
-    judged = holm(ps, alpha)
-    comparisons = tuple(
-        HolmComparison(
-            method=table.methods[i],
-            avg_rank=float(avg[i]),
-            z=float(z),
-            p_value=float(p),
-            threshold=thr,
-            reject=rej,
-        )
-        for i, z, p, (thr, rej) in zip(others, zs, ps, judged)
-    )
-    return HolmReport(
-        best=table.methods[best], best_rank=float(avg[best]), alpha=alpha, comparisons=comparisons
-    )
+    tests = [nemenyi_z(avg[best], avg[i], len(table.datasets), len(table.methods)) for i in others]
+    judged = holm([p for _, p in tests], alpha)
+    comparisons = [
+        {"method": table.methods[i], "avg_rank": float(avg[i]), "z": float(z), "p_value": float(p),
+         "threshold": threshold, "outcome": "reject" if reject else "not reject"}
+        for i, (z, p), (threshold, reject) in zip(others, tests, judged)
+    ]
+    return {"best": table.methods[best], "alpha": alpha, "comparisons": comparisons}
 
 
 def comparison_summary(table: RankTable, alpha: float = 0.05) -> dict:
@@ -282,24 +224,8 @@ def comparison_summary(table: RankTable, alpha: float = 0.05) -> dict:
         "avg_profits": {m: float(p) for m, p in zip(table.methods, table.avg_profits)},
     }
     try:
-        fr = friedman_iman_davenport(table.avg_ranks, len(table.datasets))
-        summary["friedman"] = {"chi2": fr.chi2, "f_stat": fr.f_stat, "p_value": fr.p_value, "df": [fr.df1, fr.df2]}
+        summary["friedman"] = friedman_iman_davenport(table.avg_ranks, len(table.datasets))
     except ValueError as exc:
         summary["friedman"] = {"note": str(exc)}
-    report = compare_methods(table, alpha)
-    summary["holm"] = {
-        "best": report.best,
-        "alpha": alpha,
-        "comparisons": [
-            {
-                "method": c.method,
-                "avg_rank": c.avg_rank,
-                "z": c.z,
-                "p_value": c.p_value,
-                "threshold": c.threshold,
-                "outcome": "reject" if c.reject else "not reject",
-            }
-            for c in report.comparisons
-        ],
-    }
+    summary["holm"] = compare_methods(table, alpha)
     return summary

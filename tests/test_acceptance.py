@@ -45,8 +45,8 @@ def test_criterion_1_statistical_reproduction():
     start = time.perf_counter()
 
     result = friedman_iman_davenport(PUBLISHED_RANKS, 12)
-    assert result.f_stat == pytest.approx(4.1018, abs=0.06)
-    assert result.p_value < 0.0001
+    assert result["f_stat"] == pytest.approx(4.1018, abs=0.06)
+    assert result["p_value"] < 0.0001
 
     _, p_second = nemenyi_z(PUBLISHED_RANKS[0], PUBLISHED_RANKS[1], 12, 12)
     assert p_second == pytest.approx(0.2696, abs=0.003)

@@ -393,6 +393,24 @@ class TestFileReaders:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert f"error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, output",
+        [
+            ("benchmark", {**SMALL_RUN, "seed": 3, "methods": ["logistic"], "d_grid": ["clv/20"]},
+             "benchmark_cells.csv"),
+            ("generate", JAN_SPEC, "jan_train.csv"),
+        ],
+        ids=["benchmark-config", "generate-spec"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, command, payload, output):
+        flag = "--config" if command == "benchmark" else "--spec"
+        plain = write_json(tmp_path / "plain.json", payload)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode())
+        assert main([command, flag, plain, "--out", str(tmp_path / "o1")]) == 0
+        assert main([command, flag, str(marked), "--out", str(tmp_path / "o2")]) == 0
+        assert (tmp_path / "o1" / output).read_bytes() == (tmp_path / "o2" / output).read_bytes()
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         content=st.one_of(

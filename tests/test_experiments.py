@@ -506,6 +506,11 @@ class TestRunConfig:
             ("class_threshold", np.nan, "class_threshold must be a finite number"),
             ("cv_learning_rates", ("0.1",), "cv_learning_rates must be a finite number"),
             ("drop_below_break_even", "no", "drop_below_break_even must be true or false"),
+            ("d_grid", "clv/20", "d_grid must be a tuple, got 'clv/20'"),
+            ("d_grid", 5, "d_grid must be a tuple, got 5"),
+            ("d_grid", ["clv/20"], "d_grid must be a tuple"),
+            ("methods", ["knn"], "methods must be a tuple"),
+            ("cv_learning_rates", 0.01, "cv_learning_rates must be a tuple"),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):
@@ -521,6 +526,7 @@ class TestRunConfig:
             ({"cv_learning_rates": (0.01,), "cv_epochs": (True,)}, "cv_epochs must be an integer"),
             ({"cv_learning_rates": (0.01,)}, "cv_learning_rates and cv_epochs must both"),
             ({"cv_epochs": (5,)}, "cv_learning_rates and cv_epochs must both"),
+            ({"cv_learning_rates": (0.01,), "cv_epochs": 5}, "cv_epochs must be a tuple, got 5"),
         ],
     )
     def test_bad_cv_grid_rejected(self, fields, message):

@@ -9,6 +9,8 @@ functions, which the package implements itself.
 import numpy as np
 import pytest
 import scipy.stats as sstats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnopt.stats import (
     average_ranks,
@@ -65,6 +67,24 @@ class TestRanks:
     def test_two_way_tie_for_best(self):
         assert average_ranks(np.array([5.0, 5.0, 1.0])).tolist() == [1.5, 1.5, 3.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),  # small integers: ties in most draws
+                st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                st.floats(allow_nan=False),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_scipy_rankdata(self, values):
+        x = np.array(values, dtype=float)
+        np.testing.assert_array_equal(average_ranks(x), sstats.rankdata(-x, method="average"))
+
+    def test_signed_zeros_tie(self):
+        assert average_ranks(np.array([0.0, -0.0, 1.0])).tolist() == [2.5, 2.5, 1.0]
+
     def test_rank_sums(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -92,24 +112,24 @@ class TestRanks:
 class TestFriedman:
     def test_published_value(self):
         result = friedman_iman_davenport(REFERENCE_RANKS, 12)
-        assert result.f_stat == pytest.approx(4.1018, abs=0.06)
-        assert result.p_value < 0.0001
-        assert (result.df1, result.df2) == (11, 121)
+        assert result["f_stat"] == pytest.approx(4.1018, abs=0.06)
+        assert result["p_value"] < 0.0001
+        assert result["df"] == [11, 121]
 
     def test_no_disagreement_gives_zero_chi2(self):
         result = friedman_iman_davenport([2.0, 2.0, 2.0], 5)
-        assert result.chi2 == pytest.approx(0.0, abs=1e-12)
-        assert result.f_stat == 0.0
-        assert result.p_value == 1.0
+        assert result["chi2"] == pytest.approx(0.0, abs=1e-12)
+        assert result["f_stat"] == 0.0
+        assert result["p_value"] == 1.0
 
     def test_hand_sized_instance(self):
         # datasets rank the 3 methods (1,2,3), (1,2,3), (2,1,3):
         # avg ranks (4/3, 5/3, 3), chi2 = 14/3, F = 7
         avg = [4 / 3, 5 / 3, 3.0]
         result = friedman_iman_davenport(avg, 3)
-        assert result.chi2 == pytest.approx(14 / 3, rel=1e-12)
-        assert result.f_stat == pytest.approx(7.0, rel=1e-12)
-        assert result.p_value == pytest.approx((1 + 7.0 / 2) ** -2, rel=1e-9)  # F(2,4) tail
+        assert result["chi2"] == pytest.approx(14 / 3, rel=1e-12)
+        assert result["f_stat"] == pytest.approx(7.0, rel=1e-12)
+        assert result["p_value"] == pytest.approx((1 + 7.0 / 2) ** -2, rel=1e-9)  # F(2,4) tail
 
     def test_perfectly_consistent_ranks_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -163,9 +183,9 @@ class TestCompareMethods:
     def test_full_protocol_reproduces_reject_set(self):
         table = rank_methods(REFERENCE_PROFITS, REFERENCE_METHODS, MONTHS)
         report = compare_methods(table, alpha=0.05)
-        assert report.best == "regret_net"
-        assert {c.method for c in report.comparisons if c.reject} == REJECTED_METHODS
-        thresholds = [c.threshold for c in report.comparisons]
+        assert report["best"] == "regret_net"
+        assert {c["method"] for c in report["comparisons"] if c["outcome"] == "reject"} == REJECTED_METHODS
+        thresholds = [c["threshold"] for c in report["comparisons"]]
         assert thresholds == sorted(thresholds, reverse=True)
         assert thresholds[:3] == pytest.approx([0.0500, 0.0250, 0.0167], abs=5e-5)
 
@@ -173,6 +193,6 @@ class TestCompareMethods:
         profits = np.tile(np.array([[3.0], [3.0], [3.0]]), (1, 4))
         table = rank_methods(profits, ["a", "b", "c"], list("wxyz"))
         report = compare_methods(table)
-        assert tuple(c.method for c in report.comparisons if c.reject) == ()
+        assert tuple(c["method"] for c in report["comparisons"] if c["outcome"] == "reject") == ()
         result = friedman_iman_davenport(table.avg_ranks, 4)
-        assert result.p_value == 1.0
+        assert result["p_value"] == 1.0
