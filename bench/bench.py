@@ -7,7 +7,9 @@ Times the default bundled `churnopt benchmark` (no config: 12 datasets x
 ``src/`` of this checkout ("change") and once from ``src/`` of git
 revision REV ("base"), alternating which side runs first. Every run's
 benchmark_cells.csv and summary.json sha256 is recorded; the script
-fails if they differ between runs, sides or job counts.
+fails if they differ between runs, sides or job counts. The BLAS
+thread variables the runs inherit are recorded under env.threads (null
+when unset).
 
 It then times models.nearest_neighbors against the slow kernel of
 tests/oracles.py on the bundled run's own neighbour inputs: for each
@@ -37,6 +39,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("benchmark_cells.csv", "summary.json")
+# thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
 
 
 def _git(*args: str) -> str:
@@ -154,7 +159,7 @@ def main(argv=None) -> int:
                 "base": _git("rev-parse", args.base), "base_src_tree": _git("rev-parse", f"{args.base}:src")},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "blas": f"{blas.get('name')} {blas.get('version')}", "cores": os.cpu_count(),
-                "machine": platform.machine()},
+                "machine": platform.machine(), "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
     }
     report["nearest_neighbors"] = bench_kernel(args.kernel_reps)
     report["wall_s"], report["outputs_sha256"] = bench_cli(args.base, args.reps)

@@ -366,117 +366,86 @@ def fit_logistic(data: Dataset) -> LogisticModel:
     return LogisticModel(w=p["w"], b=float(p["b"]))
 
 
-def _pairwise_distances(ref_t: np.ndarray, block: np.ndarray, slabs: list) -> np.ndarray:
-    """Euclidean distances from each row of block to each column of ref_t.
-
-    Built feature by feature on (len(block), len(ref)) slabs, and bitwise
-    equal to np.sqrt(np.sum(diff * diff, axis=2)) with diff =
-    block[:, None, :] - ref[None, :, :]: the squared terms are added in
-    the order of numpy's pairwise add-reduce over the feature axis.
-    Fewer than 8 terms are added in sequence; 8 to 128 terms in eight
-    lanes r0..r7 (lane j holds terms j, j+8, ...), combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), with the remainder added in
-    sequence; more than 128 terms split at n//2 rounded down to a
-    multiple of 8, each half summed the same way.
-
-    slabs holds the scratch arrays: slabs[0] for the current term and
-    slabs[d] for a partial sum at depth d of the summation tree. Missing
-    ones are appended, sized by this block, so a caller can pass the same
-    list for every later block of no more rows. The result is a view of
-    slabs[1].
-    """
-    block_t = block.T
-
-    def slab(depth):
-        while len(slabs) <= depth:
-            slabs.append(np.empty((block.shape[0], ref_t.shape[1])))
-        return slabs[depth][: block.shape[0]]
-
-    def square(j, out):
-        # ref_t[j] is broadcast over the rows by a copy: as a stride-0
-        # operand of subtract it costs more than the copy
-        np.copyto(out, ref_t[j])
-        np.subtract(block_t[j, :, None], out, out=out)
-        return np.multiply(out, out, out=out)
-
-    def chain(terms, depth):
-        acc = slab(depth)
-        if not terms:  # no features: every distance is 0
-            acc.fill(0.0)
-            return acc
-        square(terms[0], acc)
-        for j in terms[1:]:
-            acc += square(j, slab(0))
-        return acc
-
-    def lanes(lo, stop, a, b, depth):
-        # lanes a..b-1 of the terms [lo, stop), summed as a balanced tree
-        if b - a == 1:
-            return chain(range(lo + a, stop, 8), depth)
-        left = lanes(lo, stop, a, (a + b) // 2, depth)
-        left += lanes(lo, stop, (a + b) // 2, b, depth + 1)
-        return left
-
-    def pairwise(lo, n, depth):
-        if n < 8:
-            return chain(range(lo, lo + n), depth)
-        if n <= 128:
-            stop = lo + n - n % 8
-            acc = lanes(lo, stop, 0, 8, depth)
-            for j in range(stop, lo + n):
-                acc += square(j, slab(0))
-            return acc
-        half = n // 2 - (n // 2) % 8
-        acc = pairwise(lo, half, depth)
-        acc += pairwise(lo + half, n - half, depth + 1)
-        return acc
-
-    dist = pairwise(0, ref_t.shape[0], 1)
-    return np.sqrt(dist, out=dist)
-
-
 def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
     """Indices of the k Euclidean-nearest rows of ref for each row of X, nearest first.
 
     Distance ties break toward the lower ref index. With exclude_self, X is
-    ref and each row's own index counts as infinitely far.
+    ref and each row's own index counts as infinitely far. The result is
+    that of stable-argsorting, for each query x, the reference distances
+    np.sqrt(np.sum(diff * diff, axis=-1)) with diff = x - ref.
 
-    Queries run in blocks of 64. A block's distances are computed feature
-    by feature against ref transposed once, in numpy's pairwise summation
-    order (see _pairwise_distances), so they equal the distances of the
-    3-D difference reduction bit for bit and no block x len(ref) x
-    n_features buffer is built. np.partition finds each row's k-th
-    smallest distance; where exactly k entries are <= it, only those
-    columns (in index order) are stable-sorted. A row with a tie at that
-    boundary stable-argsorts its whole distance row.
+    Queries run in blocks of at most 64 rows, fewer where a block x
+    len(ref) x n_features product would pass 2**19. Each block is
+    searched in two stages:
+
+    1. Screen. One matmul against -2 ref^T plus the squared row norms
+       gives approximate squared distances A. With f features, u the unit
+       roundoff, gamma_n = n u / (1 - n u) (Higham 2002, section 3.1) and
+       e = gamma_{f+2} (|x| + max|r|)^2 + (f + 2) 2**-1074 (the last term
+       covers underflow), both A and the reference formula's squared
+       distance S lie within e of the true squared distance.
+       With A_k the row's k-th smallest A and E = 4 e, a column stays on
+       the shortlist when A <= A_k + 2 E + rho |A_k|, rho = 4 eps.
+    2. Refine. The shortlisted (row, column) pairs get the reference
+       formula itself over a contiguous feature axis, so their distances
+       are its bits, and np.lexsort by (row, distance, column) picks the
+       k nearest of each row.
+
+    Exactness: each of the k columns with the smallest A has S <= A_k + 2 e,
+    and a dropped column has S > A_k + 6 e. The gap 4 e >= 8 u (|x| +
+    max|r|)^2 is more than sqrt's rounding can close, so a dropped column
+    is strictly farther, after sqrt, than k shortlisted ones, and the
+    stable (distance, index) order of the shortlist is the reference
+    order, ties at the k-th distance included. A row whose bound or
+    approximations are not finite keeps every column.
 
     Raises:
-        ValueError: X is not (n, ref's feature count), or k lies outside
+        ValueError: ref is not 2-D, X is not (n, ref's feature count),
+            either holds a non-finite value, or k lies outside
             [1, len(ref) - exclude_self].
     """
+    if ref.ndim != 2:
+        raise ValueError(f"ref has shape {ref.shape}, expected (n, n_features)")
     if X.ndim != 2 or X.shape[1] != ref.shape[1]:
         raise ValueError(f"queries have shape {X.shape}, expected (n, {ref.shape[1]}) like ref")
+    if not (np.isfinite(ref).all() and np.isfinite(X).all()):
+        raise ValueError("ref and queries must be finite")
     if not 1 <= k <= len(ref) - exclude_self:
         raise ValueError(f"k must be in [1, {len(ref) - exclude_self}], got {k}")
-    ref_t = np.ascontiguousarray(ref.T)
-    slabs = []
+    n_ref, f = ref.shape
+    finfo = np.finfo(float)
+    gamma = (f + 2) * finfo.epsneg / (1 - (f + 2) * finfo.epsneg)  # epsneg = 2**-53 = u
+    ref_sq = np.einsum("ij,ij->i", ref, ref)
+    ref_norm = math.sqrt(ref_sq.max())
+    ref_m2t = -2.0 * ref.T
+    rows_per_block = min(64, max(1, 2**19 // max(1, n_ref * f)))
     out = np.empty((X.shape[0], k), dtype=np.intp)
-    for start in range(0, X.shape[0], 64):
-        block = X[start : start + 64]
-        dist = _pairwise_distances(ref_t, block, slabs)
+    for start in range(0, X.shape[0], rows_per_block):
+        block = X[start : start + rows_per_block]
+        # an overflow leaves A or the bound non-finite, and such a row keeps every column
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sq = np.einsum("ij,ij->i", block, block)
+            approx = block @ ref_m2t
+            approx += q_sq[:, None]
+            approx += ref_sq
+            screened = np.isfinite(approx).all(axis=1)
+            if exclude_self:
+                own = np.arange(len(block))
+                approx[own, own + start] = np.inf
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            e = gamma * (np.sqrt(q_sq) + ref_norm) ** 2 + (f + 2) * finfo.smallest_subnormal
+            limit = kth + 8 * e + 4 * finfo.eps * np.abs(kth)
+        keep = approx <= limit[:, None]
+        keep[~screened] = True
+        rows, cols = np.divmod(np.flatnonzero(keep), n_ref)  # faster than np.nonzero on 2-D
+        diff = block[rows] - ref[cols]
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
         if exclude_self:
-            rows = np.arange(len(block))
-            dist[rows, rows + start] = np.inf
-        kth = slabs[0][: len(block)]  # free again: _pairwise_distances is done with it
-        np.copyto(kth, dist)
-        kth.partition(k - 1, axis=1)
-        inside = dist <= kth[:, k - 1 : k]
-        exact = np.count_nonzero(inside, axis=1) == k
-        cols = np.nonzero(inside[exact])[1].reshape(-1, k)
-        order = np.argsort(dist[np.flatnonzero(exact)[:, None], cols], axis=1, kind="stable")
-        nearest = out[start : start + len(block)]
-        nearest[exact] = np.take_along_axis(cols, order, axis=1)
-        nearest[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
+            dist[cols == rows + start] = np.inf
+        order = np.lexsort((cols, dist, rows))
+        counts = np.count_nonzero(keep, axis=1)
+        first = np.cumsum(counts) - counts
+        out[start : start + len(block)] = cols[order[first[:, None] + np.arange(k)]]
     return out
 
 
@@ -514,26 +483,35 @@ class CartNode:
 
 
 def _best_split(X: np.ndarray, y01: np.ndarray, min_leaf: int):
-    """Lowest weighted-Gini split; ties to the first feature, lowest threshold."""
+    """Lowest weighted-Gini split; ties to the first feature, lowest threshold.
+
+    Every feature's candidate splits are scored at once, from one argsort
+    down the rows, in column blocks of at most 2**20 cells. The sort need
+    not be stable: tied values are never split, so the class counts at
+    every valid split are the same in any order of the ties.
+    """
     n = y01.size
+    sizes = np.arange(1, n)[:, None]
+    size_ok = (sizes >= min_leaf) & (n - sizes >= min_leaf)
     best = None  # (impurity, feature, threshold)
-    for j in range(X.shape[1]):
-        vals = X[:, j]
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        ones = np.cumsum(y01[order])
-        sizes = np.arange(1, n)
+    width = max(1, 2**20 // n)
+    for lo in range(0, X.shape[1], width):
+        cols = X[:, lo : lo + width]
+        order = np.argsort(cols, axis=0)
+        v = np.take_along_axis(cols, order, axis=0)
+        ones = np.cumsum(y01[order], axis=0)
         left1 = ones[:-1]
-        valid = (sizes >= min_leaf) & (n - sizes >= min_leaf) & (v[:-1] < v[1:])
-        if not valid.any():
-            continue
+        valid = size_ok & (v[:-1] < v[1:])
         p_l = left1 / sizes
         p_r = (ones[-1] - left1) / (n - sizes)
         weighted = (sizes * 2 * p_l * (1 - p_l) + (n - sizes) * 2 * p_r * (1 - p_r)) / n
         weighted = np.where(valid, weighted, np.inf)
-        i = int(np.argmin(weighted))
-        if best is None or weighted[i] < best[0]:
-            best = (float(weighted[i]), j, float((v[i] + v[i + 1]) / 2))
+        rows = np.argmin(weighted, axis=0)
+        lowest = weighted[rows, np.arange(cols.shape[1])]
+        j = int(np.argmin(lowest))
+        if lowest[j] < (np.inf if best is None else best[0]):
+            i = rows[j]
+            best = (float(lowest[j]), lo + j, float((v[i, j] + v[i + 1, j]) / 2))
     return best
 
 

@@ -68,15 +68,19 @@ def smote_balance(train: Dataset, cfg: SmoteConfig) -> Dataset:
     clv_m = train.clvs[min_idx]
     neighbors = nearest_neighbors(Xm, Xm, k, exclude_self=True)
 
+    # the draws keep their scalar order (a, neighbour slot, u) per synthetic
+    # record, so a seed gives the same records as one record at a time
     rng = np.random.default_rng(cfg.seed)
-    new_feats = np.empty((n_new, train.n_features))
-    new_clvs = np.empty(n_new)
+    a = np.empty(n_new, dtype=np.intp)
+    slot = np.empty(n_new, dtype=np.intp)
+    u = np.empty(n_new)
     for i in range(n_new):
-        a = rng.integers(n_min)
-        b = neighbors[a, rng.integers(k)]
-        u = rng.uniform(0.0, 1.0)
-        new_feats[i] = Xm[a] + u * (Xm[b] - Xm[a])
-        new_clvs[i] = clv_m[a] + u * (clv_m[b] - clv_m[a])
+        a[i] = rng.integers(n_min)
+        slot[i] = rng.integers(k)
+        u[i] = rng.uniform(0.0, 1.0)
+    b = neighbors[a, slot]
+    new_feats = Xm[a] + u[:, None] * (Xm[b] - Xm[a])
+    new_clvs = clv_m[a] + u * (clv_m[b] - clv_m[a])
 
     return Dataset(
         name=train.name,

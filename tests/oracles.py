@@ -15,7 +15,10 @@ Tests compare the package against these for exact equality:
   feature axis with np.sum and stable-argsorts every distance row in
   full.
 - knn_scores and smote_balance: each with its own pairwise-distance
-  kernel; SMOTE's is unchunked.
+  kernel; SMOTE's is unchunked and builds each synthetic row in the
+  draw loop.
+- best_split: argsorts and scores one feature at a time; patched in for
+  models._best_split, it grows the reference tree.
 - quantile_segments and segment_edges: a segment label per customer,
   filled by a loop over segment sizes, and each segment's rows found
   again by scanning those labels.
@@ -200,6 +203,29 @@ def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool
             dist[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
         out[start : start + len(block)] = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return out
+
+
+def best_split(X, y01, min_leaf):
+    n = y01.size
+    best = None  # (impurity, feature, threshold)
+    for j in range(X.shape[1]):
+        vals = X[:, j]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        ones = np.cumsum(y01[order])
+        sizes = np.arange(1, n)
+        left1 = ones[:-1]
+        valid = (sizes >= min_leaf) & (n - sizes >= min_leaf) & (v[:-1] < v[1:])
+        if not valid.any():
+            continue
+        p_l = left1 / sizes
+        p_r = (ones[-1] - left1) / (n - sizes)
+        weighted = (sizes * 2 * p_l * (1 - p_l) + (n - sizes) * 2 * p_r * (1 - p_r)) / n
+        weighted = np.where(valid, weighted, np.inf)
+        i = int(np.argmin(weighted))
+        if best is None or weighted[i] < best[0]:
+            best = (float(weighted[i]), j, float((v[i] + v[i + 1]) / 2))
+    return best
 
 
 def knn_scores(train, X, k):

@@ -4,6 +4,7 @@ Each test covers one numbered criterion; the conftest summary hook prints
 one PASS/FAIL line per criterion at the end of the run.
 """
 
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -316,6 +317,15 @@ def test_criterion_9_full_benchmark(tmp_path):
     summary = ex.benchmark_summary(report, cfg, names)
     json_path = tmp_path / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
+
+    # the reproducibility contract: the bytes of the default `churnopt
+    # benchmark` run's benchmark_cells.csv and summary.json
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "8b3af1e0290c796bff2185f361b257b5fe82b29763b06bc46efa7d9ac64880ff"
+    )
+    assert hashlib.sha256((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()).hexdigest() == (
+        "28cf70b0eb433fdc67f7a4d43853ae51f354bf585309063e95443e691943d98e"
+    )
 
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 481  # header + one row per cell
