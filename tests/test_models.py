@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from churnopt import models
 from churnopt.campaign import (
     CampaignParams,
     break_even_clv,
@@ -19,7 +20,6 @@ from churnopt.campaign import (
     smooth_regret,
     total_profit,
 )
-from churnopt import models
 from churnopt.data import Dataset
 from churnopt.models import (
     AdamState,
