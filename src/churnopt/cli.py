@@ -224,6 +224,9 @@ def _read_profit_matrix(path: str):
     if not rows or len(rows[0]) < 2:
         raise _CliError(f"{path}: expected header 'dataset,<method>,...'")
     methods = [h.strip() for h in rows[0][1:]]
+    for col, method in enumerate(methods):
+        if method in methods[:col]:
+            raise _CliError(f"{path}: column {col + 2}: method {method!r} appears more than once")
     datasets, values = [], []
     for i, row in enumerate(rows[1:], start=2):
         if not row:

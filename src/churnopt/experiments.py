@@ -96,6 +96,11 @@ def _check_field_types(obj) -> None:
                 raise ValueError(f"{fld.name} must be {what}, got {value!r}")
 
 
+def _first_repeat(values: Sequence):
+    """The first entry equal to an earlier one, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for one synthetic churn dataset with individual CLVs.
@@ -347,6 +352,11 @@ class RunConfig:
             raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
         if not self.methods or not self.d_grid:
             raise ValueError("methods and d_grid must be nonempty")
+        # cells and summary.json are keyed by method name and d label
+        for key, labels in (("methods", self.methods), ("d_grid", [str(e) for e in self.d_grid])):
+            repeated = _first_repeat(labels)
+            if repeated is not None:
+                raise ValueError(f"{key} lists {repeated!r} more than once")
         for name, low in (("q", 1), ("knn_k", 1), ("cv_splits", 1), ("cv_seeds", 1), ("hidden", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
@@ -558,8 +568,12 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
 
     Raises ValueError naming the dataset when a split does not standardize,
     a d entry gives no campaign, or a d leaves no training customer (fewer
-    than q with an MSP method).
+    than q with an MSP method); raises it naming the name when two datasets
+    share one, since cells are keyed by it.
     """
+    repeated = _first_repeat([name for name, _, _ in datasets])
+    if repeated is not None:
+        raise ValueError(f"dataset name {repeated!r} appears more than once")
     uses_msp = any(_METHOD_TABLE[m][1] == "msp" for m in cfg.methods)
     tasks: dict[tuple, tuple] = {}
     row = 0
@@ -604,13 +618,15 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate every (dataset, d, method) cell; failures never abort the run.
 
-    Each fit is one job serving one or more cells, run in a process pool
-    when jobs > 1; per-fit seeding keeps the report identical either way.
+    Each fit is one job serving one or more cells, run in a pool of
+    min(jobs, fits) processes when that exceeds 1; per-fit seeding keeps
+    the report identical either way.
     Raises ValueError, before any fit runs, when _plan rejects a dataset.
     """
     tasks = _plan(datasets, cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # the pool starts every worker at once, used or not
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]

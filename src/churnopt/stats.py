@@ -131,9 +131,16 @@ class RankTable:
 
 
 def rank_methods(profits, methods, datasets) -> RankTable:
-    """Rank methods within each dataset (1 = most profitable, ties averaged)."""
+    """Rank methods within each dataset (1 = most profitable, ties averaged).
+
+    Raises ValueError on a repeated method name, since the comparison
+    results are keyed by name.
+    """
     profits = np.asarray(profits, dtype=float)
     k, n = len(methods), len(datasets)
+    repeated = sorted({m for i, m in enumerate(methods) if m in methods[:i]})
+    if repeated:
+        raise ValueError(f"method name(s) {repeated} appear more than once")
     if profits.shape != (k, n):
         raise ValueError(f"profit matrix must be (methods x datasets) = ({k}, {n}), got {profits.shape}")
     if not np.all(np.isfinite(profits)):

@@ -211,6 +211,26 @@ class TestBenchmark:
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"methods": ["logistic", "knn", "knn", "cart"], "d_grid": ["clv/20", "clv/20"]},
+             "methods lists 'knn' more than once"),
+            ({"d_grid": ["clv/20", "clv/20"]}, "d_grid lists 'clv/20' more than once"),
+            ({"datasets": {"synthetic": [SMALL_RUN["datasets"]["synthetic"][0]] * 2}},
+             "dataset name 'a' appears more than once"),
+        ],
+        ids=["method", "d-label", "dataset"],
+    )
+    def test_repeated_name_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch, change, message):
+        fits = []
+        monkeypatch.setattr(ex, "_run_task", fits.append)
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | change)
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        assert message in capsys.readouterr().err
+        assert fits == [] and not out_dir.exists()
+
     def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", [SMALL_RUN])
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 1
@@ -316,6 +336,13 @@ class TestStats:
         bad.write_text("dataset,a,b,c\nd1,1.0,2.0\n")
         assert main(["stats", "--profits", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_repeated_method_column_exits_1_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("dataset,a,a,b,c\nd1,1.0,2.0,3.0,4.0\nd2,4.0,3.0,2.0,1.0\n")
+        assert main(["stats", "--profits", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "column 3: method 'a' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_profit_names_line(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"

@@ -407,6 +407,55 @@ class TestSharedFits:
             ex.run_benchmark(small_benchmark_inputs(2), cfg)
         assert not any(calls.values())
 
+    def test_repeated_dataset_name_rejected_before_any_fit(self, monkeypatch):
+        # cells are keyed by (dataset, method): a second 'ds0' would hide the first
+        calls = count_calls(monkeypatch)
+        first, second = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+        with pytest.raises(ValueError, match="dataset name 'ds0' appears more than once"):
+            ex.run_benchmark([first, ("ds0", *second[1:])], cfg)
+        assert not any(calls.values())
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    def __init__(self, widths, max_workers):
+        widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolWidth:
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(widths, max_workers))
+        return widths
+
+    def test_pool_is_capped_at_the_number_of_fits(self, widths, tmp_path):
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=("clv/20", "clv/5"), methods=("logistic", "knn"), **FAST)
+        n_tasks = len(ex._plan(datasets, cfg))
+        assert n_tasks == 4  # logistic and knn, once per dataset
+        pooled = ex.run_benchmark(datasets, cfg, jobs=10**6).to_csv(tmp_path / "pooled.csv")
+        assert widths == [n_tasks]
+        serial = ex.run_benchmark(datasets, cfg, jobs=1).to_csv(tmp_path / "serial.csv")
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_one_fit_runs_without_a_pool(self, widths):
+        cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic",), **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(1), cfg, jobs=10**6)
+        assert widths == []
+        assert [c.status for c in report.cells] == ["ok"]
+
 
 class TestSummaryAndSweep:
     def test_summary_blocks(self):
@@ -516,6 +565,22 @@ class TestRunConfig:
     def test_out_of_range_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ex.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("methods", ("logistic", "knn", "knn", "cart"), "methods lists 'knn' more than once"),
+            ("d_grid", ("clv/20", "clv/5", "clv/20"), "d_grid lists 'clv/20' more than once"),
+            # entries are compared by their label, str(entry)
+            ("d_grid", (5.0, "5.0"), "d_grid lists '5.0' more than once"),
+        ],
+    )
+    def test_repeated_name_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ex.RunConfig(**{field: value})
+
+    def test_distinct_d_labels_for_one_value_accepted(self):
+        assert ex.RunConfig(d_grid=(5, 5.0)).d_grid == (5, 5.0)
 
     @pytest.mark.parametrize(
         "fields, message",

@@ -108,6 +108,11 @@ class TestRanks:
         with pytest.raises(ValueError, match="missing"):
             rank_methods(profits, ["a", "b"], ["d1", "d2"])
 
+    def test_repeated_method_rejected(self):
+        profits = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=r"method name\(s\) \['a'\] appear more than once"):
+            rank_methods(profits, ["a", "a", "b", "c"], ["d1", "d2"])
+
 
 class TestFriedman:
     def test_published_value(self):
