@@ -1,6 +1,6 @@
 """Write a BENCH_*.json: hot-kernel times and the bundled benchmark's wall time, before and after a change.
 
-    python bench/bench.py --base REV --out BENCH_10.json [--reps 3]
+    python bench/bench.py --base REV --out BENCH_N.json [--reps 3]
 
 Exports ``src/`` of git revision REV ("base") and runs every step once
 from it and once from ``src/`` of this checkout ("change") per rep,
