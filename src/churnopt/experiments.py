@@ -1,12 +1,13 @@
 """Benchmark protocol: synthetic data, tuning, and the dataset x d x method grid.
 
 Each method pairs a scorer with a decision rule. A scorer is fitted once
-per dataset and the fit serves every d value and rule that uses it; only
-regret_net, whose loss depends on d, is fitted once per (dataset, d), and
-so is every scorer when training drops customers below break-even. A fit
-derives its random state from (master seed, dataset index, d index,
-method index) of the first grid cell it serves, so results are
-reproducible byte for byte no matter how fits are scheduled.
+per dataset and the fit serves every d value and rule that uses it, or
+once per (dataset, d) when training drops customers below break-even.
+regret_net's loss depends on d, so its fit trains one net per d value,
+all as one stack. A fit, and each net of a stack, derives its random
+state from (master seed, dataset index, d index, method index) of the
+first grid cell it serves, so results are reproducible byte for byte no
+matter how fits are scheduled.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .data import Dataset, assign_segments, standardize
 from .metrics import accuracy, msp, targeted_fraction
 from .models import (
     CartConfig,
+    StackSlice,
     TrainConfig,
     cart_scores,
     default_hidden,
@@ -45,8 +47,7 @@ from .models import (
     init_mlp,
     knn_scores,
     mean_loss,
-    train,
-    train_epochs,
+    train_stack,
 )
 from .smote import SmoteConfig, smote_balance
 from .stats import comparison_summary, rank_methods
@@ -233,22 +234,29 @@ def monte_carlo_cv(
     Each grid cell is scored by the mean held-out loss over `splits`
     random splits times `n_seeds` training seeds (splits and seeds are
     shared across cells, so the comparison is paired). The cells of one
-    learning rate share their epoch prefix: each (split, seed) is trained
-    once, to the largest epoch count of that learning rate, and scored
-    after every epoch count in the grid along the way. Ties break toward
-    the smaller learning rate, then fewer epochs. Training failures are
-    excluded from the mean, counted, and reported via a warning; a run
-    that fails in epoch e fails the cells with e or more epochs.
+    learning rate share their epoch prefix: each (learning rate, split,
+    seed) run is one slice of a single training stack, trained to the
+    largest epoch count of its learning rate and scored after every
+    epoch count in the grid along the way. Ties break toward the smaller
+    learning rate, then fewer epochs. Training failures are excluded
+    from the mean, counted, and reported via a warning; a run that fails
+    in epoch e fails the cells with e or more epochs.
+
+    Raises ValueError on an empty grid, a repeated or invalid grid
+    point, or fewer than one split or seed.
     """
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
     if splits < 1 or n_seeds < 1:
         raise ValueError(f"splits and n_seeds must be >= 1, got {splits} and {n_seeds}")
     base = base if base is not None else TrainConfig()
+    points = [(lr, replace(base, learning_rate=lr, epochs=int(epochs)).epochs) for lr, epochs in grid]
+    repeated = _first_repeat(points)
+    if repeated is not None:
+        raise ValueError(f"grid point {repeated} appears more than once")
     epochs_by_lr: dict[float, list[int]] = {}
-    for lr, epochs in grid:
-        cfg = replace(base, learning_rate=lr, epochs=int(epochs))  # checks the grid point
-        epochs_by_lr.setdefault(lr, []).append(cfg.epochs)
+    for lr, epochs in points:
+        epochs_by_lr.setdefault(lr, []).append(epochs)
     if hidden is None:
         hidden = default_hidden(data.n_features)
     rng = np.random.default_rng(seed)
@@ -265,30 +273,34 @@ def monte_carlo_cv(
             raise ValueError("could not draw a two-class training part")
     run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(splits * n_seeds)]
 
+    # one slice per (learning rate, split, seed), in that order
+    runs = [
+        (lr, si, run_seeds[si * n_seeds + s]) for lr in epochs_by_lr for si in range(splits) for s in range(n_seeds)
+    ]
+    slices = [
+        StackSlice(
+            init_mlp(data.n_features, hidden, seed=run_seed),
+            params,
+            replace(base, learning_rate=lr, epochs=max(epochs_by_lr[lr]), seed=run_seed),
+            rows=splits_idx[si][: n - n_val],
+        )
+        for lr, si, run_seed in runs
+    ]
+    validation = [data.subset(perm[n - n_val :]) for perm in splits_idx]
     failures = 0
     losses: dict[tuple[float, int], list[float]] = {}
-    for lr, epoch_counts in epochs_by_lr.items():
-        cfg = replace(base, learning_rate=lr, epochs=max(epoch_counts))
-        for si, perm in enumerate(splits_idx):
-            tr = data.subset(perm[: n - n_val])
-            va = data.subset(perm[n - n_val :])
-            for s in range(n_seeds):
-                run_seed = run_seeds[si * n_seeds + s]
-                init = init_mlp(data.n_features, hidden, seed=run_seed)
-                done = 0
-                try:
-                    for model in train_epochs(init, tr, params, replace(cfg, seed=run_seed)):
-                        done += 1
-                        if done in epoch_counts:
-                            losses.setdefault((lr, done), []).append(mean_loss(model, va, params, cfg.loss))
-                except RuntimeError:
-                    failures += sum(e > done for e in epoch_counts)
+    for (lr, si, _), (models, _) in zip(runs, train_stack(data, slices, keep=set(e for _, e in points))):
+        for epochs in epochs_by_lr[lr]:
+            if epochs in models:
+                losses.setdefault((lr, epochs), []).append(mean_loss(models[epochs], validation[si], params, base.loss))
+            else:
+                failures += 1
     best: tuple[float, float, int] | None = None  # (score, lr, epochs)
-    for lr, epochs in sorted(grid):
-        cell = losses.get((lr, int(epochs)))
+    for lr, epochs in sorted(points):
+        cell = losses.get((lr, epochs))
         score = float(np.mean(cell)) if cell else np.inf
         if best is None or score < best[0]:
-            best = (score, lr, int(epochs))
+            best = (score, lr, epochs)
     if failures:
         warnings.warn(f"{failures} training run(s) failed during cross-validation", stacklevel=2)
     return replace(base, learning_rate=best[1], epochs=best[2])
@@ -352,8 +364,14 @@ class RunConfig:
             raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
         if not self.methods or not self.d_grid:
             raise ValueError("methods and d_grid must be nonempty")
-        # cells and summary.json are keyed by method name and d label
-        for key, labels in (("methods", self.methods), ("d_grid", [str(e) for e in self.d_grid])):
+        # cells and summary.json are keyed by method name and d label, and
+        # a repeated CV entry would train and score the same runs again
+        for key, labels in (
+            ("methods", self.methods),
+            ("d_grid", [str(e) for e in self.d_grid]),
+            ("cv_learning_rates", self.cv_learning_rates),
+            ("cv_epochs", self.cv_epochs),
+        ):
             repeated = _first_repeat(labels)
             if repeated is not None:
                 raise ValueError(f"{key} lists {repeated!r} more than once")
@@ -435,45 +453,66 @@ def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, pa
     return _threshold_decisions(test_scores, result.thresholds[seg])
 
 
-def _fit_net(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds, loss: str):
-    tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
-    if loss == "smooth-regret" and cfg.cv_grid:
-        best = monte_carlo_cv(
-            data, cfg.cv_grid, params, base=tc, hidden=cfg.hidden,
-            splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
-        )
-        tc = replace(best, seed=seeds[1])
+def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
+    """One net per (campaign, seeds) in fits, all trained as one stack.
+
+    Under a CV grid each smooth-regret net first tunes its own learning
+    rate and epoch count. A net whose training fails scores by raising
+    its error, which fails only the cells it serves.
+    """
     hidden = cfg.hidden if cfg.hidden is not None else default_hidden(data.n_features)
-    model = train(init_mlp(data.n_features, hidden, seed=tc.seed), data, params, tc)
-    return lambda ds: forward_batch(model, ds.features)
+    slices = []
+    for params, seeds in fits:
+        tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
+        if loss == "smooth-regret" and cfg.cv_grid:
+            best = monte_carlo_cv(
+                data, cfg.cv_grid, params, base=tc, hidden=cfg.hidden,
+                splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
+            )
+            tc = replace(best, seed=seeds[1])
+        slices.append(StackSlice(init_mlp(data.n_features, hidden, seed=tc.seed), params, tc))
+    return [
+        partial(_reraise, error) if error is not None else partial(_net_scores, models[s.cfg.epochs])
+        for s, (models, error) in zip(slices, train_stack(data, slices))
+    ]
 
 
-def _fit_logistic(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+def _net_scores(model, ds: Dataset):
+    return forward_batch(model, ds.features)
+
+
+def _reraise(exc: Exception, ds: Dataset):
+    raise exc
+
+
+def _fit_logistic(data: Dataset, cfg: RunConfig, fits):
     model = fit_logistic(data)
-    return lambda ds: model.score_batch(ds.features)
+    return [lambda ds: model.score_batch(ds.features)]
 
 
-def _fit_knn(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+def _fit_knn(data: Dataset, cfg: RunConfig, fits):
     k = min(cfg.knn_k, len(data))
-    return lambda ds: knn_scores(data, ds.features, k)
+    return [lambda ds: knn_scores(data, ds.features, k)]
 
 
-def _fit_cart(data: Dataset, cfg: RunConfig, params: CampaignParams, seeds):
+def _fit_cart(data: Dataset, cfg: RunConfig, fits):
     tree = fit_cart(data, CartConfig(cfg.cart_max_depth, cfg.cart_min_leaf))
-    return lambda ds: cart_scores(tree, ds.features)
+    return [lambda ds: cart_scores(tree, ds.features)]
 
 
 # scorer -> (trains on the SMOTE-balanced split, fit). A fit takes the
-# training split, cfg, the campaign and the (smote, train, cv) seeds, and
-# returns a function that scores a split. Only regret_net reads d.
+# training split, cfg and one (campaign, (smote, train, cv) seeds) pair
+# per group of cells it serves, and returns one function per group that
+# scores a split. Only regret_net reads d, so only its tasks hold more
+# than one group: one per d value.
 _SCORERS = {
     "regret_net": (False, partial(_fit_net, loss="smooth-regret")),
     "xent_net": (True, partial(_fit_net, loss="cross-entropy")),
     "logistic": (True, _fit_logistic),
     "knn": (True, _fit_knn),
     "cart": (True, _fit_cart),
-    "oracle": (False, lambda *_: lambda ds: ds.labels.astype(float)),
-    "constant": (False, lambda *_: lambda ds: np.full(len(ds), 0.5)),
+    "oracle": (False, lambda *_: [lambda ds: ds.labels.astype(float)]),
+    "constant": (False, lambda *_: [lambda ds: np.full(len(ds), 0.5)]),
 }
 
 
@@ -482,21 +521,27 @@ def _failed(name, d_label, d, method, exc: Exception) -> CellResult:
 
 
 def _run_task(task) -> list[CellResult]:
-    """Fit one scorer, then run every cell it serves; see _plan."""
-    name, train_s, test_s, scorer, cfg, seeds, cells = task
+    """Fit one scorer, then run every cell it serves, group by group; see _plan."""
+    name, train_s, test_s, scorer, cfg, groups = task
     try:
-        params = cfg.campaign(cells[0][2])
         balance, fit = _SCORERS[scorer]
         data = train_s
         if balance:
-            smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=seeds[0])
+            smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=groups[0][0][0])
             data = smote_balance(train_s, smote)
-        score = fit(data, cfg, params, seeds)
-        test_scores = score(test_s)
-        train_scores = score(train_s) if any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells) else None
+        scorers = fit(data, cfg, [(cfg.campaign(cells[0][2]), seeds) for seeds, cells in groups])
     except Exception as exc:  # a failed fit fails exactly the cells it serves
-        return [_failed(name, *cell[1:], exc) for cell in cells]
-    return [_run_cell(name, cell, cfg, train_s, train_scores, test_s, test_scores) for cell in cells]
+        scorers = [partial(_reraise, exc)] * len(groups)
+    out = []
+    for score, (_, cells) in zip(scorers, groups):
+        try:
+            test_scores = score(test_s)
+            train_scores = score(train_s) if any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells) else None
+        except Exception as exc:
+            out += [_failed(name, *cell[1:], exc) for cell in cells]
+        else:
+            out += [_run_cell(name, cell, cfg, train_s, train_scores, test_s, test_scores) for cell in cells]
+    return out
 
 
 def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_scores) -> CellResult:
@@ -559,12 +604,14 @@ def _fmt(x) -> str:
 def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
     """Standardize every dataset, resolve its d grid and group the cells by their fit.
 
-    A task is (name, train, test, scorer, cfg, seeds, cells), with both
-    splits standardized and the training split cut to the customers above
-    break-even under drop_below_break_even; each cell is (row, d_label, d,
-    method). regret_net, and every scorer under drop_below_break_even, is
-    fitted per (dataset, d), any other scorer per dataset, with the seeds
-    of the first cell it serves in row order.
+    A task is (name, train, test, scorer, cfg, groups), with both splits
+    standardized and the training split cut to the customers above
+    break-even under drop_below_break_even. A group is (seeds, cells),
+    each cell (row, d_label, d, method), and the seeds are those of the
+    group's first cell in row order. A scorer is fitted once per dataset,
+    or per (dataset, d) under drop_below_break_even. Its task holds one
+    group, except regret_net's: its loss reads d, so it trains one net
+    per d value, as one stack, with a group for each.
 
     Raises ValueError naming the dataset when a split does not standardize,
     a d entry gives no campaign, or a d leaves no training customer (fewer
@@ -601,14 +648,14 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
                 raise ValueError(f"dataset {name!r}: q must be at most the {n} training customers{where}, got {cfg.q}")
             for mi, method in enumerate(cfg.methods):
                 scorer = _METHOD_TABLE[method][0]
-                per_d = scorer == "regret_net" or cfg.drop_below_break_even
-                key = (di, dj if per_d else None, scorer)
-                if key not in tasks:
-                    seeds = _cell_seeds(cfg.seed, di, dj, mi)
-                    tasks[key] = (name, train_d, test_s, scorer, cfg, seeds, [])
-                tasks[key][-1].append((row, str(entry), d, method))
+                key = (di, dj if cfg.drop_below_break_even else None, scorer)
+                groups = tasks.setdefault(key, (name, train_d, test_s, scorer, cfg, {}))[-1]
+                group = dj if scorer == "regret_net" else None
+                if group not in groups:
+                    groups[group] = (_cell_seeds(cfg.seed, di, dj, mi), [])
+                groups[group][1].append((row, str(entry), d, method))
                 row += 1
-    return list(tasks.values())
+    return [(*task[:-1], list(task[-1].values())) for task in tasks.values()]
 
 
 def run_benchmark(
@@ -630,7 +677,11 @@ def run_benchmark(
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]
-    by_row = {row: cell for task, out in zip(tasks, results) for (row, *_), cell in zip(task[-1], out)}
+    by_row = {
+        row: cell
+        for task, out in zip(tasks, results)
+        for (row, *_), cell in zip((cell for _, cells in task[-1] for cell in cells), out)
+    }
     return BenchmarkReport(cells=tuple(by_row[row] for row in range(len(by_row))))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ __all__ = [
     "init_mlp",
     "forward_batch",
     "adam_step",
-    "train_epochs",
+    "StackSlice",
+    "train_stack",
     "train",
     "mean_loss",
     "gradient_check",
@@ -116,10 +117,15 @@ def init_mlp(input_dim: int, hidden_dim: int, seed: int = 0) -> Mlp:
 def _forward_full(p: dict[str, np.ndarray], X: np.ndarray):
     """Forward pass keeping intermediates for backprop.
 
+    Works on one net, or on a stack of K nets with a leading K axis on
+    every parameter and on X; a stacked matmul runs one product per net.
     Returns (scores, pre-activation u, hidden activations A).
     """
-    A = np.tanh(X @ p["w1"].T + p["b1"])
-    u = A @ p["w2"] + p["b2"]
+    A = X @ p["w1"].swapaxes(-1, -2)
+    A += p["b1"][..., None, :]
+    np.tanh(A, out=A)
+    u = (A @ p["w2"][..., None])[..., 0]
+    u += p["b2"][..., None]
     return sigmoid(u), u, A
 
 
@@ -152,6 +158,19 @@ class AdamState:
 _DECAY_M, _DECAY_V, _EPS = 0.9, 0.999, 1e-8
 
 
+def _adam(theta, g, m, v, t: int, learning_rate):
+    """Bias-corrected Adam step number t: the new parameters and moments (m, v).
+
+    learning_rate is a number, or one rate per row of a stack of K flat
+    parameter vectors given as a (K, 1) array.
+    """
+    m = _DECAY_M * m + (1 - _DECAY_M) * g
+    v = _DECAY_V * v + (1 - _DECAY_V) * g * g
+    m_hat = m / (1 - _DECAY_M**t)
+    v_hat = v / (1 - _DECAY_V**t)
+    return theta - learning_rate * m_hat / (np.sqrt(v_hat) + _EPS), m, v
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -162,12 +181,7 @@ def adam_step(
     state.t += 1
     out: dict[str, np.ndarray] = {}
     for k, theta in params.items():
-        g = grads[k]
-        state.m[k] = _DECAY_M * state.m[k] + (1 - _DECAY_M) * g
-        state.v[k] = _DECAY_V * state.v[k] + (1 - _DECAY_V) * g * g
-        m_hat = state.m[k] / (1 - _DECAY_M**state.t)
-        v_hat = state.v[k] / (1 - _DECAY_V**state.t)
-        out[k] = theta - learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+        out[k], state.m[k], state.v[k] = _adam(theta, grads[k], state.m[k], state.v[k], state.t, learning_rate)
     return out, state
 
 
@@ -205,83 +219,157 @@ def _flat(mlp: Mlp) -> np.ndarray:
 
 
 def _views(theta: np.ndarray, hidden: int, input_dim: int) -> dict[str, np.ndarray]:
-    """w1, b1, w2 and b2 as views into a vector laid out by _flat."""
+    """w1, b1, w2 and b2 as views into a vector laid out by _flat, or into each row of a stack of them."""
     k = hidden * input_dim
     return {
-        "w1": theta[:k].reshape(hidden, input_dim),
-        "b1": theta[k : k + hidden],
-        "w2": theta[k + hidden : k + 2 * hidden],
-        "b2": theta[-1:].reshape(()),
+        "w1": theta[..., :k].reshape(*theta.shape[:-1], hidden, input_dim),
+        "b1": theta[..., k : k + hidden],
+        "w2": theta[..., k + hidden : k + 2 * hidden],
+        "b2": theta[..., -1],
     }
 
 
-def _loss_and_grad(p, X, targets, loss, slope, grads) -> float:
-    """Mean loss over the batch; writes its gradients into the arrays of grads."""
+def _loss_and_grad(p, X, targets, loss, slope, grads):
+    """Mean loss over the batch of each net; writes the gradients into the arrays of grads.
+
+    One net, or a stack of them as in _forward_full.
+    """
     scores, u, A = _forward_full(p, X)
     losses, du = _losses_and_du(scores, u, targets, loss, slope)
-    du = du / X.shape[0]
-    np.matmul(A.T, du, out=grads["w2"])
-    np.sum(du, out=grads["b2"])
-    dH = np.outer(du, p["w2"]) * (1.0 - A * A)
-    np.matmul(dH.T, X, out=grads["w1"])
-    np.sum(dH, axis=0, out=grads["b1"])
-    return float(losses.mean())
+    du /= X.shape[-2]
+    np.matmul(A.swapaxes(-1, -2), du[..., None], out=grads["w2"][..., None])
+    np.add.reduce(du, axis=-1, out=grads["b2"])
+    dH = du[..., None] * p["w2"][..., None, :]
+    A *= A
+    dH *= np.subtract(1.0, A, out=A)
+    np.matmul(dH.swapaxes(-1, -2), X, out=grads["w1"])
+    np.add.reduce(dH, axis=-2, out=grads["b1"])
+    return np.add.reduce(losses, axis=-1) / losses.shape[-1]
 
 
-def train_epochs(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Iterator[Mlp]:
-    """Mini-batch Adam training that yields a new model after each epoch.
+@dataclass(frozen=True)
+class StackSlice:
+    """One net of a training stack: its start, campaign, settings and training rows."""
 
-    The model yielded after epoch e is the one train returns with
-    cfg.epochs = e, so one run serves every shorter epoch count.
-    Shuffling, batching and updates are fully determined by cfg.seed.
-    Each model carries the per-epoch mean training loss so far on its
-    loss_history (not asserted monotone; the optimizer is stochastic).
+    init: Mlp
+    params: CampaignParams
+    cfg: TrainConfig
+    rows: np.ndarray | None = None  # the rows of the stack's dataset it trains on; None: all
+
+
+def train_stack(
+    data: Dataset, slices: Sequence[StackSlice], keep: Collection[int] = ()
+) -> list[tuple[dict[int, Mlp], RuntimeError | None]]:
+    """Mini-batch Adam training of K same-shaped nets side by side, each as if alone.
+
+    Slice k trains slices[k].cfg.epochs epochs on its rows of data,
+    against its own campaign, from its own start, at its own learning
+    rate, shuffled by its own Generator(cfg.seed). Every product is a
+    stacked matmul, so numpy runs one GEMM or GEMV per slice on that
+    slice's 2-D operands, and every other step is elementwise or reduces
+    within one slice: each slice gets the bits that training it alone
+    gives. A slice whose mean batch loss turns non-finite leaves the
+    stack, and one leaves once its epochs are done.
+
+    Returns one (models, error) pair per slice. models maps the slice's
+    epoch count, and each count in keep below it, to a new model after
+    that many epochs, which carries the per-epoch mean training loss so
+    far on its loss_history. error is None, or the RuntimeError
+    "non-finite training loss at epoch E, batch B" that stopped the
+    slice; models then holds the counts it completed.
 
     Raises:
-        RuntimeError: the loss became non-finite (reports epoch and batch).
+        ValueError: there are no slices; they differ in net shape, loss,
+            slope, row count or batch size; the nets do not take the
+            data's features; or a slice's rows hold a single class.
     """
-    data.require_both_classes()
+    if not slices:
+        raise ValueError("a training stack needs at least one net")
     X, y, clv = data.features, data.labels, data.clvs
-    if X.shape[1] != mlp.input_dim:
-        raise ValueError(f"model expects {mlp.input_dim} features, data has {X.shape[1]}")
-    targets = _loss_targets(cfg.loss, y, params, clv)
+    rows = [np.arange(len(data)) if s.rows is None else np.asarray(s.rows) for s in slices]
+    first, n = slices[0], len(rows[0])
+    shared = (first.init.w1.shape, first.cfg.loss, first.params.slope, first.cfg.resolve_batch_size(n))
+    (hidden, input_dim), loss, slope, batch = shared
+    if input_dim != X.shape[1]:
+        raise ValueError(f"model expects {input_dim} features, data has {X.shape[1]}")
+    for s, r in zip(slices, rows):
+        if len(r) != n or (s.init.w1.shape, s.cfg.loss, s.params.slope, s.cfg.resolve_batch_size(n)) != shared:
+            raise ValueError("the nets of a stack must share their shape, loss, slope, row count and batch size")
+        if len(np.unique(y[r])) < 2:
+            raise ValueError(f"dataset {data.name!r} has a single class; need both for training")
 
-    # the four parameters are views into theta and their gradients views
-    # into g, so one Adam update of the flat vector moves them all
-    shape = mlp.w1.shape
-    theta = _flat(mlp)
-    p = _views(theta, *shape)
-    g = np.empty_like(theta)
-    grads = _views(g, *shape)
-    state = AdamState.zeros_like({"theta": theta})
-    history: list[float] = []
-    rng = np.random.default_rng(cfg.seed)
-    n = len(data)
-    batch = cfg.resolve_batch_size(n)
+    # slices with one campaign share its targets, laid end to end: slice
+    # k reads those of its data row i at offset[k] + i
+    campaigns: dict[CampaignParams, int] = {}
+    offset = len(data) * np.array([[campaigns.setdefault(s.params, len(campaigns))] for s in slices])
+    targets = np.concatenate([_loss_targets(loss, y, c, clv) for c in campaigns], axis=-1)
+    last_epoch = np.array([s.cfg.epochs for s in slices])
+    rngs = [np.random.default_rng(s.cfg.seed) for s in slices]
+    models: list[dict[int, Mlp]] = [{} for _ in slices]
+    errors: list[RuntimeError | None] = [None] * len(slices)
+    history: list[list[float]] = [[] for _ in slices]
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
+    # one row per live slice of the parameters, their gradients and Adam's moments
+    theta = np.stack([_flat(s.init) for s in slices])
+    g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    lr = np.array([[s.cfg.learning_rate] for s in slices])
+    live = np.arange(len(slices))
+    p, grads = _views(theta, hidden, input_dim), _views(g, hidden, input_dim)
+    t = 0
+
+    def keep_only(mask):
+        nonlocal live, theta, g, m, v, lr, p, grads
+        live, theta, g, m, v, lr = live[mask], theta[mask], g[mask], m[mask], v[mask], lr[mask]
+        p, grads = _views(theta, hidden, input_dim), _views(g, hidden, input_dim)
+
+    for epoch in range(max(last_epoch)):
+        order = np.empty((len(live), n), dtype=np.intp)
+        for i, k in enumerate(live):
+            order[i] = rows[k][rngs[k].permutation(n)]
+        # np.take gathers faster than fancy indexing
+        epoch_targets = np.take(targets, order + offset[live], axis=-1)
+        epoch_loss = np.zeros(len(live))
         for b, start in enumerate(range(0, n, batch)):
-            idx = order[start : start + batch]
-            loss = _loss_and_grad(p, X[idx], targets[..., idx], cfg.loss, params.slope, grads)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
-            stepped, state = adam_step({"theta": theta}, {"theta": g}, state, cfg.learning_rate)
-            theta[...] = stepped["theta"]
-            epoch_loss += loss * idx.size
-        history.append(epoch_loss / n)
-        yield Mlp(**_views(theta.copy(), *shape), loss_history=history[:])
+            stop = min(start + batch, n)
+            X_batch = np.take(X, order[:, start:stop], axis=0)
+            losses = _loss_and_grad(p, X_batch, epoch_targets[..., start:stop], loss, slope, grads)
+            ok = np.isfinite(losses)
+            if not ok.all():
+                for k in live[~ok]:
+                    errors[k] = RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
+                keep_only(ok)
+                if not live.size:
+                    return list(zip(models, errors))
+                order, epoch_targets = order[ok], epoch_targets[..., ok, :]
+                losses, epoch_loss = losses[ok], epoch_loss[ok]
+            t += 1
+            theta[...], m, v = _adam(theta, g, m, v, t, lr)
+            epoch_loss += losses * (stop - start)
+        done = epoch + 1
+        for i, k in enumerate(live):
+            history[k].append(float(epoch_loss[i] / n))
+            if done == last_epoch[k] or done in keep:
+                models[k][done] = Mlp(**_views(theta[i].copy(), hidden, input_dim), loss_history=history[k][:])
+        going = last_epoch[live] > done
+        if not going.all():
+            keep_only(going)
+            if not live.size:
+                break
+    return list(zip(models, errors))
 
 
 def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
     """Mini-batch Adam training for cfg.epochs epochs; returns a new trained model.
 
-    mlp is left as it is. See train_epochs, whose last model this is.
+    mlp is left as it is. This is a stack of one net; see train_stack.
+
+    Raises:
+        RuntimeError: the loss became non-finite (reports epoch and batch).
     """
-    for model in train_epochs(mlp, data, params, cfg):
-        pass
-    return model
+    [(models, error)] = train_stack(data, [StackSlice(mlp, params, cfg)])
+    if error is not None:
+        raise error
+    return models[cfg.epochs]
 
 
 def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> float:

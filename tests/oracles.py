@@ -4,10 +4,11 @@ Tests compare the package against these for exact equality:
 
 - sigmoid: the boolean-mask version that evaluates exp only on the
   non-overflowing branch of each element.
-- train: the Adam loop over a dict of four parameter arrays, with the
-  gradients of each array built separately.
+- train: one net's Adam loop over a dict of four parameter arrays, with
+  the gradients of each array built separately. Each slice of
+  models.train_stack, and models.train, must match it bit for bit.
 - monte_carlo_cv: trains every (learning rate, epochs) grid point from
-  scratch, with no sharing of epoch prefixes.
+  scratch, one net at a time, with no sharing of epoch prefixes.
 - profit_at_threshold and mp: rescan every customer at each candidate
   threshold instead of one sorted sweep.
 - nearest_neighbors: each block of 128 queries fills one

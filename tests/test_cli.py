@@ -219,8 +219,10 @@ class TestBenchmark:
             ({"d_grid": ["clv/20", "clv/20"]}, "d_grid lists 'clv/20' more than once"),
             ({"datasets": {"synthetic": [SMALL_RUN["datasets"]["synthetic"][0]] * 2}},
              "dataset name 'a' appears more than once"),
+            ({"cv": {"learning_rates": [0.01, 0.01], "epochs": [2]}}, "cv_learning_rates lists 0.01 more than once"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [2, 3, 2]}}, "cv_epochs lists 2 more than once"),
         ],
-        ids=["method", "d-label", "dataset"],
+        ids=["method", "d-label", "dataset", "cv-rate", "cv-epochs"],
     )
     def test_repeated_name_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch, change, message):
         fits = []

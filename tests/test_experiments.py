@@ -156,6 +156,11 @@ class TestMonteCarloCv:
         with pytest.raises(ValueError, match="nonempty"):
             ex.monte_carlo_cv(train, [], P)
 
+    def test_repeated_grid_point_rejected(self):
+        _, train, _ = small_benchmark_inputs(1)[0]
+        with pytest.raises(ValueError, match=r"grid point \(0.01, 2\) appears more than once"):
+            ex.monte_carlo_cv(train, [(0.01, 2), (0.03, 2), (0.01, 2)], P, splits=1, n_seeds=1)
+
     @pytest.mark.parametrize("splits, n_seeds", [(0, 1), (1, 0), (-2, 3)])
     def test_no_validation_run_rejected(self, splits, n_seeds):
         _, train, _ = small_benchmark_inputs(1)[0]
@@ -179,7 +184,7 @@ class TestMonteCarloCvMatchesOracle:
     @given(
         epochs_by_lr=st.dictionaries(
             st.sampled_from([0.003, 0.05, 0.4, 1e308]),
-            st.lists(st.integers(1, 6), min_size=1, max_size=3),
+            st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
             min_size=1,
             max_size=3,
         ),
@@ -301,7 +306,7 @@ class TestRunBenchmark:
 
 
 D3 = ("clv/20", "clv/10", "clv/5")
-FITS = ("knn_scores", "fit_logistic", "fit_cart", "smote_balance", "train")
+FITS = ("knn_scores", "fit_logistic", "fit_cart", "smote_balance", "train_stack")
 
 
 def count_calls(monkeypatch, names=FITS):
@@ -329,9 +334,9 @@ class TestSharedFits:
         assert len(calls["smote_balance"]) == 2 * 4  # xent_net, logistic, knn, cart
         # one reference set per dataset, scoring the test and the train split
         assert sorted(a[0].name for a in calls["knn_scores"]) == ["ds0_train"] * 2 + ["ds1_train"] * 2
-        losses = [a[3].loss for a in calls["train"]]
-        assert losses.count("smooth-regret") == 2 * 3  # regret_net: per (dataset, d)
-        assert losses.count("cross-entropy") == 2
+        # (loss, nets) per stack: regret_net trains one net per d, as one stack per dataset
+        stacks = [(a[1][0].cfg.loss, len(a[1])) for a in calls["train_stack"]]
+        assert sorted(stacks) == [("cross-entropy", 1)] * 2 + [("smooth-regret", 3)] * 2
 
     def test_drop_below_break_even_fits_every_scorer_per_d(self, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -341,8 +346,8 @@ class TestSharedFits:
         assert len(calls["fit_logistic"]) == len(calls["fit_cart"]) == 2 * 3
         assert len(calls["smote_balance"]) == 2 * 3 * 4
         assert len(calls["knn_scores"]) == 2 * 3 * 2
-        losses = [a[3].loss for a in calls["train"]]
-        assert losses.count("smooth-regret") == losses.count("cross-entropy") == 2 * 3
+        stacks = [(a[1][0].cfg.loss, len(a[1])) for a in calls["train_stack"]]
+        assert sorted(stacks) == [("cross-entropy", 1)] * 2 * 3 + [("smooth-regret", 1)] * 2 * 3
 
     def test_regret_net_rows_match_direct_training(self):
         datasets = small_benchmark_inputs(2)
@@ -360,6 +365,25 @@ class TestSharedFits:
                 cell = next(rows)
                 assert cell.profit == total_profit(decisions, te.labels, params, te.clvs)
                 assert cell.eta == float(decisions.mean())
+
+    def test_diverging_net_fails_only_its_own_d(self, monkeypatch):
+        cfg = ex.RunConfig(d_grid=D3, methods=("regret_net", "logistic"), **FAST)
+        clean = ex.run_benchmark(small_benchmark_inputs(1), cfg).cells
+        original = ex.train_stack
+
+        def train_stack(data, slices, keep=()):
+            nan_start = replace(slices[1].init, w1=np.full_like(slices[1].init.w1, np.nan))
+            return original(data, [slices[0], replace(slices[1], init=nan_start), *slices[2:]], keep)
+
+        monkeypatch.setattr(ex, "train_stack", train_stack)
+        cells = ex.run_benchmark(small_benchmark_inputs(1), cfg).cells
+        failed = [c for c in cells if c.status != "ok"]
+        assert [(c.d_label, c.method, c.error) for c in failed] == [
+            ("clv/10", "regret_net", "RuntimeError: non-finite training loss at epoch 0, batch 0")
+        ]
+        assert [c for c in cells if c.status == "ok"] == [
+            c for c in clean if (c.d_label, c.method) != ("clv/10", "regret_net")
+        ]
 
     def test_failed_fit_fails_exactly_the_cells_it_serves(self, monkeypatch):
         original = ex.knn_scores
@@ -386,7 +410,7 @@ class TestSharedFits:
         assert report.failed == ()
         assert [(a[1].k_neighbors, a[1].ratio) for a in calls["smote_balance"]] == [(3, 0.8)]
         assert [a[0].name for a in calls["fit_logistic"]] == ["ds0_train"]
-        assert len(calls["fit_logistic"][0][0]) > len(calls["train"][0][1])  # only logistic saw SMOTE rows
+        assert len(calls["fit_logistic"][0][0]) > len(calls["train_stack"][0][0])  # only logistic saw SMOTE rows
 
     def test_failed_rule_fails_only_its_cell(self, monkeypatch):
         def msp(*args):
@@ -578,6 +602,18 @@ class TestRunConfig:
     def test_repeated_name_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ex.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "rates, epochs, message",
+        [
+            ((0.01, 0.03, 0.01), (2, 4), "cv_learning_rates lists 0.01 more than once"),
+            ((0.01,), (2, 2), "cv_epochs lists 2 more than once"),
+        ],
+    )
+    def test_repeated_cv_entry_rejected(self, rates, epochs, message):
+        # each would put one (learning rate, epochs) point on the CV grid twice
+        with pytest.raises(ValueError, match=message):
+            ex.RunConfig(cv_learning_rates=rates, cv_epochs=epochs)
 
     def test_distinct_d_labels_for_one_value_accepted(self):
         assert ex.RunConfig(d_grid=(5, 5.0)).d_grid == (5, 5.0)

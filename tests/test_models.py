@@ -25,6 +25,7 @@ from churnopt.models import (
     AdamState,
     CartConfig,
     Mlp,
+    StackSlice,
     TrainConfig,
     adam_step,
     cart_scores,
@@ -38,7 +39,7 @@ from churnopt.models import (
     mean_loss,
     nearest_neighbors,
     train,
-    train_epochs,
+    train_stack,
 )
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
@@ -232,8 +233,22 @@ class TestTrain:
         )
 
 
+def random_training_set(rng, n, k):
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    return make_dataset(rng.normal(size=(n, k)), labels, rng.uniform(5.0, 300.0, n))
+
+
+def assert_same_net(got, want, context):
+    """Bit for bit, so that equal NaN weights of a diverging net compare equal."""
+    for name in ("w1", "b1", "w2", "b2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), (context, name)
+    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes(), context
+
+
 class TestFlatTrainingMatchesOracle:
-    """train_epochs and train against the dict-based Adam loop of tests/oracles.py."""
+    """A stack of one flat parameter row, and train, against the dict-based Adam loop of tests/oracles.py."""
 
     @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
     @pytest.mark.parametrize("batching", ["full", "divides", "remainder"])
@@ -246,10 +261,7 @@ class TestFlatTrainingMatchesOracle:
             n += data.draw(st.integers(1, batch - 1))
         k, hidden = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         seed = data.draw(st.integers(0, 2**16))
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, 2, n)
-        labels[:2] = [0, 1]
-        ds = make_dataset(rng.normal(size=(n, k)), labels, rng.uniform(5.0, 300.0, n))
+        ds = random_training_set(np.random.default_rng(seed), n, k)
         cfg = TrainConfig(
             learning_rate=data.draw(st.sampled_from([0.001, 0.03, 0.5])),
             epochs=data.draw(st.integers(1, 4)),
@@ -258,19 +270,107 @@ class TestFlatTrainingMatchesOracle:
             seed=seed,
         )
         mlp = init_mlp(k, hidden, seed=seed + 1)
-        models = list(train_epochs(mlp, ds, P, cfg))
-        assert len(models) == cfg.epochs
-        for e, model in enumerate(models, start=1):
-            want = oracles.train(mlp, ds, P, replace(cfg, epochs=e))
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(model, name), getattr(want, name)), (e, name)
-                assert getattr(model, name).shape == getattr(want, name).shape
-            assert model.loss_history == want.loss_history
-        last = train(mlp, ds, P, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(last.params().values(), models[-1].params().values()))
-        assert last.loss_history == models[-1].loss_history
+        [(models, error)] = train_stack(ds, [StackSlice(mlp, P, cfg)], keep=range(1, cfg.epochs))
+        assert error is None and sorted(models) == list(range(1, cfg.epochs + 1))
+        for e, model in models.items():
+            assert_same_net(model, oracles.train(mlp, ds, P, replace(cfg, epochs=e)), e)
+        assert_same_net(train(mlp, ds, P, cfg), models[cfg.epochs], "train")
         fresh = init_mlp(k, hidden, seed=seed + 1)
         assert all(np.array_equal(a, b) for a, b in zip(mlp.params().values(), fresh.params().values()))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+class TestStackEqualsSolo:
+    """Every slice of a stack against tests/oracles.train run on that slice alone.
+
+    The slice at learning rate 1e308 overflows by design; both sides warn.
+    """
+
+    @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
+    @pytest.mark.parametrize("batching", ["full", "divides", "remainder"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_each_slice_bit_identical(self, loss, batching, data):
+        batch = data.draw(st.integers(2, 9))
+        n_rows = batch * data.draw(st.integers(1, 4))
+        if batching == "remainder":
+            n_rows += data.draw(st.integers(1, batch - 1))
+        k, hidden = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        ds = random_training_set(rng, n_rows + data.draw(st.integers(0, 6)), k)
+        n_slices = data.draw(st.integers(2, 5))
+        diverging = data.draw(st.integers(0, n_slices - 1))
+        slices = []
+        for i in range(n_slices):
+            # each slice trains on its own rows, with both classes, against its own d
+            rows = np.concatenate([[0, 1], 2 + rng.permutation(len(ds) - 2)[: n_rows - 2]])
+            cfg = TrainConfig(
+                learning_rate=1e308 if i == diverging else data.draw(st.sampled_from([0.001, 0.03, 0.5])),
+                epochs=data.draw(st.integers(1, 4)),
+                batch_size=None if batching == "full" else batch,
+                loss=loss,
+                seed=data.draw(st.integers(0, 2**16)),
+            )
+            params = replace(P, d=data.draw(st.sampled_from([2.0, 4.25, 12.5])))
+            slices.append(StackSlice(init_mlp(k, hidden, seed=seed + i), params, cfg, rows=rng.permutation(rows)))
+        runs = train_stack(ds, slices, keep=range(1, 5))
+        for i, (s, (models, error)) in enumerate(zip(slices, runs)):
+            alone = ds.subset(s.rows)
+            for e in range(1, s.cfg.epochs + 1):
+                try:
+                    want = oracles.train(s.init, alone, s.params, replace(s.cfg, epochs=e))
+                except RuntimeError as exc:
+                    assert str(error) == str(exc) and e not in models, (i, e)
+                    break
+                assert_same_net(models[e], want, (i, e))
+            else:
+                assert error is None and max(models) == s.cfg.epochs, i
+
+    def test_diverging_slice_fails_alone_mid_epoch(self):
+        # at learning rate 1e308 the cross-entropy of the second batch overflows
+        ds = random_training_set(np.random.default_rng(3), 40, 3)
+        slices = [
+            StackSlice(init_mlp(3, 2, seed=i), P, TrainConfig(lr, epochs=3, batch_size=8, loss="cross-entropy", seed=i))
+            for i, lr in enumerate([0.03, 1e308, 0.5])
+        ]
+        runs = train_stack(ds, slices, keep=(1, 2))
+        with pytest.raises(RuntimeError, match="epoch 0, batch 1") as alone:
+            oracles.train(slices[1].init, ds, P, slices[1].cfg)
+        assert runs[1][0] == {} and str(runs[1][1]) == str(alone.value)
+        for s, (models, error) in zip(slices[::2], runs[::2]):
+            assert error is None and sorted(models) == [1, 2, 3]
+            for e, model in models.items():
+                assert_same_net(model, oracles.train(s.init, ds, P, replace(s.cfg, epochs=e)), e)
+
+    def test_slices_leave_after_their_own_epochs(self):
+        ds = random_training_set(np.random.default_rng(4), 30, 2)
+        slices = [StackSlice(init_mlp(2, 3, seed=i), P, TrainConfig(0.03, epochs=e, seed=i)) for i, e in enumerate([4, 1, 3])]
+        for s, (models, error) in zip(slices, train_stack(ds, slices, keep=(2,))):
+            assert error is None and sorted(models) == sorted({min(2, s.cfg.epochs), s.cfg.epochs})
+            for e, model in models.items():
+                assert_same_net(model, oracles.train(s.init, ds, P, replace(s.cfg, epochs=e)), e)
+
+    def test_rejects_mismatched_slices(self):
+        ds = random_training_set(np.random.default_rng(0), 12, 2)
+        net = init_mlp(2, 3, seed=0)
+        base = StackSlice(net, P, TrainConfig(epochs=1))
+        for other in (
+            replace(base, init=init_mlp(2, 2, seed=0)),
+            replace(base, cfg=TrainConfig(epochs=1, loss="cross-entropy")),
+            replace(base, cfg=TrainConfig(epochs=1, batch_size=4)),
+            replace(base, params=replace(P, slope=5.0)),
+            replace(base, rows=np.arange(10)),
+        ):
+            with pytest.raises(ValueError, match="must share"):
+                train_stack(ds, [base, other])
+        with pytest.raises(ValueError, match="at least one net"):
+            train_stack(ds, [])
+
+    def test_single_class_rows_rejected(self):
+        ds = make_dataset(np.arange(6.0), [0, 1, 1, 1, 0, 1], np.full(6, 85.0))
+        with pytest.raises(ValueError, match="single class"):
+            train_stack(ds, [StackSlice(init_mlp(1, 2, seed=0), P, TrainConfig(epochs=1), rows=np.array([1, 2, 3]))])
 
 
 class TestGradientCheck:
