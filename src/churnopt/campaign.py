@@ -51,13 +51,13 @@ class CampaignParams:
 
     def __post_init__(self) -> None:
         if not (self.f >= 0 and np.isfinite(self.f)):
-            raise ValueError(f"contact cost f must be finite and >= 0, got {self.f}")
+            raise ValueError(f"f (contact cost) must be finite and >= 0, got {self.f}")
         if not (self.d > 0 and np.isfinite(self.d)):
-            raise ValueError(f"incentive d must be finite and > 0, got {self.d}")
+            raise ValueError(f"d (incentive) must be finite and > 0, got {self.d}")
         if not 0 < self.gamma <= 1:
-            raise ValueError(f"acceptance fraction gamma must be in (0, 1], got {self.gamma}")
+            raise ValueError(f"gamma (acceptance fraction) must be in (0, 1], got {self.gamma}")
         if not (self.slope > 0 and np.isfinite(self.slope)):
-            raise ValueError(f"surrogate slope must be finite and > 0, got {self.slope}")
+            raise ValueError(f"slope (surrogate steepness) must be finite and > 0, got {self.slope}")
 
 
 def sigmoid(x):

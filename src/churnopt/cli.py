@@ -70,49 +70,34 @@ def _generate(spec: ex.SyntheticSpec):
         raise _CliError(f"invalid synthetic spec: {exc}")
 
 
-# run-config block (None: top level) -> key -> RunConfig field; the
-# defaults live in RunConfig alone
-_CONFIG_FIELDS = {
-    None: {key: key for key in (
-        "d_grid", "methods", "q", "class_threshold", "regret_net_accuracy", "drop_below_break_even", "seed",
-    )},
-    "campaign": {"f": "f", "gamma": "gamma", "slope": "slope"},
-    "model": {"hidden": "hidden", "learning_rate": "learning_rate", "epochs": "epochs", "batch_size": "batch_size"},
-    "cv": {"learning_rates": "cv_learning_rates", "epochs": "cv_epochs", "splits": "cv_splits", "seeds": "cv_seeds"},
-    "smote": {"k_neighbors": "smote_k", "ratio": "smote_ratio"},
-    "baselines": {"knn_k": "knn_k", "cart_max_depth": "cart_max_depth", "cart_min_leaf": "cart_min_leaf"},
-}
-# RunConfig fields annotated as tuples, given as a JSON list
-_LIST_FIELDS = {fld.name for fld in fields(ex.RunConfig) if fld.type.startswith("tuple[")}
-# the keys a config may hold at top level: RunConfig fields, blocks, and
-# the keys read outside RunConfig
-_TOP_LEVEL_KEYS = set(_CONFIG_FIELDS[None]) | {block for block in _CONFIG_FIELDS if block} | {"datasets", "out_dir"}
-
-
 def _run_config(config) -> ex.RunConfig:
     """RunConfig from the keys a JSON config sets; an unknown key or block is an error."""
     if not isinstance(config, dict):
         raise _CliError(f"the config must be a JSON object, got {type(config).__name__}")
     if not isinstance(config.get("out_dir", ""), str):
         raise _CliError(f"config key 'out_dir' must be a string, got {config['out_dir']!r}")
+    layout = {None: {}}  # block (None: top level, checked first) -> key -> the RunConfig field it sets
+    for fld in fields(ex.RunConfig):
+        layout.setdefault(fld.metadata.get("block"), {})[fld.metadata.get("key", fld.name)] = fld
     kwargs = {}
-    for block, keys in _CONFIG_FIELDS.items():
+    for block, keys in layout.items():
         scope = config if block is None else config.get(block, {})
         if not isinstance(scope, dict):
             raise _CliError(f"config key {block!r} must be a JSON object, got {scope!r}")
-        known = _TOP_LEVEL_KEYS if block is None else set(keys)
+        # the top level also holds the blocks and the keys read outside RunConfig
+        known = set(keys) | ({"datasets", "out_dir", *filter(None, layout)} if block is None else set())
         unknown = sorted(f"{block}.{key}" if block else key for key in set(scope) - known)
         if unknown:
             raise _CliError(f"unknown config key(s) {unknown}")
-        for key, field in keys.items():
+        for key, fld in keys.items():
             if key not in scope:
                 continue
             value = scope[key]
-            if field in _LIST_FIELDS:
+            if fld.type.startswith("tuple["):
                 if not isinstance(value, list):
-                    raise _CliError(f"config key {field!r} must be a list, got {value!r}")
+                    raise _CliError(f"config key {ex._config_key(fld)!r} must be a list, got {value!r}")
                 value = tuple(value)
-            kwargs[field] = value
+            kwargs[fld.name] = value
     try:
         return ex.RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -135,7 +120,8 @@ def _build_datasets(config: dict, cfg: ex.RunConfig):
                 raise _CliError(f"dataset entry {entry!r} must be an object of strings 'name', 'train' and 'test'")
             try:
                 train = load_dataset(entry["train"], name=f"{entry['name']}_train")
-                test = load_dataset(entry["test"], name=f"{entry['name']}_test")
+                # columns are matched by name, in the train file's order
+                test = load_dataset(entry["test"], schema=train.schema, name=f"{entry['name']}_test")
             except OSError as exc:
                 raise _CliError(f"dataset file {exc.filename}: {exc.strerror}")
             except ValueError as exc:

@@ -82,12 +82,6 @@ class Dataset:
         idx = np.asarray(idx)
         return replace(self, features=self.features[idx], labels=self.labels[idx], clvs=self.clvs[idx])
 
-    def require_both_classes(self) -> "Dataset":
-        """Raise unless churners and non-churners are both present."""
-        if len(np.unique(self.labels)) < 2:
-            raise ValueError(f"dataset {self.name!r} has a single class; need both for training")
-        return self
-
 
 def read_csv_rows(path: Path):
     """Yield the rows of a UTF-8 CSV file, without a leading byte-order mark.

@@ -17,7 +17,7 @@ import numbers
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -80,6 +80,16 @@ _HOLDS = {
 }
 
 
+def _in_block(block: str, key: str, default):
+    """A RunConfig field set as block.key in a JSON config; any other field is a top-level key of its name."""
+    return field(default=default, metadata={"block": block, "key": key})
+
+
+def _config_key(fld) -> str:
+    """The key that sets a dataclass field in a JSON config: block.key, or the field's name."""
+    return f"{fld.metadata['block']}.{fld.metadata['key']}" if "block" in fld.metadata else fld.name
+
+
 def _check_field_types(obj) -> None:
     """Raise ValueError naming the first dataclass field whose value its annotation
     rules out: "T | None" also admits None, "tuple[T, ...]" is a tuple of T entries."""
@@ -87,14 +97,14 @@ def _check_field_types(obj) -> None:
         kind, values = fld.type.removesuffix(" | None"), [getattr(obj, fld.name)]
         if kind.startswith("tuple[") and kind.endswith(", ...]"):
             if not isinstance(values[0], tuple):
-                raise ValueError(f"{fld.name} must be a tuple, got {values[0]!r}")
+                raise ValueError(f"{_config_key(fld)} must be a tuple, got {values[0]!r}")
             kind, values = kind[len("tuple["):-len(", ...]")], values[0]
         elif kind != fld.type and values[0] is None:
             continue
         what, holds = _HOLDS.get(kind, ("", lambda v: True))
         for value in values:
             if not holds(value):
-                raise ValueError(f"{fld.name} must be {what}, got {value!r}")
+                raise ValueError(f"{_config_key(fld)} must be {what}, got {value!r}")
 
 
 def _first_repeat(values: Sequence):
@@ -329,27 +339,27 @@ DEFAULT_D_GRID = ("clv/20", "clv/15", "clv/10", "clv/5", "clv/3")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a benchmark run needs beyond the datasets themselves."""
+    """Everything a benchmark run needs beyond the datasets themselves; errors name a field by its config key."""
 
-    f: float = 1.36
-    gamma: float = 0.3
-    slope: float = 10.0
+    f: float = _in_block("campaign", "f", 1.36)
+    gamma: float = _in_block("campaign", "gamma", 0.3)
+    slope: float = _in_block("campaign", "slope", 10.0)
     d_grid: tuple[str | float, ...] = DEFAULT_D_GRID
     methods: tuple[str, ...] = DEFAULT_METHODS
     q: int = 2
-    hidden: int | None = None
-    learning_rate: float = 0.01
-    epochs: int = 50
-    batch_size: int | None = None
-    cv_learning_rates: tuple[float, ...] = ()  # nonempty (with cv_epochs) enables tuning
-    cv_epochs: tuple[int, ...] = ()
-    cv_splits: int = 5
-    cv_seeds: int = 10
-    smote_k: int = 5
-    smote_ratio: float = 1.0
-    knn_k: int = 5
-    cart_max_depth: int = 6
-    cart_min_leaf: int = 5
+    hidden: int | None = _in_block("model", "hidden", None)
+    learning_rate: float = _in_block("model", "learning_rate", 0.01)
+    epochs: int = _in_block("model", "epochs", 50)
+    batch_size: int | None = _in_block("model", "batch_size", None)
+    cv_learning_rates: tuple[float, ...] = _in_block("cv", "learning_rates", ())  # nonempty (with cv.epochs) tunes
+    cv_epochs: tuple[int, ...] = _in_block("cv", "epochs", ())
+    cv_splits: int = _in_block("cv", "splits", 5)
+    cv_seeds: int = _in_block("cv", "seeds", 10)
+    smote_k: int = _in_block("smote", "k_neighbors", 5)
+    smote_ratio: float = _in_block("smote", "ratio", 1.0)
+    knn_k: int = _in_block("baselines", "knn_k", 5)
+    cart_max_depth: int = _in_block("baselines", "cart_max_depth", 6)
+    cart_min_leaf: int = _in_block("baselines", "cart_min_leaf", 5)
     class_threshold: float = 0.5
     regret_net_accuracy: str = "threshold"  # or "midpoint": score decisions per customer
     drop_below_break_even: bool = False
@@ -357,6 +367,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        key = {fld.name: _config_key(fld) for fld in fields(self)}
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown method(s) {unknown}; available: {METHODS}")
@@ -366,29 +377,35 @@ class RunConfig:
             raise ValueError("methods and d_grid must be nonempty")
         # cells and summary.json are keyed by method name and d label, and
         # a repeated CV entry would train and score the same runs again
-        for key, labels in (
-            ("methods", self.methods),
-            ("d_grid", [str(e) for e in self.d_grid]),
-            ("cv_learning_rates", self.cv_learning_rates),
-            ("cv_epochs", self.cv_epochs),
-        ):
+        for name, labels in (("methods", self.methods), ("d_grid", [str(e) for e in self.d_grid]),
+                             ("cv_learning_rates", self.cv_learning_rates), ("cv_epochs", self.cv_epochs)):
             repeated = _first_repeat(labels)
             if repeated is not None:
-                raise ValueError(f"{key} lists {repeated!r} more than once")
-        for name, low in (("q", 1), ("knn_k", 1), ("cv_splits", 1), ("cv_seeds", 1), ("hidden", 1), ("seed", 0)):
+                raise ValueError(f"{key[name]} lists {repeated!r} more than once")
+        for name, low in (("q", 1), ("hidden", 1), ("cv_splits", 1), ("cv_seeds", 1), ("smote_k", 1), ("knn_k", 1),
+                          ("cart_max_depth", 0), ("cart_min_leaf", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        CartConfig(self.cart_max_depth, self.cart_min_leaf)
-        SmoteConfig(self.smote_k, self.smote_ratio)
-        TrainConfig(self.learning_rate, self.epochs, self.batch_size)
+                raise ValueError(f"{key[name]} must be >= {low}, got {value}")
+        if not 0 < self.smote_ratio <= 1:
+            raise ValueError(f"{key['smote_ratio']} must lie in (0, 1], got {self.smote_ratio}")
+        # these check their own ranges, and each message starts with the name
+        # of the field at fault; d is resolved, and checked, per dataset
+        for check in (partial(self.campaign, 1.0),
+                      partial(TrainConfig, self.learning_rate, self.epochs, self.batch_size)):
+            try:
+                check()
+            except ValueError as exc:
+                name, rest = str(exc).split(" ", 1)
+                raise ValueError(f"{key.get(name, name)} {rest}") from None
         if bool(self.cv_learning_rates) != bool(self.cv_epochs):
-            raise ValueError("cv_learning_rates and cv_epochs must both be given or both be empty")
+            raise ValueError(f"{key['cv_learning_rates']} and {key['cv_epochs']} must both be given or both be empty")
         for lr, epochs in self.cv_grid:
             try:
                 TrainConfig(lr, epochs)
             except ValueError as exc:
-                raise ValueError(f"cv grid point (learning_rate={lr}, epochs={epochs}): {exc}") from None
+                point = f"{key['cv_learning_rates']}={lr}, {key['cv_epochs']}={epochs}"
+                raise ValueError(f"cv grid point ({point}): {exc}") from None
 
     @property
     def cv_grid(self) -> list[tuple[float, int]]:

@@ -78,7 +78,8 @@ def _loss_and_grads(p, X, targets, loss, slope):
 
 
 def train(mlp, data, params, cfg):
-    data.require_both_classes()
+    if len(np.unique(data.labels)) < 2:
+        raise ValueError(f"dataset {data.name!r} has a single class; need both for training")
     X, y, clv = data.features, data.labels, data.clvs
     targets = _loss_targets(cfg.loss, y, params, clv)
     p = mlp.params()

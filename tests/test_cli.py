@@ -5,6 +5,8 @@ import csv
 import functools
 import json
 import operator
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,9 @@ SMALL_RUN = {
         ]
     },
 }
+
+# the JSON key of each RunConfig field, which every config error names
+CONFIG_KEYS = {fld.name: ex._config_key(fld) for fld in fields(ex.RunConfig)}
 
 
 def write_json(path, payload):
@@ -127,6 +132,38 @@ class TestBenchmark:
         )
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    def csv_run(self, tmp_path, header, out):
+        """Run logistic on dataset a, with its test file rewritten under header; the exit code."""
+        spec = write_json(tmp_path / "spec.json", dict(SMALL_RUN["datasets"]["synthetic"][0], n_features=2))
+        main(["generate", "--spec", spec, "--out", str(tmp_path / "data")])
+        with (tmp_path / "data" / "a_test.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        test = tmp_path / f"{out}_test.csv"
+        with test.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([row[{"g1": "f1", "g2": "f2"}.get(col, col)] for col in header] for row in rows)
+        cfg = write_json(
+            tmp_path / f"{out}.json",
+            {
+                "d_grid": ["clv/20"],
+                "methods": ["logistic"],
+                "datasets": [{"name": "a", "train": str(tmp_path / "data" / "a_train.csv"), "test": str(test)}],
+            },
+        )
+        return main(["benchmark", "--config", cfg, "--out", str(tmp_path / out), "--jobs", "1"])
+
+    def test_test_csv_columns_matched_by_name(self, tmp_path):
+        assert self.csv_run(tmp_path, ["f1", "f2", "clv", "label"], "aligned") == 0
+        assert self.csv_run(tmp_path, ["f2", "f1", "clv", "label"], "swapped") == 0
+        cells = [(tmp_path / out / "benchmark_cells.csv").read_bytes() for out in ("aligned", "swapped")]
+        assert cells[0] == cells[1]
+
+    def test_test_csv_without_the_train_columns_exits_1(self, tmp_path, capsys):
+        assert self.csv_run(tmp_path, ["g1", "g2", "clv", "label"], "renamed") == 1
+        assert "missing feature column(s) ['f1', 'f2']" in capsys.readouterr().err
+        assert not (tmp_path / "renamed").exists()
+
     def test_partial_failure_exits_2(self, tmp_path, capsys):
         # single-class training CSV: every cell on that dataset fails
         data = tmp_path / "bad_train.csv"
@@ -202,14 +239,37 @@ class TestBenchmark:
             ({"datasets": [5]}, "dataset entry"),
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 10.5, "n_test": 20}]}}, "n_train"),
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_sigma": 1e300}]}}, "spec"),
+            ({"smote": {"k_neighbors": 2.5}}, "invalid config: smote.k_neighbors must be an integer, got 2.5"),
+            ({"cv": {"splits": 0}}, "invalid config: cv.splits must be >= 1, got 0"),
+            ({"model": {"epochs": 0}}, "invalid config: model.epochs must be >= 1, got 0"),
+            ({"baselines": {"cart_min_leaf": 0}}, "invalid config: baselines.cart_min_leaf must be >= 1, got 0"),
+            ({"cv": {"learning_rates": [0.01], "epochs": 5}}, "config key 'cv.epochs' must be a list, got 5"),
+            (
+                {"cv": {"learning_rates": [0.01], "epochs": [0]}},
+                "cv grid point (cv.learning_rates=0.01, cv.epochs=0): epochs must be >= 1, got 0",
+            ),
+            ({"smote": {"seed": 1}}, "unknown config key(s) ['smote.seed']"),
+            ({"model": {"loss": "cross-entropy"}}, "unknown config key(s) ['model.loss']"),
         ],
     )
     def test_out_of_range_setting_exits_1_naming_it(self, tmp_path, capsys, change, field):
         cfg = write_json(tmp_path / "run.json", SMALL_RUN | change)
         out_dir = tmp_path / "out"
         assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
-        assert field in capsys.readouterr().err
+        # a RunConfig field is named by its config key: cv_splits as cv.splits
+        assert CONFIG_KEYS.get(field, field) in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [("f", -1), ("gamma", 0), ("gamma", 5), ("slope", 0)])
+    def test_bad_campaign_value_exits_1_before_any_dataset(self, tmp_path, capsys, monkeypatch, key, value):
+        built = []
+        monkeypatch.setattr(cli, "_build_datasets", lambda *args: built.append(args))
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN | {"campaign": {key: value}})
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config: campaign.{key} (" in err and f"got {value}" in err and "dataset" not in err
+        assert built == [] and not out_dir.exists()
 
     @pytest.mark.parametrize(
         "change, message",
@@ -219,8 +279,8 @@ class TestBenchmark:
             ({"d_grid": ["clv/20", "clv/20"]}, "d_grid lists 'clv/20' more than once"),
             ({"datasets": {"synthetic": [SMALL_RUN["datasets"]["synthetic"][0]] * 2}},
              "dataset name 'a' appears more than once"),
-            ({"cv": {"learning_rates": [0.01, 0.01], "epochs": [2]}}, "cv_learning_rates lists 0.01 more than once"),
-            ({"cv": {"learning_rates": [0.01], "epochs": [2, 3, 2]}}, "cv_epochs lists 2 more than once"),
+            ({"cv": {"learning_rates": [0.01, 0.01], "epochs": [2]}}, "cv.learning_rates lists 0.01 more than once"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [2, 3, 2]}}, "cv.epochs lists 2 more than once"),
         ],
         ids=["method", "d-label", "dataset", "cv-rate", "cv-epochs"],
     )
@@ -574,3 +634,13 @@ class TestConfigFuzz:
             ex._plan(datasets, cfg)  # the CLI turns its ValueError into exit 1
         except (cli._CliError, ValueError):
             pass
+
+    def test_fuzz_base_sets_every_run_config_key(self):
+        written = {".".join(map(str, path)) for path in _paths(FUZZ_BASE)}
+        assert set(CONFIG_KEYS.values()) <= written
+
+
+def test_readme_run_config_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Run config (JSON)", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert cli._run_config(json.loads(block)) == ex.RunConfig()

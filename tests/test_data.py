@@ -154,11 +154,6 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
-    def test_require_both_classes(self):
-        ds = make_dataset([[1.0], [2.0]], [1, 1], [5.0, 6.0])
-        with pytest.raises(ValueError, match="single class"):
-            ds.require_both_classes()
-
 
 class TestStandardize:
     def test_hand_arithmetic(self):

@@ -1,7 +1,8 @@
 """Synthetic generation, cross-validation, and the benchmark engine."""
 
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import oracles
@@ -37,6 +38,15 @@ def small_benchmark_inputs(n_datasets=2, seed0=50):
 
 
 FAST = dict(learning_rate=0.05, epochs=15)
+
+CONFIG_KEYS = {fld.name: ex._config_key(fld) for fld in fields(ex.RunConfig)}
+
+
+def by_key(message: str, *names: str) -> str:
+    """message with each named RunConfig field written as its config key, as RunConfig's errors name it."""
+    for name in names:
+        message = message.replace(name, CONFIG_KEYS[name], 1)
+    return message
 
 
 class TestSyntheticSpec:
@@ -587,7 +597,23 @@ class TestRunConfig:
         ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=by_key(message, field)):
+            ex.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("f", -1.0, "campaign.f (contact cost) must be finite and >= 0, got -1.0"),
+            ("gamma", 0.0, "campaign.gamma (acceptance fraction) must be in (0, 1], got 0.0"),
+            ("gamma", 5.0, "campaign.gamma (acceptance fraction) must be in (0, 1], got 5.0"),
+            ("slope", 0.0, "campaign.slope (surrogate steepness) must be finite and > 0, got 0.0"),
+            ("epochs", 0, "model.epochs must be >= 1, got 0"),
+            ("smote_k", 0, "smote.k_neighbors must be >= 1, got 0"),
+            ("cart_min_leaf", 0, "baselines.cart_min_leaf must be >= 1, got 0"),
+        ],
+    )
+    def test_message_names_the_config_key(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ex.RunConfig(**{field: value})
 
     @pytest.mark.parametrize(
@@ -612,7 +638,7 @@ class TestRunConfig:
     )
     def test_repeated_cv_entry_rejected(self, rates, epochs, message):
         # each would put one (learning rate, epochs) point on the CV grid twice
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=by_key(message, "cv_learning_rates", "cv_epochs")):
             ex.RunConfig(cv_learning_rates=rates, cv_epochs=epochs)
 
     def test_distinct_d_labels_for_one_value_accepted(self):
@@ -631,7 +657,7 @@ class TestRunConfig:
         ],
     )
     def test_bad_cv_grid_rejected(self, fields, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=by_key(message, "cv_learning_rates", "cv_epochs")):
             ex.RunConfig(**fields)
 
     def test_count_fields_accept_numpy_integers_and_unset_optionals(self):
