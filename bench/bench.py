@@ -9,6 +9,8 @@ alternating which side runs first:
 - probes: ``perfbench/child.py probes 0``, the median time of one call of
   each hot kernel (knn_scores, mp, one Adam step, fit_cart,
   smote_balance) on fixed seeded inputs;
+- load_csv_s: one ``load_dataset`` call, timed inside the child, on a
+  20,000-row CSV written once from ``SyntheticSpec`` by the change side;
 - wall_s: the default bundled `churnopt benchmark` (no config: 12
   datasets x 5 incentive values x 8 methods) with --jobs 1 and --jobs 2.
 
@@ -42,6 +44,12 @@ CHILD = ROOT / "perfbench" / "child.py"
 OUTPUTS = ("benchmark_cells.csv", "summary.json")
 SIDES = ("base", "change")
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
+CSV_ROWS = 20_000
+WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
+             "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
+             "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
+TIME_LOAD = ("import sys, time; from churnopt.data import load_dataset; "
+             "start = time.perf_counter(); load_dataset(sys.argv[1]); print(time.perf_counter() - start)")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
@@ -85,6 +93,17 @@ def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
     return {probe: {side: _stats(runs) for side, runs in by_side.items()} for probe, by_side in sorted(samples.items())}
 
 
+def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
+    """{side: stats} of reps ``load_dataset`` times per side on one CSV_ROWS-row file."""
+    path = tmp / "load.csv"
+    _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
+    samples = {side: [] for side in SIDES}
+    for rep in range(reps):
+        for side in _order(rep):
+            samples[side].append(float(_child(side, srcs[side], "-c", TIME_LOAD, str(path))))
+    return {side: _stats(runs) for side, runs in samples.items()}
+
+
 def bench_cli(srcs: dict[str, Path], reps: int) -> tuple[dict, dict]:
     walls = {(side, jobs): [] for side in SIDES for jobs in (1, 2)}
     hashes = set()
@@ -107,7 +126,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against (its src/ is exported)")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--reps", type=int, default=3, help="alternating runs per side of the probes and per job count")
+    ap.add_argument("--reps", type=int, default=3,
+                    help="alternating runs per side of the probes, the CSV load and each job count")
     args = ap.parse_args(argv)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -123,6 +143,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {"base": _export_src(args.base, Path(tmp)), "change": ROOT / "src"}
         report["probes"] = bench_probes(srcs, args.reps)
+        report["load_csv_s"] = bench_csv(srcs, args.reps, Path(tmp))
         report["wall_s"], report["outputs_sha256"] = bench_cli(srcs, args.reps)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))

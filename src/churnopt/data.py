@@ -1,9 +1,9 @@
 """Customer data model, CSV ingestion, standardization, CLV segmentation.
 
-CSV schema: header ``f1,...,fK,clv,label``, UTF-8, ``.`` decimal separator,
-no thousands separators. ``label`` is 0 for a churner and 1 for a
-non-churner; ``clv`` is the customer lifetime value in euros and must be
-strictly positive. Every cell must hold a finite number.
+CSV schema: header ``f1,...,fK,clv,label`` with K >= 1, UTF-8, ``.``
+decimal separator, no thousands separators. ``label`` is 0 for a churner
+and 1 for a non-churner; ``clv`` is the customer lifetime value in euros
+and must be strictly positive. Every cell must hold a finite number.
 """
 
 from __future__ import annotations
@@ -98,9 +98,14 @@ def read_csv_rows(path: Path):
 def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: str | None = None) -> Dataset:
     """Load and validate a dataset CSV.
 
+    A plain numeric file is parsed in one C pass (``np.loadtxt``, whose
+    cells go through the same string-to-double routine as ``float()``).
+    Anything that pass refuses or that fails a check is read again row by
+    row, which defines what is accepted and names the first bad cell.
+
     Args:
-        path: CSV file with a header row holding the feature columns plus
-            ``clv`` and ``label``.
+        path: CSV file with a header row holding at least one feature
+            column plus ``clv`` and ``label``.
         schema: expected feature columns. When given, the header must
             contain exactly these features (any order); row vectors follow
             the schema order. When omitted, the features are all header
@@ -108,10 +113,11 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
         name: dataset identifier; defaults to the file stem.
 
     Raises:
-        ValueError: text that is not UTF-8 CSV, a missing or unexpected
-            column, a non-numeric or non-finite cell, clv <= 0, or label
-            outside {0, 1} -- each reported with the path and, for a
-            cell, its data row number (first data row is row 1).
+        ValueError: text that is not UTF-8 CSV, a missing, unexpected or
+            repeated column, no feature column, a non-numeric or
+            non-finite cell, clv <= 0, or label outside {0, 1} -- each
+            reported with the path and, for a cell, its data row number
+            (first data row is row 1).
         OSError: the file cannot be opened.
     """
     path = Path(path)
@@ -136,11 +142,55 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
             raise ValueError(f"{path}: unexpected column(s) {extra}")
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names in header")
-    col_index = {h: i for i, h in enumerate(header)}
-    feat_idx = [col_index[c] for c in feature_cols]
-    clv_idx = col_index["clv"]
-    label_idx = col_index["label"]
+    if not feature_cols:
+        raise ValueError(f"{path}: no feature column besides 'clv' and 'label'")
+    parsed = _parse_table(path, header, feature_cols)
+    if parsed is None:
+        parsed = _parse_rows(path, reader, header, feature_cols)
+    reader.close()
+    return Dataset(name if name is not None else path.stem, tuple(feature_cols), *parsed)
 
+
+def _parse_table(path: Path, header: list[str], feature_cols: list[str]):
+    """Features, labels and clvs of a plain numeric file in one C pass; None where the row loop must decide.
+
+    None when np.loadtxt refuses the text (quotes, ``1_000``, non-ASCII
+    digits, blank-celled or ragged rows), finds no row or a failed check,
+    or when the bytes hold what it would read differently from csv and
+    ``float()``: a cell longer than csv's field size limit, or one of the
+    ASCII separators 0x1c-0x1f, which np.loadtxt strips as whitespace and
+    float() refuses.
+    """
+    # a delimiter in every full block bounds each cell at 2 * block - 2 chars
+    block = max(1, csv.field_size_limit() // 2)
+    with path.open("rb") as fh:
+        while chunk := fh.read(block):
+            if len(chunk) == block and not any(sep in chunk for sep in b",\n\r"):
+                return None
+            if any(sep in chunk for sep in b"\x1c\x1d\x1e\x1f"):
+                return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, encoding="utf-8-sig", ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    clvs, labels = table[:, header.index("clv")], table[:, header.index("label")]
+    if not (np.isfinite(table).all() and (clvs > 0).all() and ((labels == 0) | (labels == 1)).all()):
+        return None
+    # copies, so the returned columns do not keep the whole table alive
+    return table[:, [header.index(c) for c in feature_cols]], labels.astype(np.int64), clvs.copy()
+
+
+def _parse_rows(path: Path, reader, header: list[str], feature_cols: list[str]):
+    """Features, labels and clvs of the rows after the header, each cell parsed by float().
+
+    Raises ValueError at the first bad row or cell; blank rows are skipped.
+    """
+    feat_idx = [header.index(c) for c in feature_cols]
+    clv_idx, label_idx = header.index("clv"), header.index("label")
     rows_feat: list[list[float]] = []
     rows_label: list[int] = []
     rows_clv: list[float] = []
@@ -174,12 +224,10 @@ def load_dataset(path: str | Path, schema: Sequence[str] | None = None, name: st
 
     if not rows_feat:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(
-        name=name if name is not None else path.stem,
-        schema=tuple(feature_cols),
-        features=np.asarray(rows_feat, dtype=float),
-        labels=np.asarray(rows_label, dtype=np.int64),
-        clvs=np.asarray(rows_clv, dtype=float),
+    return (
+        np.asarray(rows_feat, dtype=float),
+        np.asarray(rows_label, dtype=np.int64),
+        np.asarray(rows_clv, dtype=float),
     )
 
 

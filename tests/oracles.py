@@ -23,14 +23,18 @@ Tests compare the package against these for exact equality:
 - quantile_segments and segment_edges: a segment label per customer,
   filled by a loop over segment sizes, and each segment's rows found
   again by scanning those labels.
+- load_dataset: reads every data row through csv and parses each cell
+  with float() in a Python loop, with no C-level parse of the table.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from churnopt.data import Dataset
+from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows
 from churnopt.metrics import _as_scores_labels, threshold_candidates
 from churnopt.models import (
     AdamState,
@@ -314,3 +318,73 @@ def quantile_segments(clvs, q):
 def segment_edges(clvs, assignment):
     clvs = np.asarray(clvs, dtype=float)
     return np.array([clvs[assignment.indices(s)].max() for s in range(assignment.q - 1)], dtype=float)
+
+
+def load_dataset(path, schema=None, name=None):
+    path = Path(path)
+    reader = read_csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    for col in RESERVED_COLUMNS:
+        if col not in header:
+            raise ValueError(f"{path}: missing required column {col!r}")
+    if schema is None:
+        feature_cols = [h for h in header if h not in RESERVED_COLUMNS]
+    else:
+        feature_cols = list(schema)
+        missing = [c for c in feature_cols if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing feature column(s) {missing}")
+        extra = [h for h in header if h not in feature_cols and h not in RESERVED_COLUMNS]
+        if extra:
+            raise ValueError(f"{path}: unexpected column(s) {extra}")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    if not feature_cols:
+        raise ValueError(f"{path}: no feature column besides 'clv' and 'label'")
+    col_index = {h: i for i, h in enumerate(header)}
+    feat_idx = [col_index[c] for c in feature_cols]
+    clv_idx = col_index["clv"]
+    label_idx = col_index["label"]
+
+    rows_feat, rows_label, rows_clv = [], [], []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
+
+        def parse(cell, col):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {row_no}, column {col!r}: non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {row_no}, column {col!r}: non-finite value {cell!r}")
+            return value
+
+        feats = [parse(row[i], feature_cols[j]) for j, i in enumerate(feat_idx)]
+        clv = parse(row[clv_idx], "clv")
+        if not clv > 0:
+            raise ValueError(f"{path}: row {row_no}: clv must be > 0, got {clv}")
+        label_f = parse(row[label_idx], "label")
+        if label_f not in (0.0, 1.0):
+            raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {row[label_idx]!r}")
+        rows_feat.append(feats)
+        rows_label.append(int(label_f))
+        rows_clv.append(clv)
+
+    if not rows_feat:
+        raise ValueError(f"{path}: no data rows")
+    return Dataset(
+        name=name if name is not None else path.stem,
+        schema=tuple(feature_cols),
+        features=np.asarray(rows_feat, dtype=float),
+        labels=np.asarray(rows_label, dtype=np.int64),
+        clvs=np.asarray(rows_clv, dtype=float),
+    )

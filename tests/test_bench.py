@@ -1,4 +1,4 @@
-"""bench/bench.py's probe step, with canned child output in place of real runs."""
+"""bench/bench.py's probe and CSV steps, with canned child output in place of real runs."""
 
 import importlib.util
 import json
@@ -57,3 +57,33 @@ def test_failed_child_stops_naming_its_side(monkeypatch):
     monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
     with pytest.raises(SystemExit, match=r"change side \(/change/src\) exited 1(.|\n)*ImportError: cannot import"):
         bench.bench_probes(SRCS, reps=1)
+
+
+@pytest.fixture
+def csv_runs(monkeypatch):
+    """Replace bench's subprocess.run; each timed load answers 1 (base) or 2 (change) + call number / 100."""
+    runs = []
+
+    def run(cmd, env, capture_output, text):
+        side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
+        runs.append((side, cmd))
+        stdout = "" if cmd[2] == bench.WRITE_CSV else f"{1 if side == 'base' else 2}.{len(runs):02d}\n"
+        return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
+    return runs
+
+
+def test_csv_step_writes_once_then_times_alternating_sides(csv_runs, tmp_path):
+    bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
+    path = str(tmp_path / "load.csv")
+    assert csv_runs[0] == ("change", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "20000"])
+    assert [side for side, _ in csv_runs[1:]] == ["base", "change", "change", "base", "base", "change"]
+    assert all(cmd[1:] == ["-c", bench.TIME_LOAD, path] for _, cmd in csv_runs[1:])
+
+
+def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
+    table = bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
+    # call 1 wrote the file; calls 2, 5, 6 timed the base side and 3, 4, 7 the change side
+    assert table == {"base": {"median": 1.05, "q1": 1.035, "q3": 1.055, "runs": [1.02, 1.05, 1.06]},
+                     "change": {"median": 2.04, "q1": 2.035, "q3": 2.055, "runs": [2.03, 2.04, 2.07]}}

@@ -164,6 +164,24 @@ class TestBenchmark:
         assert "missing feature column(s) ['f1', 'f2']" in capsys.readouterr().err
         assert not (tmp_path / "renamed").exists()
 
+    def test_csv_without_feature_column_exits_1_before_any_cell(self, tmp_path, capsys):
+        files = {}
+        for split in ("train", "test"):
+            files[split] = tmp_path / f"bare_{split}.csv"
+            files[split].write_text("clv,label\n" + "".join(f"{10 + i}.0,{i % 2}\n" for i in range(10)))
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "d_grid": ["clv/20"],
+                "methods": ["logistic", "regret_net"],
+                "datasets": [{"name": "bare", "train": str(files["train"]), "test": str(files["test"])}],
+            },
+        )
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir)]) == 1
+        assert f"{files['train']}: no feature column" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_partial_failure_exits_2(self, tmp_path, capsys):
         # single-class training CSV: every cell on that dataset fails
         data = tmp_path / "bad_train.csv"

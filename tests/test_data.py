@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from churnopt import data
 from churnopt.data import (
     Dataset,
     assign_segments,
@@ -16,6 +18,15 @@ from churnopt.data import (
     save_dataset,
     standardize,
 )
+
+
+def outcome(load, path, schema=None):
+    """What a loader makes of a file: the dataset's name, schema and array bytes, or its ValueError message."""
+    try:
+        ds = load(path, schema=schema)
+    except ValueError as exc:
+        return str(exc)
+    return ds.name, ds.schema, *((a.dtype.str, a.shape, a.tobytes()) for a in (ds.features, ds.labels, ds.clvs))
 
 
 def make_dataset(features, labels, clvs, name="t"):
@@ -124,12 +135,116 @@ class TestLoad:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.csv"
             path.write_bytes(content)
-            try:
-                ds = load_dataset(path)
-            except ValueError as exc:
-                assert "fuzz.csv" in str(exc)
-            else:
-                assert isinstance(ds, Dataset)
+            got = outcome(load_dataset, path)
+            assert got == outcome(oracles.load_dataset, path)
+            assert "fuzz.csv" in got if isinstance(got, str) else got[0] == "fuzz"
+
+    @pytest.mark.parametrize("schema", [None, ()])
+    def test_no_feature_column_names_the_file(self, tmp_path, schema):
+        path = tmp_path / "bare.csv"
+        path.write_text("clv,label\n10.0,0\n20.0,1\n")
+        with pytest.raises(ValueError, match=r"bare\.csv: no feature column"):
+            load_dataset(path, schema=schema)
+
+    def test_written_file_never_enters_the_row_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-300, 300, size=(300, 5))
+        features[:4, 0] = [5e-324, -0.0, 1.7976931348623157e308, -2.2250738585072014e-308]
+        ds = make_dataset(features, rng.integers(0, 2, 300), rng.uniform(1e-300, 1e300, 300), name="w")
+        path = save_dataset(ds, tmp_path / "w.csv")
+        expected = outcome(oracles.load_dataset, path)
+
+        def row_loop(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(data, "_parse_rows", row_loop)
+        assert outcome(load_dataset, path) == expected
+        assert np.array_equal(load_dataset(path).features, ds.features)
+
+
+LONG_ZEROS = "0." + "0" * 200_000  # np.loadtxt parses it; csv's field size limit refuses it
+FEATURES = ("f1", "f2", "f3")
+ODD_CELLS = ('"3"', "1_000", " 2 ", "\u0661\u0662", "nan", "inf", "-inf", "1e400", "", " ", "abc", "-0",
+             "2.", "0.5\xa0", "\x1c1", "1\x00", LONG_ZEROS)
+ODD_LINES = ("", ",,", ",,,", "  ", ", ,", "\t")
+FEATURE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.4g}"),
+)
+CLV_CELLS = st.floats(5e-324, 1e308).map(repr) | st.integers(1, 10**6).map(str)
+LABEL_CELLS = st.sampled_from(["0", "1", "1.0", "-0", "0e5", "+1"])
+
+
+@st.composite
+def csv_files(draw):
+    """(CSV bytes, schema): mostly valid cells, and in some files one odd cell, line or width."""
+    n_features = draw(st.integers(1, 3))
+    header = draw(st.permutations([*FEATURES[:n_features], "clv", "label"]))
+    cells = {"clv": CLV_CELLS, "label": LABEL_CELLS}
+    rows = [[draw(cells.get(col, FEATURE_CELLS)) for col in header] for _ in range(draw(st.integers(0, 4)))]
+    odd = draw(st.sampled_from(["none", "none", "cell", "line", "ragged", "extra column"]))
+    if odd == "cell" and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+    elif odd == "ragged" and rows:
+        row = draw(st.sampled_from(rows))
+        row.pop() if draw(st.booleans()) else row.append("1")
+    elif odd == "extra column":
+        rows = [row + ["0"] for row in rows]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if odd == "line":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    schema = draw(st.none() | st.permutations(FEATURES[:n_features]).map(list))
+    return (bom + text).encode(), schema
+
+
+LISTED_FILES = {
+    "valid": ("f1,f2,clv,label\n1.5,-2.0,85.0,0\n0.25,3.5,10.0,1\n", None),
+    "schema-reordered": ("f1,f2,clv,label\n1.5,-2.0,85.0,0\n0.25,3.5,10.0,1\n", ["f2", "f1"]),
+    "bom": ("\ufeffclv,f1,label\n10.0,1.5,0\n20.0,2.5,1\n", None),
+    "crlf": ("f1,clv,label\r\n1,2,0\r\n3,4,1\r\n", None),
+    "quoted": ('f1,clv,label\n"1",2,0\n', None),
+    "underscore": ("f1,clv,label\n1_000,2,0\n", None),
+    "padded": ("f1,clv,label\n 2 ,3,1\n", None),
+    "arabic-indic-digits": ("f1,clv,label\n\u0661\u0662,3,1\n", None),
+    "nan": ("f1,clv,label\n1,2,0\nnan,2,0\n", None),
+    "inf": ("f1,clv,label\n1,inf,0\n", None),
+    "overflow": ("f1,clv,label\n1e400,2,0\n", None),
+    "empty-cell": ("f1,clv,label\n,2,0\n", None),
+    "blank-lines": ("f1,clv,label\n\n1,2,0\n,,\n  \n,,,\n3,4,1\n", None),
+    "ragged": ("f1,clv,label\n1,2,0\n3,4\n", None),
+    "extra-column-every-row": ("f1,clv,label\n1,2,0,9\n3,4,1,9\n", None),
+    "field-over-csv-limit": (f"f1,clv,label\n{LONG_ZEROS},2,0\n", None),
+    "blank-over-csv-limit": ("f1,clv,label\n" + " " * 140_000 + "1,2,0\n", None),
+    "file-separator": ("f1,clv,label\n1\x1c,2,0\n", None),
+    "clv-zero": ("f1,clv,label\n1,0,0\n", None),
+    "label-two": ("f1,clv,label\n1,2,2\n", None),
+    "header-only": ("f1,clv,label\n", None),
+}
+
+
+class TestLoadMatchesOracle:
+    """load_dataset equals the row-by-row reader of tests/oracles.py bit for bit, errors included."""
+
+    @staticmethod
+    def check(content: bytes, schema):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gen.csv"
+            path.write_bytes(content)
+            assert outcome(load_dataset, path, schema) == outcome(oracles.load_dataset, path, schema)
+
+    @pytest.mark.parametrize("text, schema", LISTED_FILES.values(), ids=LISTED_FILES)
+    def test_listed_file(self, text, schema):
+        self.check(text.encode(), schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_files())
+    def test_generated_file(self, case):
+        self.check(*case)
 
 
 class TestDatasetInvariants:
