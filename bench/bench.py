@@ -43,13 +43,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 OUTPUTS = ("benchmark_cells.csv", "summary.json")
 SIDES = ("base", "change")
-# thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 CSV_ROWS = 20_000
 WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
              "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
              "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
 TIME_LOAD = ("import sys, time; from churnopt.data import load_dataset; "
              "start = time.perf_counter(); load_dataset(sys.argv[1]); print(time.perf_counter() - start)")
+# thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
