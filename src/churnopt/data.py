@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +23,7 @@ __all__ = [
     "read_csv_rows",
     "load_dataset",
     "save_dataset",
+    "write_csv",
     "standardize",
     "quantile_segments",
     "assign_segments",
@@ -42,7 +44,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         clvs = np.asarray(self.clvs, dtype=float)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
@@ -53,9 +55,10 @@ class Dataset:
             raise ValueError(f"feature width {k} does not match schema width {len(self.schema)}")
         if labels.shape != (n,) or clvs.shape != (n,):
             raise ValueError("features, labels and clvs must agree in length")
-        bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+        bad = np.flatnonzero(~np.isin(labels, (0, 1)))  # before the cast, which would truncate 0.7 to 0
         if bad.size:
             raise ValueError(f"label must be 0 or 1 at row {bad[0] + 1}")
+        labels = labels.astype(np.int64, copy=False)
         bad = np.flatnonzero(~((clvs > 0) & np.isfinite(clvs)))
         if bad.size:
             raise ValueError(f"clv must be finite and > 0 at row {bad[0] + 1}")
@@ -233,16 +236,22 @@ def _parse_rows(path: Path, reader, header: list[str], feature_cols: list[str]):
 
 def save_dataset(ds: Dataset, path: str | Path) -> Path:
     """Write a dataset as CSV, lossless for a float round trip."""
+    rows = (f.tolist() + [c, y] for f, c, y in zip(ds.features, ds.clvs.tolist(), ds.labels.tolist()))
+    return write_csv(path, chain([[*ds.schema, "clv", "label"]], rows))
+
+
+def write_csv(path: str | Path, rows) -> Path:
+    """Write rows of cells as UTF-8 CSV, the header row first; no row gives an empty file.
+
+    A float is written as repr(float(v)), which reads back to the same
+    value, and NaN as an empty cell; any other cell as str(v).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.schema) + ["clv", "label"])
-        for i in range(len(ds)):
-            writer.writerow(
-                [repr(float(v)) for v in ds.features[i]]
-                + [repr(float(ds.clvs[i])), str(int(ds.labels[i]))]
-            )
+        csv.writer(fh).writerows(
+            [("" if v != v else repr(float(v))) if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
     return path
 
 

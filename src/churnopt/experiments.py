@@ -12,7 +12,6 @@ matter how fits are scheduled.
 
 from __future__ import annotations
 
-import csv
 import numbers
 import sys
 import warnings
@@ -33,7 +32,7 @@ from .campaign import (
     prescribe,
     total_profit,
 )
-from .data import Dataset, assign_segments, standardize
+from .data import Dataset, assign_segments, standardize, write_csv
 from .metrics import accuracy, msp, targeted_fraction
 from .models import (
     CartConfig,
@@ -595,27 +594,16 @@ class BenchmarkReport:
     def failed(self) -> tuple[CellResult, ...]:
         return tuple(c for c in self.cells if c.status != "ok")
 
-    def profit_matrix(self, d_label: str, methods, datasets) -> np.ndarray:
-        """(method x dataset) test profits for one d value; NaN if missing."""
-        index = {(c.dataset, c.method): c for c in self.cells if c.d_label == d_label}
-        out = np.full((len(methods), len(datasets)), np.nan)
-        for i, m in enumerate(methods):
-            for j, ds in enumerate(datasets):
-                cell = index.get((ds, m))
-                if cell is not None and cell.status == "ok":
-                    out[i, j] = cell.profit
-        return out
+    def matrix(self, field: str, d_label: str, methods, datasets) -> np.ndarray:
+        """(method x dataset) values of one CellResult field for one d value; NaN for a missing or failed cell."""
+        ok = (c for c in self.cells if c.d_label == d_label and c.status == "ok")
+        index = {(c.method, c.dataset): getattr(c, field) for c in ok}
+        return np.array([[index.get((m, ds), np.nan) for ds in datasets] for m in methods], dtype=float)
 
     def to_csv(self, path: str | Path) -> Path:
         columns = ("dataset", "d_label", "d", "method", "profit", "accuracy", "gap", "eta", "status")
-        return write_table_csv([{k: getattr(c, k) for k in columns} for c in self.cells], path)
-
-
-def _fmt(x) -> str:
-    x = float(x)
-    if np.isnan(x):
-        return ""
-    return repr(x)
+        rows = ([getattr(c, k) for k in columns] for c in self.cells)
+        return write_csv(path, [columns, *rows] if self.cells else [])
 
 
 def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
@@ -720,7 +708,7 @@ def benchmark_summary(report: BenchmarkReport, cfg: RunConfig, datasets_names, a
     }
     for entry in cfg.d_grid:
         d_label = str(entry)
-        profits = report.profit_matrix(d_label, methods, datasets_names)
+        profits = report.matrix("profit", d_label, methods, datasets_names)
         if np.isnan(profits).any():
             summary["per_d"][d_label] = {"note": "skipped: missing or failed cells"}
         else:
@@ -735,59 +723,28 @@ def sensitivity_sweep(report: BenchmarkReport, cfg: RunConfig) -> dict[str, list
     method yields no row.
     """
     methods = list(cfg.methods)
-    by_method_d: dict[tuple[str, str], list[CellResult]] = {}
-    for c in report.cells:
-        if c.status == "ok":
-            by_method_d.setdefault((c.method, c.d_label), []).append(c)
-
+    datasets = list(dict.fromkeys(c.dataset for c in report.cells))
     profit_rows, gap_rows, eta_rows = [], [], []
     for entry in cfg.d_grid:
         d_label = str(entry)
-        for m in methods:
-            cells = by_method_d.get((m, d_label), [])
-            if not cells:
+        profit, d, gap, eta = (report.matrix(f, d_label, methods, datasets) for f in ("profit", "d", "gap", "eta"))
+        for i, m in enumerate(methods):
+            ok = np.flatnonzero(~np.isnan(d[i]))
+            if not ok.size:
                 continue
-            d_mean = float(np.mean([c.d for c in cells]))
-            profit_rows.append(
-                {
-                    "d_label": d_label,
-                    "d_mean": d_mean,
-                    "method": m,
-                    "mean_profit": float(np.mean([c.profit for c in cells])),
-                }
-            )
-            gaps = [c.gap for c in cells if not np.isnan(c.gap)]
-            if gaps:
-                gap_rows.append(
-                    {
-                        "d_label": d_label,
-                        "d_mean": d_mean,
-                        "method": m,
-                        "mean_gap": float(np.mean(gaps)),
-                    }
-                )
-            for c in cells:
-                eta_rows.append(
-                    {
-                        "dataset": c.dataset,
-                        "d_label": d_label,
-                        "d": c.d,
-                        "method": m,
-                        "eta": c.eta,
-                        "profit": c.profit,
-                    }
-                )
+            head = {"d_label": d_label, "d_mean": float(np.mean(d[i, ok])), "method": m}
+            profit_rows.append({**head, "mean_profit": float(np.mean(profit[i, ok]))})
+            gaps = gap[i][~np.isnan(gap[i])]
+            if gaps.size:
+                gap_rows.append({**head, "mean_gap": float(np.mean(gaps))})
+            eta_rows += [
+                {"dataset": datasets[j], "d_label": d_label, "d": d[i, j], "method": m, "eta": eta[i, j],
+                 "profit": profit[i, j]}
+                for j in ok
+            ]
     return {"profit_vs_d": profit_rows, "gap_vs_d": gap_rows, "eta_profit_vs_d": eta_rows}
 
 
 def write_table_csv(rows: list[dict], path: str | Path) -> Path:
-    """Write a list of homogeneous dicts as CSV with repr-stable floats."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if rows:
-            writer = csv.writer(fh)
-            writer.writerow(list(rows[0]))
-            for row in rows:
-                writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row.values()])
-    return path
+    """Write homogeneous dicts as CSV through data.write_csv, the first dict's keys as the header."""
+    return write_csv(path, [list(rows[0]), *map(dict.values, rows)] if rows else [])

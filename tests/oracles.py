@@ -25,6 +25,8 @@ Tests compare the package against these for exact equality:
   again by scanning those labels.
 - load_dataset: reads every data row through csv and parses each cell
   with float() in a Python loop, with no C-level parse of the table.
+- sensitivity_sweep: groups the successful cells by (method, d label) in
+  a dict and averages each group's cells, with no cell matrix.
 """
 
 import math
@@ -388,3 +390,28 @@ def load_dataset(path, schema=None, name=None):
         labels=np.asarray(rows_label, dtype=np.int64),
         clvs=np.asarray(rows_clv, dtype=float),
     )
+
+
+def sensitivity_sweep(report, cfg):
+    by_method_d = {}
+    for c in report.cells:
+        if c.status == "ok":
+            by_method_d.setdefault((c.method, c.d_label), []).append(c)
+    profit_rows, gap_rows, eta_rows = [], [], []
+    for entry in cfg.d_grid:
+        d_label = str(entry)
+        for m in cfg.methods:
+            cells = by_method_d.get((m, d_label), [])
+            if not cells:
+                continue
+            d_mean = float(np.mean([c.d for c in cells]))
+            mean_profit = float(np.mean([c.profit for c in cells]))
+            profit_rows.append({"d_label": d_label, "d_mean": d_mean, "method": m, "mean_profit": mean_profit})
+            gaps = [c.gap for c in cells if not np.isnan(c.gap)]
+            if gaps:
+                gap_rows.append({"d_label": d_label, "d_mean": d_mean, "method": m, "mean_gap": float(np.mean(gaps))})
+            for c in cells:
+                eta_rows.append(
+                    {"dataset": c.dataset, "d_label": d_label, "d": c.d, "method": m, "eta": c.eta, "profit": c.profit}
+                )
+    return {"profit_vs_d": profit_rows, "gap_vs_d": gap_rows, "eta_profit_vs_d": eta_rows}

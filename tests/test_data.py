@@ -256,6 +256,12 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="label"):
             make_dataset([[1.0]], [3], [10.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label", [0.7, np.nan])
+    def test_rejects_non_integral_label_before_the_cast(self, label):
+        with pytest.raises(ValueError, match="label must be 0 or 1 at row 1"):
+            make_dataset([[1.0], [2.0]], [label, 1.0], [1.0, 2.0])
+
     def test_rejects_nonpositive_clv(self):
         with pytest.raises(ValueError, match="clv"):
             make_dataset([[1.0]], [0], [0.0])

@@ -535,12 +535,38 @@ class TestSummaryAndSweep:
         assert len(tables["gap_vs_d"]) == 5
         assert all(row["mean_gap"] == 0.0 for row in tables["gap_vs_d"])
 
+    def test_sweep_matches_oracle_with_failed_cells(self):
+        rng = np.random.default_rng(1)
+        good = small_benchmark_inputs(2)
+        bad_train = Dataset(
+            name="bad", schema=("f1", "f2", "f3"), features=rng.normal(size=(20, 3)),
+            labels=np.ones(20, dtype=int), clvs=rng.uniform(10, 90, 20),
+        )
+        datasets = [good[0], ("bad", bad_train, good[1][2]), good[1]]
+        cfg = ex.RunConfig(d_grid=("clv/20", 1e6), methods=("logistic", "knn", "oracle", "constant"), **FAST)
+        report = ex.run_benchmark(datasets, cfg)
+        assert report.failed and len(report.failed) < len(report.cells)
+        tables = ex.sensitivity_sweep(report, cfg)
+        expected = oracles.sensitivity_sweep(report, cfg)
+        assert {k: [list(r.items()) for r in rows] for k, rows in tables.items()} == {
+            k: [list(r.items()) for r in rows] for k, rows in expected.items()
+        }
+        # every gap is NaN at d = 1e6, so that d value has profit rows and no gap row
+        assert {r["d_label"] for r in tables["profit_vs_d"]} == {"clv/20", "1000000.0"}
+        assert {r["d_label"] for r in tables["gap_vs_d"]} == {"clv/20"}
+
     def test_table_csv_stable(self, tmp_path):
-        rows = [{"a": "x", "b": 1.5}, {"a": "y", "b": float("nan")}]
+        rows = [
+            {"a": "x", "b": 1.5, "c": 7},
+            {"a": "y", "b": float("nan"), "c": -0.0},
+            {"a": "z", "b": 1e16, "c": 5e-324},
+            {"a": "w", "b": np.float64(1.5), "c": "s t"},
+        ]
         p1 = ex.write_table_csv(rows, tmp_path / "t1.csv")
         p2 = ex.write_table_csv(rows, tmp_path / "t2.csv")
         assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text().splitlines()[0] == "a,b"
+        assert p1.read_text().splitlines() == ["a,b,c", "x,1.5,7", "y,,-0.0", "z,1e+16,5e-324", "w,1.5,s t"]
+        assert ex.write_table_csv([], tmp_path / "t3.csv").read_bytes() == b""
 
 
 class TestRunConfig:

@@ -11,8 +11,10 @@ were written once with
         --out tests/data/<dir> --jobs 1
 
 and any byte that moves is an output change that must be declared.
+The sweep tables of `golden/` are pinned by their sha256.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,14 @@ def test_small_run_reproduces_golden_bytes(tmp_path, jobs):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_multi_epoch_cv_run_reproduces_golden_bytes(tmp_path, jobs):
     _assert_reproduces(DATA / "golden_cv", tmp_path / "out", jobs)
+
+
+def test_small_run_sweep_reproduces_pinned_hashes(tmp_path):
+    assert main(["sweep", "--config", str(DATA / "golden" / "run.json"), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    expected = {
+        "eta_profit_vs_d.csv": "ca0bc87e985e08a38567027b409d85998427030b464ddfe7f8f5289c0d445ce4",
+        "gap_vs_d.csv": "6dc226dcd8779fd035bfaf27061975cbbcce6f1df8618b1bb10ec633e481ab40",
+        "profit_vs_d.csv": "4c4ee07b81550781c2afc5300337f10f97e556613cddbdd007bd811184e2bee5",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
