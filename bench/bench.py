@@ -11,8 +11,11 @@ alternating which side runs first:
   smote_balance) on fixed seeded inputs;
 - load_csv_s: one ``load_dataset`` call, timed inside the child, on a
   20,000-row CSV written once from ``SyntheticSpec`` by the change side;
-- wall_s: the default bundled `churnopt benchmark` (no config: 12
-  datasets x 5 incentive values x 8 methods) with --jobs 1 and --jobs 2.
+- wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
+  config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
+  and --jobs 2, run through ``perfbench/measure.py``: wall time from
+  process start to exit, and the largest resident memory summed over the
+  run's process tree at one instant (sampled every 10 ms).
 
 Every benchmark run's benchmark_cells.csv and summary.json sha256 is
 recorded; the script fails if they differ between runs, sides or job
@@ -34,12 +37,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import measure  # noqa: E402  perfbench's process-tree sampler
+
 CHILD = ROOT / "perfbench" / "child.py"
 OUTPUTS = ("benchmark_cells.csv", "summary.json")
 SIDES = ("base", "change")
@@ -73,9 +78,13 @@ def _child(side: str, src: Path, *args: str) -> str:
     """Run python with args and src on PYTHONPATH; its stdout. A failure stops the script naming the side."""
     done = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{side} side ({src}) exited {done.returncode}: {' '.join(args)}\n{done.stderr[-2000:]}")
+    _check(side, src, done.returncode, args, done.stderr)
     return done.stdout
+
+
+def _check(side: str, src: Path, returncode: int, args, stderr: str) -> None:
+    if returncode != 0:
+        raise SystemExit(f"{side} side ({src}) exited {returncode}: {' '.join(args)}\n{stderr[-2000:]}")
 
 
 def _stats(samples: list[float]) -> dict:
@@ -104,22 +113,28 @@ def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
     return {side: _stats(runs) for side, runs in samples.items()}
 
 
-def bench_cli(srcs: dict[str, Path], reps: int) -> tuple[dict, dict]:
-    walls = {(side, jobs): [] for side in SIDES for jobs in (1, 2)}
+def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
+    """{metric: {f"jobs{n}": {side: stats}}} for wall_s and peak_rss_mb of the bundled run, and its sha256s."""
+    samples = {(side, jobs): [] for side in SIDES for jobs in (1, 2)}
     hashes = set()
-    with tempfile.TemporaryDirectory() as out:
-        for rep in range(reps):
-            for jobs in (1, 2):
-                for side in _order(rep):
-                    start = time.perf_counter()
-                    _child(side, srcs[side], "-m", "churnopt.cli", "benchmark", "--out", out, "--jobs", str(jobs))
-                    walls[side, jobs].append(time.perf_counter() - start)
-                    hashes.add(tuple((name, hashlib.sha256((Path(out) / name).read_bytes()).hexdigest())
-                                     for name in OUTPUTS))
+    for rep in range(reps):
+        for jobs in (1, 2):
+            for side in _order(rep):
+                args = ["-m", "churnopt.cli", "benchmark", "--out", "out", "--jobs", str(jobs)]
+                m = measure.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(srcs[side])), cwd=tmp,
+                                timeout_s=600)
+                _check(side, srcs[side], m.returncode, args, m.stderr)
+                samples[side, jobs].append(m)
+                hashes.add(tuple((name, hashlib.sha256((tmp / "out" / name).read_bytes()).hexdigest())
+                                 for name in OUTPUTS))
     if len(hashes) != 1:
         raise SystemExit(f"output bytes differ between runs: {sorted(hashes)}")
-    table = {f"jobs{jobs}": {side: _stats(walls[side, jobs]) for side in SIDES} for jobs in (1, 2)}
-    return table, dict(hashes.pop())
+    tables = {
+        metric: {f"jobs{jobs}": {side: _stats([getattr(m, metric) for m in samples[side, jobs]]) for side in SIDES}
+                 for jobs in (1, 2)}
+        for metric in ("wall_s", "peak_rss_mb")
+    }
+    return tables, dict(hashes.pop())
 
 
 def main(argv=None) -> int:
@@ -144,7 +159,8 @@ def main(argv=None) -> int:
         srcs = {"base": _export_src(args.base, Path(tmp)), "change": ROOT / "src"}
         report["probes"] = bench_probes(srcs, args.reps)
         report["load_csv_s"] = bench_csv(srcs, args.reps, Path(tmp))
-        report["wall_s"], report["outputs_sha256"] = bench_cli(srcs, args.reps)
+        tables, sha256 = bench_cli(srcs, args.reps, Path(tmp))
+        report.update(tables, outputs_sha256=sha256)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))
     return 0

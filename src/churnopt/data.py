@@ -64,11 +64,11 @@ class Dataset:
             raise ValueError(f"clv must be finite and > 0 at row {bad[0] + 1}")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
-        for arr in (feats, labels, clvs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "clvs", clvs)
+        # freeze views: asarray may have returned the caller's own arrays, which stay writeable
+        for key, arr in (("features", feats), ("labels", labels), ("clvs", clvs)):
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, key, view)
 
     def __len__(self) -> int:
         return self.features.shape[0]

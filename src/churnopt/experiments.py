@@ -15,7 +15,6 @@ from __future__ import annotations
 import numbers
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -670,24 +669,76 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate every (dataset, d, method) cell; failures never abort the run.
 
-    Each fit is one job serving one or more cells, run in a pool of
-    min(jobs, fits) processes when that exceeds 1; per-fit seeding keeps
-    the report identical either way.
-    Raises ValueError, before any fit runs, when _plan rejects a dataset.
+    Each fit is one task serving one or more cells. With w = min(jobs,
+    fits) above 1, the tasks run on w processes, this one and w - 1
+    children, see _run_pooled; otherwise they run here and no process
+    starts. Per-fit seeding keeps the report identical either way.
+    Raises ValueError, before any fit runs, when _plan rejects a dataset,
+    and RuntimeError when a child dies.
     """
     tasks = _plan(datasets, cfg)
-    workers = min(jobs, len(tasks))  # the pool starts every worker at once, used or not
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    workers = min(jobs, len(tasks))
+    results = _run_pooled(tasks, workers) if workers > 1 else [_run_task(t) for t in tasks]
     by_row = {
         row: cell
         for task, out in zip(tasks, results)
         for (row, *_), cell in zip((cell for _, cells in task[-1] for cell in cells), out)
     }
     return BenchmarkReport(cells=tuple(by_row[row] for row in range(len(by_row))))
+
+
+def _work(tasks, counter, put) -> None:
+    """Until no task is left, claim the next index i from the shared counter and put((i, cells))."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(tasks):
+            return
+        put((i, _run_task(tasks[i])))
+
+
+def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
+    """Run tasks on `workers` processes, this one included; the results in task order.
+
+    Every process runs _work on one counter, so none idles while a task is
+    unclaimed. Children come from the default start method (under fork they
+    inherit the plan, under spawn it is pickled once per child) and send
+    their results through one queue. Raises RuntimeError when a child exits
+    nonzero, or when every child has exited with results still missing.
+    """
+    import multiprocessing  # here, so that a serial run never imports it
+    from queue import Empty
+
+    ctx = multiprocessing.get_context()
+    counter, queue = ctx.Value("i", 0), ctx.Queue()
+    children, done = [], []
+    try:
+        for _ in range(workers - 1):
+            children.append(ctx.Process(target=_work, args=(tasks, counter, queue.put), daemon=True))
+            children[-1].start()
+        _work(tasks, counter, done.append)
+        results = dict(done)
+        while len(results) < len(tasks):
+            try:  # the timeout only bounds how late a dead child is noticed
+                i, cells = queue.get(timeout=0.1)
+            except Empty:
+                codes = [child.exitcode for child in children]
+                if any(codes):
+                    raise RuntimeError(f"a benchmark worker exited with code {next(filter(None, codes))}") from None
+                if None not in codes and queue.empty():
+                    missing = len(tasks) - len(results)
+                    raise RuntimeError(f"every benchmark worker exited with {missing} task results missing") from None
+                continue
+            results[i] = cells
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+    return [results[i] for i in range(len(tasks))]
 
 
 def benchmark_summary(report: BenchmarkReport, cfg: RunConfig, datasets_names, alpha: float = 0.05) -> dict:

@@ -87,3 +87,35 @@ def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
     # call 1 wrote the file; calls 2, 5, 6 timed the base side and 3, 4, 7 the change side
     assert table == {"base": {"median": 1.05, "q1": 1.035, "q3": 1.055, "runs": [1.02, 1.05, 1.06]},
                      "change": {"median": 2.04, "q1": 2.035, "q3": 2.055, "runs": [2.03, 2.04, 2.07]}}
+
+
+def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch, tmp_path):
+    runs = []
+
+    def run(cmd, env, cwd, timeout_s):
+        """Write fixed outputs; wall is call number + jobs / 10, peak RSS 100 (base) or 200 (change) + call number."""
+        side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
+        runs.append((side, cmd[-1]))
+        (cwd / "out").mkdir(exist_ok=True)
+        for name in bench.OUTPUTS:
+            (cwd / "out" / name).write_text(name)
+        offset = 100 if side == "base" else 200
+        return SimpleNamespace(returncode=0, wall_s=len(runs) + int(cmd[-1]) / 10, peak_rss_mb=offset + len(runs),
+                               stderr="")
+
+    monkeypatch.setattr(bench, "measure", SimpleNamespace(run=run))
+    tables, sha256 = bench.bench_cli(SRCS, reps=2, tmp=tmp_path)
+    assert runs == [("base", "1"), ("change", "1"), ("base", "2"), ("change", "2"),
+                    ("change", "1"), ("base", "1"), ("change", "2"), ("base", "2")]
+    assert tables["wall_s"]["jobs2"]["change"]["runs"] == [4.2, 7.2]
+    assert tables["peak_rss_mb"]["jobs1"] == {"base": {"median": 103.5, "q1": 102.25, "q3": 104.75, "runs": [101, 106]},
+                                              "change": {"median": 203.5, "q1": 202.75, "q3": 204.25,
+                                                         "runs": [202, 205]}}
+    assert sha256 == {name: bench.hashlib.sha256(name.encode()).hexdigest() for name in bench.OUTPUTS}
+
+
+def test_failed_benchmark_run_stops_naming_its_side(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "measure", SimpleNamespace(
+        run=lambda cmd, env, cwd, timeout_s: SimpleNamespace(returncode=1, stderr="RuntimeError: worker died\n")))
+    with pytest.raises(SystemExit, match=r"base side \(/base/src\) exited 1: -m churnopt.cli benchmark(.|\n)*worker died"):
+        bench.bench_cli(SRCS, reps=1, tmp=tmp_path)

@@ -275,6 +275,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_freezes_its_own_views_not_the_callers_arrays(self):
+        X, y, c = np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), np.array([5.0, 6.0, 7.0])
+        ds = Dataset("x", ("f1",), X, y, c)  # dtypes match, so np.asarray hands back X, y and c themselves
+        for frozen in (ds, ds.subset([0, 2])):
+            assert not any(a.flags.writeable for a in (frozen.features, frozen.labels, frozen.clvs))
+        assert all(a.flags.writeable for a in (X, y, c))
+        X[0, 0], y[0], c[0] = 9.0, 1, 8.0
+
 
 class TestStandardize:
     def test_hand_arithmetic(self):

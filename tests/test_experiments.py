@@ -1,8 +1,12 @@
 """Synthetic generation, cross-validation, and the benchmark engine."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -451,44 +455,96 @@ class TestSharedFits:
         assert not any(calls.values())
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
-
-    def __init__(self, widths, max_workers):
-        widths.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestPoolWidth:
     @pytest.fixture
-    def widths(self, monkeypatch):
-        widths = []
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(widths, max_workers))
-        return widths
+    def started(self, monkeypatch):
+        """Every process run_benchmark starts, recorded before it starts."""
+        import multiprocessing.process
 
-    def test_pool_is_capped_at_the_number_of_fits(self, widths, tmp_path):
+        started, start = [], multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", lambda proc: (started.append(proc), start(proc)))
+        return started
+
+    def test_pool_is_capped_at_the_number_of_fits(self, started, tmp_path):
         datasets = small_benchmark_inputs(2)
         cfg = ex.RunConfig(d_grid=("clv/20", "clv/5"), methods=("logistic", "knn"), **FAST)
         n_tasks = len(ex._plan(datasets, cfg))
         assert n_tasks == 4  # logistic and knn, once per dataset
-        pooled = ex.run_benchmark(datasets, cfg, jobs=10**6).to_csv(tmp_path / "pooled.csv")
-        assert widths == [n_tasks]
         serial = ex.run_benchmark(datasets, cfg, jobs=1).to_csv(tmp_path / "serial.csv")
-        assert pooled.read_bytes() == serial.read_bytes()
+        assert started == []
+        for jobs, children in ((2, 1), (3, 2), (10**6, n_tasks - 1)):  # this process is the jobs-th
+            pooled = ex.run_benchmark(datasets, cfg, jobs=jobs).to_csv(tmp_path / f"pooled{jobs}.csv")
+            assert len(started) == children
+            assert not any(proc.is_alive() for proc in started)
+            assert pooled.read_bytes() == serial.read_bytes()
+            started.clear()
 
-    def test_one_fit_runs_without_a_pool(self, widths):
+    def test_one_fit_runs_without_a_pool(self, started):
         cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic",), **FAST)
         report = ex.run_benchmark(small_benchmark_inputs(1), cfg, jobs=10**6)
-        assert widths == []
+        assert started == []
         assert [c.status for c in report.cells] == ["ok"]
+
+
+def _fresh(code: str) -> str:
+    """Run code in a new interpreter that can import churnopt and these tests; its stdout. Never hangs."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# run_benchmark on four fits with jobs=2, where the child's _run_task calls
+# os._exit(CODE) and the parent's waits long enough for the child to take a task
+_CHILD_EXITS = """
+import os, time
+from churnopt import experiments as ex
+from test_experiments import FAST, small_benchmark_inputs
+parent, run_task = os.getpid(), ex._run_task
+def run_or_exit(task):
+    if os.getpid() != parent:
+        os._exit(CODE)
+    time.sleep(0.2)
+    return run_task(task)
+ex._run_task = run_or_exit
+cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+try:
+    ex.run_benchmark(small_benchmark_inputs(2), cfg, jobs=2)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+class TestFreshInterpreter:
+    def test_dead_child_raises_naming_its_exit_code(self):
+        assert _fresh(_CHILD_EXITS.replace("CODE", "3")) == "a benchmark worker exited with code 3\n"
+
+    def test_children_gone_with_results_missing_raises(self):
+        out = _fresh(_CHILD_EXITS.replace("CODE", "0"))
+        assert re.fullmatch(r"every benchmark worker exited with [12] task results missing\n", out)
+
+    def test_spawned_children_write_the_serial_bytes(self, tmp_path):
+        _fresh(f"""
+import multiprocessing
+from churnopt.cli import main
+multiprocessing.set_start_method("spawn")
+assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "2"]) == 0
+""")
+        for name in ("benchmark_cells.csv", "summary.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_serial_run_imports_no_pool_module(self, tmp_path):
+        out = _fresh(f"""
+import sys
+from churnopt.cli import main
+assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "1"]) == 0
+print([m for m in ("multiprocessing", "concurrent.futures", "concurrent.futures.process") if m in sys.modules])
+""")
+        assert out.splitlines()[-1] == "[]"
 
 
 class TestSummaryAndSweep:
