@@ -487,7 +487,7 @@ class TestPoolWidth:
 
 
 def _fresh(code: str) -> str:
-    """Run code in a new interpreter that can import churnopt and these tests; its stdout. Never hangs."""
+    """Run code in a new interpreter that can import churnopt and these tests; its stdout, within 60 s."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
@@ -525,7 +525,7 @@ class TestFreshInterpreter:
 
     def test_children_gone_with_results_missing_raises(self):
         out = _fresh(_CHILD_EXITS.replace("CODE", "0"))
-        assert re.fullmatch(r"every benchmark worker exited with [12] task results missing\n", out)
+        assert out == "every benchmark worker exited with 1 task results missing\n"
 
     def test_spawned_children_write_the_serial_bytes(self, tmp_path):
         _fresh(f"""
