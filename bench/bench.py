@@ -9,8 +9,9 @@ alternating which side runs first:
 - probes: ``perfbench/child.py probes 0``, the median time of one call of
   each hot kernel (knn_scores, mp, one Adam step, fit_cart,
   smote_balance) on fixed seeded inputs;
-- load_csv_s: one ``load_dataset`` call, timed inside the child, on a
-  20,000-row CSV written once from ``SyntheticSpec`` by the change side;
+- load_csv_s: the median of LOAD_CALLS ``load_dataset`` calls, timed
+  inside the child after one untimed warm call, on a 20,000-row CSV
+  written once from ``SyntheticSpec`` by the change side;
 - wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
   config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
   and --jobs 2, run through ``perfbench/measure.py``: wall time from
@@ -52,8 +53,18 @@ CSV_ROWS = 20_000
 WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
              "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
              "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
-TIME_LOAD = ("import sys, time; from churnopt.data import load_dataset; "
-             "start = time.perf_counter(); load_dataset(sys.argv[1]); print(time.perf_counter() - start)")
+LOAD_CALLS = 7
+TIME_LOAD = f"""\
+import statistics, sys, time
+from churnopt.data import load_dataset
+load_dataset(sys.argv[1])
+times = []
+for _ in range({LOAD_CALLS}):
+    start = time.perf_counter()
+    load_dataset(sys.argv[1])
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
+"""
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
@@ -103,7 +114,7 @@ def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
 
 
 def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
-    """{side: stats} of reps ``load_dataset`` times per side on one CSV_ROWS-row file."""
+    """{side: stats} of reps children's median ``load_dataset`` times per side on one CSV_ROWS-row file."""
     path = tmp / "load.csv"
     _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
     samples = {side: [] for side in SIDES}

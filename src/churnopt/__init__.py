@@ -33,7 +33,8 @@ from .experiments import (
     sensitivity_sweep,
 )
 from .metrics import MspResult, accuracy, mp, msp, targeted_fraction
-from .models import Mlp, TrainConfig, cart_scores, fit_cart, fit_logistic, forward_batch, init_mlp, knn_scores, train
+from .models import (Mlp, StackSlice, TrainConfig, cart_scores, fit_cart, fit_logistic, forward_batch, init_mlp,
+                     knn_scores, train_stack)
 from .smote import SmoteConfig, smote_balance
 from .stats import RankTable, compare_methods, friedman_iman_davenport, holm, nemenyi_z, rank_methods
 

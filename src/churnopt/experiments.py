@@ -380,16 +380,17 @@ class RunConfig:
             repeated = _first_repeat(labels)
             if repeated is not None:
                 raise ValueError(f"{key[name]} lists {repeated!r} more than once")
-        for name, low in (("q", 1), ("hidden", 1), ("cv_splits", 1), ("cv_seeds", 1), ("smote_k", 1), ("knn_k", 1),
-                          ("cart_max_depth", 0), ("cart_min_leaf", 1), ("seed", 0)):
+        for name, low in (("q", 1), ("hidden", 1), ("cv_splits", 1), ("cv_seeds", 1), ("knn_k", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ValueError(f"{key[name]} must be >= {low}, got {value}")
-        if not 0 < self.smote_ratio <= 1:
-            raise ValueError(f"{key['smote_ratio']} must lie in (0, 1], got {self.smote_ratio}")
         # these check their own ranges, and each message starts with the name
-        # of the field at fault; d is resolved, and checked, per dataset
-        for check in (partial(self.campaign, 1.0),
+        # of the argument at fault; d is resolved, and checked, per dataset
+        key |= {arg: key[name] for arg, name in (("k_neighbors", "smote_k"), ("ratio", "smote_ratio"),
+                                                 ("max_depth", "cart_max_depth"), ("min_leaf", "cart_min_leaf"))}
+        for check in (partial(SmoteConfig, self.smote_k, self.smote_ratio),
+                      partial(CartConfig, self.cart_max_depth, self.cart_min_leaf),
+                      partial(self.campaign, 1.0),
                       partial(TrainConfig, self.learning_rate, self.epochs, self.batch_size)):
             try:
                 check()
@@ -481,7 +482,7 @@ def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
         tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
         if loss == "smooth-regret" and cfg.cv_grid:
             best = monte_carlo_cv(
-                data, cfg.cv_grid, params, base=tc, hidden=cfg.hidden,
+                data, cfg.cv_grid, params, base=tc, hidden=hidden,
                 splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
             )
             tc = replace(best, seed=seeds[1])

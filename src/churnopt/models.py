@@ -23,16 +23,12 @@ from .data import Dataset
 __all__ = [
     "Mlp",
     "TrainConfig",
-    "AdamState",
     "default_hidden",
     "init_mlp",
     "forward_batch",
-    "adam_step",
     "StackSlice",
     "train_stack",
-    "train",
     "mean_loss",
-    "gradient_check",
     "LogisticModel",
     "fit_logistic",
     "nearest_neighbors",
@@ -140,7 +136,11 @@ def forward_batch(mlp: Mlp, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter plus a step counter."""
+    """First/second moment accumulators per parameter plus a step counter.
+
+    The program trains through _adam; this and adam_step remain for
+    perfbench's adam_step probe and the reference loop in tests/oracles.py.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -358,20 +358,6 @@ def train_stack(
     return list(zip(models, errors))
 
 
-def train(mlp: Mlp, data: Dataset, params: CampaignParams, cfg: TrainConfig) -> Mlp:
-    """Mini-batch Adam training for cfg.epochs epochs; returns a new trained model.
-
-    mlp is left as it is. This is a stack of one net; see train_stack.
-
-    Raises:
-        RuntimeError: the loss became non-finite (reports epoch and batch).
-    """
-    [(models, error)] = train_stack(data, [StackSlice(mlp, params, cfg)])
-    if error is not None:
-        raise error
-    return models[cfg.epochs]
-
-
 def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> float:
     """Mean per-customer loss of a fixed model on a dataset."""
     if loss not in LOSS_KINDS:
@@ -380,49 +366,6 @@ def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> flo
     scores, u, _ = _forward_full(mlp.params(), data.features)
     losses, _ = _losses_and_du(scores, u, targets, loss, params.slope)
     return float(losses.mean())
-
-
-def gradient_check(
-    mlp: Mlp,
-    loss: str,
-    X,
-    labels,
-    clvs,
-    params: CampaignParams,
-    h: float = 1e-5,
-) -> float:
-    """Max mismatch between analytic and central-difference gradients.
-
-    Every parameter entry is perturbed by +-h. The reported error is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1), i.e. relative
-    for large gradients and absolute near zero.
-    """
-    if not 1e-8 <= h <= 1e-4:
-        raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
-    X = np.asarray(X, dtype=float)
-    targets = _loss_targets(loss, labels, params, clvs)
-    theta = _flat(mlp)
-    analytic = np.empty_like(theta)
-    p = _views(theta, *mlp.w1.shape)
-    _loss_and_grad(p, X, targets, loss, params.slope, _views(analytic, *mlp.w1.shape))
-    discarded = _views(np.empty_like(theta), *mlp.w1.shape)
-
-    def loss_at():
-        return _loss_and_grad(p, X, targets, loss, params.slope, discarded)
-
-    worst = 0.0
-    for i in range(theta.size):
-        keep = theta[i]
-        theta[i] = keep + h
-        up = loss_at()
-        theta[i] = keep - h
-        down = loss_at()
-        theta[i] = keep
-        numeric = (up - down) / (2 * h)
-        a = float(analytic[i])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-        worst = max(worst, err)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -439,19 +382,18 @@ class LogisticModel:
 def fit_logistic(data: Dataset) -> LogisticModel:
     """300 full-batch Adam cross-entropy steps at learning rate 0.05 from a zero start."""
     X, y = data.features, data.labels.astype(float)
-    w = np.zeros(X.shape[1])
-    b = np.zeros(())
-    p = {"w": w, "b": b}
-    state = AdamState.zeros_like(p)
+    # w and b lie end to end in one vector, stepped by train_stack's _adam
+    theta, g = np.zeros(X.shape[1] + 1), np.empty(X.shape[1] + 1)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     for epoch in range(300):
-        u = X @ p["w"] + p["b"]
+        u = X @ theta[:-1] + theta[-1]
         loss = float(np.mean(_cross_entropy(u, y)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
         du = (sigmoid(u) - y) / len(y)
-        grads = {"w": X.T @ du, "b": np.asarray(du.sum())}
-        p, state = adam_step(p, grads, state, 0.05)
-    return LogisticModel(w=p["w"], b=float(p["b"]))
+        g[:-1], g[-1] = X.T @ du, du.sum()
+        theta, m, v = _adam(theta, g, m, v, epoch + 1, 0.05)
+    return LogisticModel(w=theta[:-1], b=float(theta[-1]))
 
 
 def nearest_neighbors(ref: np.ndarray, X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:

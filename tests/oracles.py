@@ -6,7 +6,9 @@ Tests compare the package against these for exact equality:
   non-overflowing branch of each element.
 - train: one net's Adam loop over a dict of four parameter arrays, with
   the gradients of each array built separately. Each slice of
-  models.train_stack, and models.train, must match it bit for bit.
+  models.train_stack must match it bit for bit.
+- fit_logistic: steps w and b as two arrays of a dict through
+  models.adam_step; models.fit_logistic steps them as one flat vector.
 - monte_carlo_cv: trains every (learning rate, epochs) grid point from
   scratch, one net at a time, with no sharing of epoch prefixes.
 - profit_at_threshold and mp: rescan every customer at each candidate
@@ -27,6 +29,9 @@ Tests compare the package against these for exact equality:
   with float() in a Python loop, with no C-level parse of the table.
 - sensitivity_sweep: groups the successful cells by (method, d label) in
   a dict and averages each group's cells, with no cell matrix.
+
+gradient_check is no reference version but a check of the package's
+analytic network gradients against central differences.
 """
 
 import math
@@ -40,10 +45,15 @@ from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows
 from churnopt.metrics import _as_scores_labels, threshold_candidates
 from churnopt.models import (
     AdamState,
+    LogisticModel,
     Mlp,
     TrainConfig,
+    _cross_entropy,
+    _flat,
+    _loss_and_grad,
     _loss_targets,
     _losses_and_du,
+    _views,
     adam_step,
     default_hidden,
     init_mlp,
@@ -108,6 +118,41 @@ def train(mlp, data, params, cfg):
     return Mlp(**p, loss_history=history)
 
 
+def gradient_check(mlp, loss, X, labels, clvs, params, h=1e-5):
+    """Max mismatch between analytic and central-difference gradients.
+
+    Every parameter entry is perturbed by +-h. The reported error is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1), i.e. relative
+    for large gradients and absolute near zero.
+    """
+    if not 1e-8 <= h <= 1e-4:
+        raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
+    X = np.asarray(X, dtype=float)
+    targets = _loss_targets(loss, labels, params, clvs)
+    theta = _flat(mlp)
+    analytic = np.empty_like(theta)
+    p = _views(theta, *mlp.w1.shape)
+    _loss_and_grad(p, X, targets, loss, params.slope, _views(analytic, *mlp.w1.shape))
+    discarded = _views(np.empty_like(theta), *mlp.w1.shape)
+
+    def loss_at():
+        return _loss_and_grad(p, X, targets, loss, params.slope, discarded)
+
+    worst = 0.0
+    for i in range(theta.size):
+        keep = theta[i]
+        theta[i] = keep + h
+        up = loss_at()
+        theta[i] = keep - h
+        down = loss_at()
+        theta[i] = keep
+        numeric = (up - down) / (2 * h)
+        a = float(analytic[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+        worst = max(worst, err)
+    return worst
+
+
 def monte_carlo_cv(data, grid, params, base=None, hidden=None, splits=5, n_seeds=10, seed=0):
     base = base if base is not None else TrainConfig()
     if hidden is None:
@@ -153,6 +198,21 @@ def monte_carlo_cv(data, grid, params, base=None, hidden=None, splits=5, n_seeds
     if failures:
         warnings.warn(f"{failures} training run(s) failed during cross-validation", stacklevel=2)
     return replace(base, learning_rate=best[1], epochs=best[2])
+
+
+def fit_logistic(data):
+    X, y = data.features, data.labels.astype(float)
+    p = {"w": np.zeros(X.shape[1]), "b": np.zeros(())}
+    state = AdamState.zeros_like(p)
+    for epoch in range(300):
+        u = X @ p["w"] + p["b"]
+        loss = float(np.mean(_cross_entropy(u, y)))
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
+        du = (sigmoid(u) - y) / len(y)
+        grads = {"w": X.T @ du, "b": np.asarray(du.sum())}
+        p, state = adam_step(p, grads, state, 0.05)
+    return LogisticModel(w=p["w"], b=float(p["b"]))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 
 from churnopt import experiments as ex
@@ -27,7 +28,7 @@ from churnopt.campaign import (
 )
 from churnopt.data import standardize
 from churnopt.metrics import mp, msp
-from churnopt.models import TrainConfig, forward_batch, gradient_check, init_mlp, train
+from churnopt.models import StackSlice, TrainConfig, forward_batch, init_mlp, train_stack
 from churnopt.smote import SmoteConfig, smote_balance
 from churnopt.stats import friedman_iman_davenport, holm, nemenyi_z
 
@@ -98,7 +99,7 @@ def test_criterion_3_gradient_correctness():
         y = rng.integers(0, 2, n)
         clv = rng.uniform(10, 300, n)
         loss = "smooth-regret" if trial % 2 == 0 else "cross-entropy"
-        assert gradient_check(net, loss, X, y, clv, P) < 1e-5
+        assert oracles.gradient_check(net, loss, X, y, clv, P) < 1e-5
 
     assert time.perf_counter() - start < 10.0
 
@@ -176,10 +177,10 @@ def test_criterion_6_end_to_end_learning():
     )
     train_raw, test_raw = ex.generate_synthetic(spec)
     tr, te = standardize(train_raw, test_raw)
-    model = train(
-        init_mlp(8, 4, seed=0), tr, P, TrainConfig(learning_rate=0.05, epochs=200, seed=0)
+    [(models, _)] = train_stack(
+        tr, [StackSlice(init_mlp(8, 4, seed=0), P, TrainConfig(learning_rate=0.05, epochs=200, seed=0))]
     )
-    decisions = prescribe(forward_batch(model, te.features), midpoint(P, te.clvs))
+    decisions = prescribe(forward_batch(models[200], te.features), midpoint(P, te.clvs))
     achieved = total_profit(decisions, te.labels, P, te.clvs)
     assert achieved >= 0.95 * optimal_total_profit(te.labels, P, te.clvs)
 
@@ -194,14 +195,15 @@ def test_criterion_6_end_to_end_learning():
         )
         train_raw, test_raw = ex.generate_synthetic(spec)
         tr, te = standardize(train_raw, test_raw)
-        regret_model = train(
-            init_mlp(8, 4, seed=seed), tr, P,
+        [(regret_model, _)] = train_stack(tr, [StackSlice(
+            init_mlp(8, 4, seed=seed), P,
             TrainConfig(learning_rate=0.05, epochs=120, loss="smooth-regret", seed=seed),
-        )
-        ce = train(
-            init_mlp(8, 4, seed=seed), tr, P,
+        )])
+        [(ce, _)] = train_stack(tr, [StackSlice(
+            init_mlp(8, 4, seed=seed), P,
             TrainConfig(learning_rate=0.05, epochs=120, loss="cross-entropy", seed=seed),
-        )
+        )])
+        regret_model, ce = regret_model[120], ce[120]
         profit_regret = total_profit(
             prescribe(forward_batch(regret_model, te.features), midpoint(P, te.clvs)),
             te.labels, P, te.clvs,

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -87,6 +89,24 @@ def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
     # call 1 wrote the file; calls 2, 5, 6 timed the base side and 3, 4, 7 the change side
     assert table == {"base": {"median": 1.05, "q1": 1.035, "q3": 1.055, "runs": [1.02, 1.05, 1.06]},
                      "change": {"median": 2.04, "q1": 2.035, "q3": 2.055, "runs": [2.03, 2.04, 2.07]}}
+
+
+def test_load_timer_warms_once_then_prints_the_median_call(monkeypatch, capsys):
+    import churnopt.data
+
+    clock, durations, calls = [0.0], [100.0, 5, 1, 4, 2, 3, 9, 7], []
+
+    def load_dataset(path):
+        calls.append(path)
+        clock[0] += durations[len(calls) - 1]
+
+    monkeypatch.setattr(churnopt.data, "load_dataset", load_dataset)
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(sys, "argv", ["-c", "load.csv"])
+    assert bench.LOAD_CALLS == len(durations) - 1
+    exec(bench.TIME_LOAD, {})
+    assert calls == ["load.csv"] * len(durations)
+    assert float(capsys.readouterr().out) == 4.0  # the warm call's 100 is not timed
 
 
 def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch, tmp_path):

@@ -18,7 +18,7 @@ from churnopt import experiments as ex
 from churnopt.campaign import CampaignParams, midpoint, optimal_total_profit, prescribe, total_profit
 from churnopt.data import Dataset, standardize
 from churnopt.metrics import accuracy, threshold_candidates
-from churnopt.models import TrainConfig, default_hidden, fit_logistic, forward_batch, init_mlp, train
+from churnopt.models import StackSlice, TrainConfig, default_hidden, fit_logistic, forward_batch, init_mlp, train_stack
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
 
@@ -374,8 +374,8 @@ class TestSharedFits:
                 _, seed, _ = ex._cell_seeds(3, di, dj, 2)
                 params = cfg.campaign(ex.resolve_d(entry, float(train_raw.clvs.mean())))
                 tc = TrainConfig(loss="smooth-regret", seed=seed, **FAST)
-                model = train(init_mlp(3, default_hidden(3), seed=seed), tr, params, tc)
-                decisions = prescribe(forward_batch(model, te.features), midpoint(params, te.clvs))
+                [(models, _)] = train_stack(tr, [StackSlice(init_mlp(3, default_hidden(3), seed=seed), params, tc)])
+                decisions = prescribe(forward_batch(models[tc.epochs], te.features), midpoint(params, te.clvs))
                 cell = next(rows)
                 assert cell.profit == total_profit(decisions, te.labels, params, te.clvs)
                 assert cell.eta == float(decisions.mean())
@@ -691,6 +691,8 @@ class TestRunConfig:
             ("slope", 0.0, "campaign.slope (surrogate steepness) must be finite and > 0, got 0.0"),
             ("epochs", 0, "model.epochs must be >= 1, got 0"),
             ("smote_k", 0, "smote.k_neighbors must be >= 1, got 0"),
+            ("smote_ratio", 1.5, "smote.ratio must lie in (0, 1], got 1.5"),
+            ("cart_max_depth", -1, "baselines.cart_max_depth must be >= 0, got -1"),
             ("cart_min_leaf", 0, "baselines.cart_min_leaf must be >= 1, got 0"),
         ],
     )
@@ -758,7 +760,8 @@ class TestRunConfig:
         params = ex.RunConfig(**base).campaign(ex.resolve_d("clv/20", float(train_raw.clvs.mean())))
         _, seed, _ = ex._cell_seeds(0, 0, 0, 0)
         tc = TrainConfig(loss="smooth-regret", seed=seed, **FAST)
-        scores = forward_batch(train(init_mlp(3, default_hidden(3), seed=seed), tr, params, tc), te.features)
+        [(models, _)] = train_stack(tr, [StackSlice(init_mlp(3, default_hidden(3), seed=seed), params, tc)])
+        scores = forward_batch(models[tc.epochs], te.features)
         assert r1.cells[0].accuracy == accuracy(scores <= 0.5, te.labels)
         assert r2.cells[0].accuracy == accuracy(prescribe(scores, midpoint(params, te.clvs)), te.labels)
         assert r1.cells[0].accuracy != r2.cells[0].accuracy

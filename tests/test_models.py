@@ -33,12 +33,10 @@ from churnopt.models import (
     fit_cart,
     fit_logistic,
     forward_batch,
-    gradient_check,
     init_mlp,
     knn_scores,
     mean_loss,
     nearest_neighbors,
-    train,
     train_stack,
 )
 
@@ -159,7 +157,9 @@ class TestTrain:
         ds = make_dataset([[1.0], [2.0], [-1.0], [0.5]], [0, 1, 0, 1], [85.0, 40.0, 12.0, 200.0])
         mlp = Mlp(w1=np.zeros((2, 1)), b1=np.zeros(2), w2=np.zeros(2), b2=np.zeros(()))
         cfg = TrainConfig(learning_rate=0.001, epochs=1, batch_size=4, loss="smooth-regret", seed=0)
-        out = train(mlp, ds, P, cfg)
+        [(models, error)] = train_stack(ds, [StackSlice(mlp, P, cfg)])
+        assert error is None
+        out = models[1]
 
         s = P.slope
         du = []
@@ -181,8 +181,9 @@ class TestTrain:
         test_ds = separable_dataset(rng, 80)
         mlp = init_mlp(1, 4, seed=1)
         cfg = TrainConfig(learning_rate=0.05, epochs=150, loss="smooth-regret", seed=1)
-        model = train(mlp, train_ds, P, cfg)
-        scores = forward_batch(model, test_ds.features)
+        [(models, error)] = train_stack(train_ds, [StackSlice(mlp, P, cfg)])
+        assert error is None
+        scores = forward_batch(models[cfg.epochs], test_ds.features)
         decisions = prescribe(scores, midpoint(P, test_ds.clvs))
         achieved = total_profit(decisions, test_ds.labels, P, test_ds.clvs)
         optimal = optimal_total_profit(test_ds.labels, P, test_ds.clvs)
@@ -192,8 +193,9 @@ class TestTrain:
         rng = np.random.default_rng(6)
         ds = separable_dataset(rng, 60)
         cfg = TrainConfig(learning_rate=0.01, epochs=8, batch_size=16, seed=9)
-        a = train(init_mlp(1, 3, seed=2), ds, P, cfg)
-        b = train(init_mlp(1, 3, seed=2), ds, P, cfg)
+        [(a, _)] = train_stack(ds, [StackSlice(init_mlp(1, 3, seed=2), P, cfg)])
+        [(b, _)] = train_stack(ds, [StackSlice(init_mlp(1, 3, seed=2), P, cfg)])
+        a, b = a[cfg.epochs], b[cfg.epochs]
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.b1, b.b1)
         assert np.array_equal(a.w2, b.w2) and np.array_equal(a.b2, b.b2)
         assert a.loss_history == b.loss_history
@@ -205,28 +207,31 @@ class TestTrain:
         labels[:2] = [0, 1]
         clvs = rng.uniform(1.0, break_even_clv(P) - 0.1, n)
         ds = make_dataset(rng.normal(size=(n, 2)), labels, clvs)
-        model = train(init_mlp(2, 2, seed=0), ds, P, TrainConfig(epochs=20, seed=0))
-        scores = forward_batch(model, ds.features)
+        [(models, error)] = train_stack(ds, [StackSlice(init_mlp(2, 2, seed=0), P, TrainConfig(epochs=20, seed=0))])
+        assert error is None
+        scores = forward_batch(models[20], ds.features)
         assert np.all(prescribe(scores, midpoint(P, ds.clvs)) == 0)
 
     def test_non_finite_loss_aborts_with_location(self):
         ds = make_dataset([[1.0], [2.0]], [0, 1], [85.0, 85.0])
         mlp = init_mlp(1, 2, seed=0)
         mlp.w1[0, 0] = np.nan
-        with pytest.raises(RuntimeError, match="epoch 0, batch 0"):
-            train(mlp, ds, P, TrainConfig(epochs=1, seed=0))
+        [(models, error)] = train_stack(ds, [StackSlice(mlp, P, TrainConfig(epochs=1, seed=0))])
+        assert models == {}
+        assert isinstance(error, RuntimeError) and "epoch 0, batch 0" in str(error)
 
     def test_single_class_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [1, 1], [85.0, 85.0])
         with pytest.raises(ValueError, match="single class"):
-            train(init_mlp(1, 2, seed=0), ds, P, TrainConfig(epochs=1))
+            train_stack(ds, [StackSlice(init_mlp(1, 2, seed=0), P, TrainConfig(epochs=1))])
 
     def test_cross_entropy_loss_decreases_on_easy_data(self):
         rng = np.random.default_rng(8)
         ds = separable_dataset(rng, 100)
-        model = train(
-            init_mlp(1, 3, seed=3), ds, P, TrainConfig(learning_rate=0.05, epochs=30, loss="cross-entropy", seed=3)
-        )
+        cfg = TrainConfig(learning_rate=0.05, epochs=30, loss="cross-entropy", seed=3)
+        [(models, error)] = train_stack(ds, [StackSlice(init_mlp(1, 3, seed=3), P, cfg)])
+        assert error is None
+        model = models[30]
         assert model.loss_history[-1] < model.loss_history[0]
         assert mean_loss(model, ds, P, "cross-entropy") == pytest.approx(
             model.loss_history[-1], rel=0.5
@@ -248,7 +253,7 @@ def assert_same_net(got, want, context):
 
 
 class TestFlatTrainingMatchesOracle:
-    """A stack of one flat parameter row, and train, against the dict-based Adam loop of tests/oracles.py."""
+    """A stack of one flat parameter row against the dict-based Adam loop of tests/oracles.py."""
 
     @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
     @pytest.mark.parametrize("batching", ["full", "divides", "remainder"])
@@ -274,7 +279,8 @@ class TestFlatTrainingMatchesOracle:
         assert error is None and sorted(models) == list(range(1, cfg.epochs + 1))
         for e, model in models.items():
             assert_same_net(model, oracles.train(mlp, ds, P, replace(cfg, epochs=e)), e)
-        assert_same_net(train(mlp, ds, P, cfg), models[cfg.epochs], "train")
+        [(alone, _)] = train_stack(ds, [StackSlice(mlp, P, cfg)])
+        assert_same_net(alone[cfg.epochs], models[cfg.epochs], "no keep")
         fresh = init_mlp(k, hidden, seed=seed + 1)
         assert all(np.array_equal(a, b) for a, b in zip(mlp.params().values(), fresh.params().values()))
 
@@ -380,7 +386,7 @@ class TestGradientCheck:
         X = rng.normal(size=(12, 4))
         y = rng.integers(0, 2, 12)
         clv = rng.uniform(10, 200, 12)
-        assert gradient_check(mlp, "smooth-regret", X, y, clv, P) < 1e-5
+        assert oracles.gradient_check(mlp, "smooth-regret", X, y, clv, P) < 1e-5
 
     def test_cross_entropy_loss(self):
         rng = np.random.default_rng(10)
@@ -388,14 +394,14 @@ class TestGradientCheck:
         X = rng.normal(size=(12, 4))
         y = rng.integers(0, 2, 12)
         clv = rng.uniform(10, 200, 12)
-        assert gradient_check(mlp, "cross-entropy", X, y, clv, P) < 1e-5
+        assert oracles.gradient_check(mlp, "cross-entropy", X, y, clv, P) < 1e-5
 
     def test_saturated_point_absolute_error(self):
         # a hugely positive output bias saturates the logistic; the
         # cross-entropy gradient w.r.t. w2 on an all-ones batch is ~0
         mlp = Mlp(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=np.asarray(40.0))
         X = np.array([[1.0], [2.0]])
-        err = gradient_check(mlp, "cross-entropy", X, np.array([1, 1]), np.array([85.0, 85.0]), P)
+        err = oracles.gradient_check(mlp, "cross-entropy", X, np.array([1, 1]), np.array([85.0, 85.0]), P)
         assert err < 1e-8
 
     def test_many_random_nets_both_losses(self):
@@ -409,12 +415,12 @@ class TestGradientCheck:
             y = rng.integers(0, 2, n)
             clv = rng.uniform(10, 300, n)
             loss = "smooth-regret" if trial % 2 == 0 else "cross-entropy"
-            assert gradient_check(mlp, loss, X, y, clv, P) < 1e-5
+            assert oracles.gradient_check(mlp, loss, X, y, clv, P) < 1e-5
 
     def test_h_bounds(self):
         mlp = init_mlp(2, 2, seed=0)
         with pytest.raises(ValueError):
-            gradient_check(mlp, "cross-entropy", np.zeros((1, 2)), [1], [85.0], P, h=1e-2)
+            oracles.gradient_check(mlp, "cross-entropy", np.zeros((1, 2)), [1], [85.0], P, h=1e-2)
 
 
 class TestOneLossSource:
@@ -454,6 +460,48 @@ class TestLogistic:
     def test_weight_sign_follows_class_order(self):
         ds = make_dataset([-2.0, -1.0, 1.0, 2.0], [0, 0, 1, 1], [10.0] * 4)
         assert fit_logistic(ds).w[0] > 0
+
+
+def assert_same_logistic(got, want):
+    assert (got.w.shape, got.w.dtype, got.w.tobytes()) == (want.w.shape, want.w.dtype, want.w.tobytes())
+    assert np.array(got.b).tobytes() == np.array(want.b).tobytes()
+
+
+class TestLogisticMatchesOracle:
+    """The flat Adam vector of models.fit_logistic against the dict-based loop of tests/oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_bits(self, data):
+        n, k = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+        # a few distinct values, so rows and features tie
+        values = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+        X = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * k, max_size=n * k))).reshape(n, k)
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        ds = make_dataset(X, labels, np.full(n, 10.0))
+        assert_same_logistic(fit_logistic(ds), oracles.fit_logistic(ds))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_bits_when_adam_overflows(self):
+        # the gradient's square overflows, so Adam's second moment is inf and
+        # every step is 0: both keep the zero start
+        ds = make_dataset([1e308, -1e308], [0, 1], [10.0, 10.0])
+        got = fit_logistic(ds)
+        assert_same_logistic(got, oracles.fit_logistic(ds))
+        assert got.w[0] == 0.0 and got.b == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_same_error_on_non_finite_loss(self):
+        # Dataset refuses a NaN feature, but keeps a view of the caller's
+        # array, so one written afterwards reaches the fit
+        X = np.array([[1.0], [2.0]])
+        ds = make_dataset(X, [0, 1], [10.0, 10.0])
+        X[1, 0] = np.nan
+        with pytest.raises(RuntimeError) as got:
+            fit_logistic(ds)
+        with pytest.raises(RuntimeError) as want:
+            oracles.fit_logistic(ds)
+        assert str(got.value) == str(want.value) == "non-finite logistic loss at epoch 0"
 
 
 class TestKnn:
