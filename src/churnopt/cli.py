@@ -21,7 +21,7 @@ import numpy as np
 
 from . import experiments as ex
 from .data import load_dataset, read_csv_rows, save_dataset
-from .stats import comparison_summary, rank_methods
+from .stats import _first_repeat, comparison_summary, rank_methods
 
 __all__ = ["main"]
 
@@ -40,15 +40,23 @@ def _default_out() -> str:
     return os.environ.get("CHURNOPT_OUT", "churnopt_out")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json would keep its last value)."""
+    repeated = _first_repeat([key for key, _ in pairs])
+    if repeated is not None:
+        raise ValueError(f"key {pairs[repeated][0]!r} appears more than once")
+    return dict(pairs)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a repeated key, or nested too deep
         raise _CliError(f"{path}: {exc}")
 
 
@@ -66,7 +74,7 @@ def _spec_from_dict(raw, default_seed: int = 0) -> ex.SyntheticSpec:
 def _generate(spec: ex.SyntheticSpec):
     try:
         return ex.generate_synthetic(spec)
-    except (ValueError, OverflowError) as exc:  # e.g. never both classes, or CLVs beyond float range
+    except (ValueError, OverflowError, MemoryError) as exc:  # e.g. one class only, CLVs past float range, too many rows
         raise _CliError(f"invalid synthetic spec: {exc}")
 
 
@@ -143,14 +151,10 @@ def _write_json(payload: dict, path: Path) -> Path:
 def cmd_generate(args) -> int:
     raw = _load_json(args.spec)
     if isinstance(raw, dict) and "specs" in raw:
-        raw_specs = raw["specs"]
-    elif isinstance(raw, list):
-        raw_specs = raw
-    else:
-        raw_specs = [raw]
-    if not isinstance(raw_specs, list):
-        raise _CliError("'specs' must be a list of synthetic specs")
-    specs = [_spec_from_dict(r, default_seed=i) for i, r in enumerate(raw_specs)]
+        raw = raw["specs"]
+        if not isinstance(raw, list):
+            raise _CliError("'specs' must be a list of synthetic specs")
+    specs = [_spec_from_dict(r, default_seed=i) for i, r in enumerate(raw if isinstance(raw, list) else [raw])]
     out = Path(args.out)
     for s in specs:
         train, test = _generate(s)
@@ -169,11 +173,11 @@ def _benchmark_run(args):
         report = ex.run_benchmark(datasets, cfg, jobs=args.jobs)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
-    return config, cfg, datasets, out, report
+    return cfg, datasets, out, report
 
 
 def cmd_benchmark(args) -> int:
-    _, cfg, datasets, out, report = _benchmark_run(args)
+    cfg, datasets, out, report = _benchmark_run(args)
     names = [name for name, _, _ in datasets]
     cells_path = report.to_csv(out / "benchmark_cells.csv")
     summary = ex.benchmark_summary(report, cfg, names, alpha=args.alpha)
@@ -185,7 +189,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, cfg, datasets, out, report = _benchmark_run(args)
+    cfg, datasets, out, report = _benchmark_run(args)
     tables = ex.sensitivity_sweep(report, cfg)
     for stem, rows in tables.items():
         path = ex.write_table_csv(rows, out / f"{stem}.csv")
@@ -210,15 +214,17 @@ def _read_profit_matrix(path: str):
     if not rows or len(rows[0]) < 2:
         raise _CliError(f"{path}: expected header 'dataset,<method>,...'")
     methods = [h.strip() for h in rows[0][1:]]
-    for col, method in enumerate(methods):
-        if method in methods[:col]:
-            raise _CliError(f"{path}: column {col + 2}: method {method!r} appears more than once")
+    repeated = _first_repeat(methods)
+    if repeated is not None:
+        raise _CliError(f"{path}: column {repeated + 2}: method {methods[repeated]!r} appears more than once")
     datasets, values = [], []
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(methods) + 1:
             raise _CliError(f"{path}: line {i}: expected {len(methods) + 1} cells, got {len(row)}")
+        if row[0] in datasets:
+            raise _CliError(f"{path}: line {i}: dataset {row[0]!r} appears more than once")
         datasets.append(row[0])
         try:
             values.append([float(v) for v in row[1:]])

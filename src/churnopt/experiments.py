@@ -48,7 +48,7 @@ from .models import (
     train_stack,
 )
 from .smote import SmoteConfig, smote_balance
-from .stats import comparison_summary, rank_methods
+from .stats import _first_repeat, comparison_summary, rank_methods
 
 __all__ = [
     "SyntheticSpec",
@@ -103,11 +103,6 @@ def _check_field_types(obj) -> None:
         for value in values:
             if not holds(value):
                 raise ValueError(f"{_config_key(fld)} must be {what}, got {value!r}")
-
-
-def _first_repeat(values: Sequence):
-    """The first entry equal to an earlier one, or None."""
-    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 @dataclass(frozen=True)
@@ -261,7 +256,7 @@ def monte_carlo_cv(
     points = [(lr, replace(base, learning_rate=lr, epochs=int(epochs)).epochs) for lr, epochs in grid]
     repeated = _first_repeat(points)
     if repeated is not None:
-        raise ValueError(f"grid point {repeated} appears more than once")
+        raise ValueError(f"grid point {points[repeated]} appears more than once")
     epochs_by_lr: dict[float, list[int]] = {}
     for lr, epochs in points:
         epochs_by_lr.setdefault(lr, []).append(epochs)
@@ -379,7 +374,7 @@ class RunConfig:
                              ("cv_learning_rates", self.cv_learning_rates), ("cv_epochs", self.cv_epochs)):
             repeated = _first_repeat(labels)
             if repeated is not None:
-                raise ValueError(f"{key[name]} lists {repeated!r} more than once")
+                raise ValueError(f"{key[name]} lists {labels[repeated]!r} more than once")
         for name, low in (("q", 1), ("hidden", 1), ("cv_splits", 1), ("cv_seeds", 1), ("knn_k", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
@@ -481,11 +476,10 @@ def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
     for params, seeds in fits:
         tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
         if loss == "smooth-regret" and cfg.cv_grid:
-            best = monte_carlo_cv(
+            tc = monte_carlo_cv(
                 data, cfg.cv_grid, params, base=tc, hidden=hidden,
                 splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
             )
-            tc = replace(best, seed=seeds[1])
         slices.append(StackSlice(init_mlp(data.n_features, hidden, seed=tc.seed), params, tc))
     return [
         partial(_reraise, error) if error is not None else partial(_net_scores, models[s.cfg.epochs])
@@ -625,7 +619,7 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
     """
     repeated = _first_repeat([name for name, _, _ in datasets])
     if repeated is not None:
-        raise ValueError(f"dataset name {repeated!r} appears more than once")
+        raise ValueError(f"dataset name {datasets[repeated][0]!r} appears more than once")
     uses_msp = any(_METHOD_TABLE[m][1] == "msp" for m in cfg.methods)
     tasks: dict[tuple, tuple] = {}
     row = 0

@@ -56,10 +56,6 @@ class Mlp:
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 

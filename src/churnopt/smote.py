@@ -68,16 +68,10 @@ def smote_balance(train: Dataset, cfg: SmoteConfig) -> Dataset:
     clv_m = train.clvs[min_idx]
     neighbors = nearest_neighbors(Xm, Xm, k, exclude_self=True)
 
-    # the draws keep their scalar order (a, neighbour slot, u) per synthetic
-    # record, so a seed gives the same records as one record at a time
     rng = np.random.default_rng(cfg.seed)
-    a = np.empty(n_new, dtype=np.intp)
-    slot = np.empty(n_new, dtype=np.intp)
-    u = np.empty(n_new)
-    for i in range(n_new):
-        a[i] = rng.integers(n_min)
-        slot[i] = rng.integers(k)
-        u[i] = rng.uniform(0.0, 1.0)
+    a = rng.integers(n_min, size=n_new)
+    slot = rng.integers(k, size=n_new)
+    u = rng.uniform(0.0, 1.0, n_new)
     b = neighbors[a, slot]
     new_feats = Xm[a] + u[:, None] * (Xm[b] - Xm[a])
     new_clvs = clv_m[a] + u * (clv_m[b] - clv_m[a])

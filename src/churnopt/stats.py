@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _first_repeat(values: list | tuple) -> int | None:
+    """Index of the first entry equal to an earlier one, or None."""
+    return next((i for i, v in enumerate(values) if v in values[:i]), None)
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via erfc (abs error below 1e-15)."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -133,14 +138,15 @@ class RankTable:
 def rank_methods(profits, methods, datasets) -> RankTable:
     """Rank methods within each dataset (1 = most profitable, ties averaged).
 
-    Raises ValueError on a repeated method name, since the comparison
-    results are keyed by name.
+    Raises ValueError on a repeated method or dataset name: the results
+    are keyed by method name, and each dataset counts once.
     """
     profits = np.asarray(profits, dtype=float)
     k, n = len(methods), len(datasets)
-    repeated = sorted({m for i, m in enumerate(methods) if m in methods[:i]})
-    if repeated:
-        raise ValueError(f"method name(s) {repeated} appear more than once")
+    for kind, names in (("method", methods), ("dataset", datasets)):
+        repeated = _first_repeat(names)
+        if repeated is not None:
+            raise ValueError(f"{kind} name {names[repeated]!r} appears more than once")
     if profits.shape != (k, n):
         raise ValueError(f"profit matrix must be (methods x datasets) = ({k}, {n}), got {profits.shape}")
     if not np.all(np.isfinite(profits)):

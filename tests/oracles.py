@@ -18,8 +18,9 @@ Tests compare the package against these for exact equality:
   feature axis with np.sum and stable-argsorts every distance row in
   full.
 - knn_scores and smote_balance: each with its own pairwise-distance
-  kernel; SMOTE's is unchunked and builds each synthetic row in the
-  draw loop.
+  kernel; SMOTE's is unchunked, draws the same three arrays (minority
+  records, neighbour slots, gaps) and builds each synthetic row in its
+  own loop.
 - best_split: argsorts and scores one feature at a time; patched in for
   models._best_split, it grows the reference tree.
 - quantile_segments and segment_edges: a segment label per customer,
@@ -334,12 +335,14 @@ def smote_balance(train, cfg):
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
 
     rng = np.random.default_rng(cfg.seed)
+    draws_a = rng.integers(n_min, size=n_new)
+    draws_slot = rng.integers(k, size=n_new)
+    draws_u = rng.uniform(0.0, 1.0, n_new)
     new_feats = np.empty((n_new, train.n_features))
     new_clvs = np.empty(n_new)
     for i in range(n_new):
-        a = rng.integers(n_min)
-        b = neighbors[a, rng.integers(k)]
-        u = rng.uniform(0.0, 1.0)
+        a, u = draws_a[i], draws_u[i]
+        b = neighbors[a, draws_slot[i]]
         new_feats[i] = Xm[a] + u * (Xm[b] - Xm[a])
         new_clvs[i] = clv_m[a] + u * (clv_m[b] - clv_m[a])
 

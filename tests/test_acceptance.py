@@ -323,10 +323,10 @@ def test_criterion_9_full_benchmark(tmp_path):
     # the reproducibility contract: the bytes of the default `churnopt
     # benchmark` run's benchmark_cells.csv and summary.json
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "8b3af1e0290c796bff2185f361b257b5fe82b29763b06bc46efa7d9ac64880ff"
+        "b82c0025ed1d8501963b3a55dc8027b1cf965bb9e04b4c4ec2f2d36b78716b08"
     )
     assert hashlib.sha256((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()).hexdigest() == (
-        "28cf70b0eb433fdc67f7a4d43853ae51f354bf585309063e95443e691943d98e"
+        "5ba23c0b1c4d9268597bb04df44d5c36ebcc73d92a8fd57840c92dda86f49ed2"
     )
 
     lines = csv_path.read_text().splitlines()

@@ -1,6 +1,7 @@
 """Campaign cost model, break-even analysis, regret, and its smooth surrogate."""
 
 import itertools
+import re
 
 import numpy as np
 import oracles
@@ -110,6 +111,12 @@ class TestMidpoint:
             clv = break_even_clv(params) * rng.uniform(1.001, 50)
             assert 0 < midpoint(params, clv) < 1
 
+    def test_vanishing_denominator_rejected(self):
+        # gamma = 1 and clv = 0 make the denominator gamma*(d - clv) - d zero
+        message = "degenerate midpoint denominator; requires clv > 0 and d > 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            midpoint(CampaignParams(f=1.0, d=4.25, gamma=1.0), 0.0)
+
 
 class TestPrescribe:
     def test_below_midpoint_targets(self):
@@ -206,6 +213,11 @@ class TestSurrogate:
         grid = np.linspace(-2, 2, 101)
         vals = surrogate(grid, 0.4, 10.0)
         assert np.all(np.diff(vals) < 0)
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, np.nan])
+    def test_non_positive_slope_rejected(self, slope):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'slope must be > 0, got {slope}')}$"):
+            surrogate(0.3, 0.3, slope)
 
 
 class TestSmoothRegret:

@@ -85,6 +85,37 @@ class TestGenerate:
         assert main(["generate", "--spec", str(bad), "--out", str(tmp_path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, names",
+        [
+            ({"name": "a", "n_train": 20, "n_test": 10}, ["a"]),
+            ([{"name": "a", "n_train": 20, "n_test": 10}, {"name": "b", "n_train": 20, "n_test": 10}], ["a", "b"]),
+            ({"specs": [{"name": "a", "n_train": 20, "n_test": 10}, {"name": "b", "n_train": 20, "n_test": 10}]},
+             ["a", "b"]),
+        ],
+        ids=["object", "list", "specs-block"],
+    )
+    def test_every_spec_file_layout_writes_its_specs(self, tmp_path, payload, names):
+        spec = write_json(tmp_path / "spec.json", payload)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
+        written = sorted(path.name for path in (tmp_path / "data").iterdir())
+        assert written == sorted(f"{name}_{tag}.csv" for name in names for tag in ("train", "test"))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([5], "error: a synthetic spec must be a JSON object, got 5"),
+            ({"specs": [JAN_SPEC, "jan"]}, "error: a synthetic spec must be a JSON object, got 'jan'"),
+            ({"specs": JAN_SPEC}, "error: 'specs' must be a list of synthetic specs"),
+        ],
+        ids=["list-entry-not-object", "specs-entry-not-object", "specs-not-list"],
+    )
+    def test_bad_spec_file_exits_1_naming_it(self, tmp_path, capsys, payload, message):
+        spec = write_json(tmp_path / "spec.json", payload)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "data").exists()
+
 
 class TestBenchmark:
     def test_small_run_outputs(self, tmp_path, capsys):
@@ -268,6 +299,19 @@ class TestBenchmark:
             ),
             ({"smote": {"seed": 1}}, "unknown config key(s) ['smote.seed']"),
             ({"model": {"loss": "cross-entropy"}}, "unknown config key(s) ['model.loss']"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "seed": -1}]}},
+             "invalid synthetic spec: seed must be >= 0, got -1"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "n_features": 0}]}},
+             "invalid synthetic spec: n_features must be >= 1"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_mean": 0}]}},
+             "invalid synthetic spec: clv_mean must be > 0"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_sigma": -0.5}]}},
+             "invalid synthetic spec: clv_sigma and signal must be >= 0"),
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "signal": -1}]}},
+             "invalid synthetic spec: clv_sigma and signal must be >= 0"),
+            # 10**17 rows ask for 711 PiB, which no allocator grants
+            ({"datasets": {"synthetic": [{"name": "a", "n_train": 10**17, "n_test": 20}]}},
+             "invalid synthetic spec: Unable to allocate"),
         ],
     )
     def test_out_of_range_setting_exits_1_naming_it(self, tmp_path, capsys, change, field):
@@ -424,6 +468,23 @@ class TestStats:
         assert "column 3: method 'a' appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_dataset_row_exits_1_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("dataset,m1,m2,m3\nd1,30.5,12.0,-4.0\nd2,18.0,21.5,3.0\nd1,25.0,9.5,7.5\n")
+        assert main(["stats", "--profits", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 4: dataset 'd1' appears more than once\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_perfectly_consistent_ranks_exit_1_with_the_friedman_note(self, tmp_path, capsys):
+        matrix = self.write_matrix(
+            tmp_path / "m.csv", ["a", "b", "c"], [("d1", [3.0, 2.0, 1.0]), ("d2", [30.0, 20.0, 10.0])]
+        )
+        assert main(["stats", "--profits", matrix, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: degenerate Iman-Davenport denominator (perfectly consistent ranks); F is unbounded\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_profit_names_line(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"
         bad.write_text("dataset,a,b,c\nd1,1.0,2.0,3.0\nd2,1.0,nan,3.0\n")
@@ -499,6 +560,24 @@ class TestFileReaders:
         }[kind]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("config", '{"seed": 1, "seed": 2}', "seed"),
+            ("config", '{"model": {"epochs": 1, "learning_rate": 0.05, "epochs": 2}}', "epochs"),
+            ("spec", '{"name": "x", "n_train": 20, "n_test": 10, "n_train": 30}', "n_train"),
+            ("spec", '{"specs": [{"name": "x", "n_train": 20, "n_test": 10, "n_test": 20}]}', "n_test"),
+        ],
+        ids=["config-top-level", "config-block", "spec", "spec-in-list"],
+    )
+    def test_repeated_key_exits_1_naming_it(self, tmp_path, capsys, kind, text, key):
+        path = tmp_path / f"input.{kind}"
+        path.write_text(text)
+        command = ["benchmark", "--config"] if kind == "config" else ["generate", "--spec"]
+        assert main(command + [str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: key {key!r} appears more than once\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, payload, output",

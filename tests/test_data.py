@@ -1,5 +1,6 @@
 """Dataset loading, validation, standardization, and CLV segmentation."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -80,6 +81,12 @@ class TestLoad:
         path = tmp_path / "bad.csv"
         path.write_text("f1,label\n1.0,0\n")
         with pytest.raises(ValueError, match="clv"):
+            load_dataset(path)
+
+    def test_duplicate_header_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("f1,f1,clv,label\n1.0,2.0,10.0,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: duplicate column names in header')}$"):
             load_dataset(path)
 
     def test_byte_order_mark_before_clv(self, tmp_path):
@@ -269,6 +276,22 @@ class TestDatasetInvariants:
     def test_rejects_infinite_clv(self):
         with pytest.raises(ValueError, match="clv must be finite.*row 2"):
             make_dataset([[1.0], [2.0]], [0, 1], [10.0, np.inf])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"features": np.array([1.0, 2.0])}, "features must be 2-D, got shape (2,)"),
+            ({"schema": ("f1", "f2")}, "feature width 1 does not match schema width 2"),
+            ({"labels": np.array([0])}, "features, labels and clvs must agree in length"),
+            ({"features": np.array([[1.0], [np.nan]])}, "features contain non-finite values"),
+        ],
+        ids=["features-1d", "schema-width", "length", "non-finite-features"],
+    )
+    def test_rejects_malformed_arrays(self, change, message):
+        fields = dict(name="t", schema=("f1",), features=np.array([[1.0], [2.0]]),
+                      labels=np.array([0, 1]), clvs=np.array([10.0, 20.0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(**(fields | change))
 
     def test_immutable_arrays(self):
         ds = make_dataset([[1.0], [2.0]], [0, 1], [5.0, 6.0])

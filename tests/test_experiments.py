@@ -694,6 +694,7 @@ class TestRunConfig:
             ("smote_ratio", 1.5, "smote.ratio must lie in (0, 1], got 1.5"),
             ("cart_max_depth", -1, "baselines.cart_max_depth must be >= 0, got -1"),
             ("cart_min_leaf", 0, "baselines.cart_min_leaf must be >= 1, got 0"),
+            ("regret_net_accuracy", "median", "regret_net_accuracy must be 'threshold' or 'midpoint'"),
         ],
     )
     def test_message_names_the_config_key(self, field, value, message):

@@ -43,9 +43,9 @@ def test_multi_epoch_cv_run_reproduces_golden_bytes(tmp_path, jobs):
 def test_small_run_sweep_reproduces_pinned_hashes(tmp_path):
     assert main(["sweep", "--config", str(DATA / "golden" / "run.json"), "--out", str(tmp_path), "--jobs", "1"]) == 0
     expected = {
-        "eta_profit_vs_d.csv": "ca0bc87e985e08a38567027b409d85998427030b464ddfe7f8f5289c0d445ce4",
-        "gap_vs_d.csv": "6dc226dcd8779fd035bfaf27061975cbbcce6f1df8618b1bb10ec633e481ab40",
-        "profit_vs_d.csv": "4c4ee07b81550781c2afc5300337f10f97e556613cddbdd007bd811184e2bee5",
+        "eta_profit_vs_d.csv": "0f99aa862781565e9656ab0d9badee21ee5226792f437d6fd39e439a250a083c",
+        "gap_vs_d.csv": "9db7d11f8215383f14cad7f16c65f1fb2c5abbc99f302c748e5bdf1777b2f6b4",
+        "profit_vs_d.csv": "a6496284404ec216e6b3da27560498e3df271a2a5eb81a7c2a32011ffd30a2fd",
     }
     for name, digest in expected.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

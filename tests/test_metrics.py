@@ -139,6 +139,10 @@ class TestMp:
         with pytest.raises(ValueError, match="NaN"):
             mp(np.array([0.2, np.nan]), np.array([0, 1]), P, 85.0)
 
+    def test_no_customer_rejected(self):
+        with pytest.raises(ValueError, match="^mp needs at least one customer$"):
+            mp(np.array([]), np.array([], dtype=int), P, 85.0)
+
     def test_candidates_cover_all_campaigns(self):
         scores = np.array([0.2, 0.2, 0.5])
         cands = threshold_candidates(scores)

@@ -1,6 +1,7 @@
 """Scorers: network forward/backward, Adam, training, and baselines."""
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -377,6 +378,28 @@ class TestStackEqualsSolo:
         ds = make_dataset(np.arange(6.0), [0, 1, 1, 1, 0, 1], np.full(6, 85.0))
         with pytest.raises(ValueError, match="single class"):
             train_stack(ds, [StackSlice(init_mlp(1, 2, seed=0), P, TrainConfig(epochs=1), rows=np.array([1, 2, 3]))])
+
+
+TWO_FEATURES = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], [10.0, 20.0])
+LOSS_MESSAGE = "loss must be one of ('smooth-regret', 'cross-entropy'), got 'hinge'"
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TrainConfig(loss="hinge"), LOSS_MESSAGE),
+            (lambda: mean_loss(init_mlp(2, 3), TWO_FEATURES, P, "hinge"), LOSS_MESSAGE),
+            (lambda: init_mlp(0, 3), "input_dim and hidden_dim must be >= 1"),
+            (lambda: init_mlp(2, 0), "input_dim and hidden_dim must be >= 1"),
+            (lambda: train_stack(TWO_FEATURES, [StackSlice(init_mlp(3, 2), P, TrainConfig(epochs=1))]),
+             "model expects 3 features, data has 2"),
+        ],
+        ids=["train-config-loss", "mean-loss-kind", "init-input-dim", "init-hidden-dim", "stack-feature-count"],
+    )
+    def test_bad_argument_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestGradientCheck:

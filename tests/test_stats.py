@@ -6,6 +6,8 @@ reproduce; scipy serves as an independent oracle for the special
 functions, which the package implements itself.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats as sstats
@@ -110,8 +112,21 @@ class TestRanks:
 
     def test_repeated_method_rejected(self):
         profits = np.arange(8.0).reshape(4, 2)
-        with pytest.raises(ValueError, match=r"method name\(s\) \['a'\] appear more than once"):
+        with pytest.raises(ValueError, match="^method name 'a' appears more than once$"):
             rank_methods(profits, ["a", "a", "b", "c"], ["d1", "d2"])
+
+    @pytest.mark.parametrize(
+        "profits, datasets, message",
+        [
+            (np.arange(6.0).reshape(3, 2), ["d1", "d1"], "dataset name 'd1' appears more than once"),
+            (np.arange(6.0).reshape(2, 3), ["d1", "d2"],
+             "profit matrix must be (methods x datasets) = (3, 2), got (2, 3)"),
+        ],
+        ids=["repeated-dataset", "shape"],
+    )
+    def test_malformed_table_rejected(self, profits, datasets, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rank_methods(profits, ["a", "b", "c"], datasets)
 
 
 class TestFriedman:
