@@ -9,9 +9,12 @@ alternating which side runs first:
 - probes: ``perfbench/child.py probes 0``, the median time of one call of
   each hot kernel (knn_scores, mp, one Adam step, fit_cart,
   smote_balance) on fixed seeded inputs;
-- load_csv_s: the median of LOAD_CALLS ``load_dataset`` calls, timed
-  inside the child after one untimed warm call, on a 20,000-row CSV
-  written once from ``SyntheticSpec`` by the change side;
+- load_csv_s: per rep, CSV_CHILDREN children per side, alternating sides
+  child by child; each child prints the median of LOAD_CALLS
+  ``load_dataset`` calls, timed after one untimed warm call, on a
+  20,000-row CSV written once from ``SyntheticSpec`` by the change side.
+  A rep records each side's fastest child, since whole children land in
+  slow phases of a shared host; every child's median is kept too;
 - wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
   config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
   and --jobs 2, run through ``perfbench/measure.py``: wall time from
@@ -54,6 +57,7 @@ WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
              "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
              "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
 LOAD_CALLS = 7
+CSV_CHILDREN = 3
 TIME_LOAD = f"""\
 import statistics, sys, time
 from churnopt.data import load_dataset
@@ -114,14 +118,16 @@ def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
 
 
 def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
-    """{side: stats} of reps children's median ``load_dataset`` times per side on one CSV_ROWS-row file."""
+    """{side: stats of each rep's fastest child, plus "children": each rep's child medians} on one CSV_ROWS-row file."""
     path = tmp / "load.csv"
     _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
-    samples = {side: [] for side in SIDES}
+    children = {side: [[] for _ in range(reps)] for side in SIDES}
     for rep in range(reps):
-        for side in _order(rep):
-            samples[side].append(float(_child(side, srcs[side], "-c", TIME_LOAD, str(path))))
-    return {side: _stats(runs) for side, runs in samples.items()}
+        for _ in range(CSV_CHILDREN):
+            for side in _order(rep):
+                children[side][rep].append(float(_child(side, srcs[side], "-c", TIME_LOAD, str(path))))
+    return {side: {**_stats([min(rep) for rep in by_rep]), "children": [[round(t, 4) for t in rep] for rep in by_rep]}
+            for side, by_rep in children.items()}
 
 
 def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
@@ -153,7 +159,8 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision to compare against (its src/ is exported)")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--reps", type=int, default=3,
-                    help="alternating runs per side of the probes, the CSV load and each job count")
+                    help="alternating runs per side of the probes and each job count, and of "
+                         f"{CSV_CHILDREN} CSV-load children")
     args = ap.parse_args(argv)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``generate`` (synthetic CSVs), ``benchmark`` (full
-dataset x d x method grid with ranking and comparison tests), ``stats``
-(rank + test any profit matrix), ``sweep`` (incentive-sensitivity
-tables). Exit codes: 0 success, 1 usage or config error, 2 a benchmark
+dataset x d x method grid with ranking, comparison tests and
+incentive-sensitivity tables), ``stats`` (rank + test any profit
+matrix). Exit codes: 0 success, 1 usage or config error, 2 a benchmark
 cell failed. The CHURNOPT_OUT environment variable sets the default
 output directory; flags override config-file values.
 """
@@ -164,7 +164,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _benchmark_run(args):
+def cmd_benchmark(args) -> int:
     config = _load_json(args.config) if args.config else {}
     cfg = _run_config(config)
     datasets = _build_datasets(config, cfg)
@@ -173,32 +173,15 @@ def _benchmark_run(args):
         report = ex.run_benchmark(datasets, cfg, jobs=args.jobs)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
-    return cfg, datasets, out, report
-
-
-def cmd_benchmark(args) -> int:
-    cfg, datasets, out, report = _benchmark_run(args)
-    names = [name for name, _, _ in datasets]
     cells_path = report.to_csv(out / "benchmark_cells.csv")
-    summary = ex.benchmark_summary(report, cfg, names, alpha=args.alpha)
+    summary = ex.benchmark_summary(report, cfg, [name for name, _, _ in datasets], alpha=args.alpha)
     summary_path = _write_json(summary, out / "summary.json")
     n_ok = sum(1 for c in report.cells if c.status == "ok")
     print(f"wrote {cells_path} ({n_ok}/{len(report.cells)} cells ok)")
     print(f"wrote {summary_path}")
-    return _report_failures(report)
-
-
-def cmd_sweep(args) -> int:
-    cfg, datasets, out, report = _benchmark_run(args)
-    tables = ex.sensitivity_sweep(report, cfg)
-    for stem, rows in tables.items():
+    for stem, rows in ex.sensitivity_sweep(report, cfg).items():
         path = ex.write_table_csv(rows, out / f"{stem}.csv")
         print(f"wrote {path} ({len(rows)} rows)")
-    return _report_failures(report)
-
-
-def _report_failures(report: ex.BenchmarkReport) -> int:
-    """List each failed cell on stderr; the exit code of the run."""
     for c in report.failed:
         print(f"FAILED {c.dataset} d={c.d_label} {c.method}: {c.error}", file=sys.stderr)
     return 2 if report.failed else 0
@@ -285,17 +268,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=_default_out(), help="output directory")
     p.set_defaults(fn=cmd_generate)
 
-    for name, fn, helptext in (
-        ("benchmark", cmd_benchmark, "run the dataset x d x method grid and the comparison tests"),
-        ("sweep", cmd_sweep, "run the grid and emit incentive-sensitivity tables"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="JSON run config (defaults to the bundled synthetic run)")
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1, help="parallel worker processes")
-        if name == "benchmark":
-            p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("benchmark", help="run the dataset x d x method grid, its tests and sensitivity tables")
+    p.add_argument("--config", help="JSON run config (defaults to the bundled synthetic run)")
+    p.add_argument("--out", help="output directory (overrides config out_dir)")
+    # the CPUs this process may run on: its affinity mask where the OS has one, else every CPU of the host
+    usable_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p.add_argument("--jobs", type=_jobs, default=usable_cpus,
+                   help="parallel worker processes (default: the CPUs this process may run on)")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
+    p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("stats", help="rank a profit matrix CSV and run Friedman/Nemenyi/Holm")
     p.add_argument("--profits", required=True, help="CSV: header 'dataset,<method>,...', one row per dataset")

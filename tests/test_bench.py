@@ -63,13 +63,13 @@ def test_failed_child_stops_naming_its_side(monkeypatch):
 
 @pytest.fixture
 def csv_runs(monkeypatch):
-    """Replace bench's subprocess.run; each timed load answers 1 (base) or 2 (change) + call number / 100."""
+    """Replace bench's subprocess.run; timed load number k answers 1 (base) or 2 (change) + (7 * k mod 100) / 100."""
     runs = []
 
     def run(cmd, env, capture_output, text):
         side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
         runs.append((side, cmd))
-        stdout = "" if cmd[2] == bench.WRITE_CSV else f"{1 if side == 'base' else 2}.{len(runs):02d}\n"
+        stdout = "" if cmd[2] == bench.WRITE_CSV else f"{1 if side == 'base' else 2}.{7 * len(runs) % 100:02d}\n"
         return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
@@ -80,15 +80,23 @@ def test_csv_step_writes_once_then_times_alternating_sides(csv_runs, tmp_path):
     bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
     path = str(tmp_path / "load.csv")
     assert csv_runs[0] == ("change", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "20000"])
-    assert [side for side, _ in csv_runs[1:]] == ["base", "change", "change", "base", "base", "change"]
+    # each rep alternates the sides child by child, and the rep's first side alternates too
+    assert bench.CSV_CHILDREN == 3
+    sides = ["base", "change"] * 3 + ["change", "base"] * 3 + ["base", "change"] * 3
+    assert [side for side, _ in csv_runs[1:]] == sides
     assert all(cmd[1:] == ["-c", bench.TIME_LOAD, path] for _, cmd in csv_runs[1:])
 
 
 def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
     table = bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
-    # call 1 wrote the file; calls 2, 5, 6 timed the base side and 3, 4, 7 the change side
-    assert table == {"base": {"median": 1.05, "q1": 1.035, "q3": 1.055, "runs": [1.02, 1.05, 1.06]},
-                     "change": {"median": 2.04, "q1": 2.035, "q3": 2.055, "runs": [2.03, 2.04, 2.07]}}
+    # call 1 wrote the file; calls 2-7, 8-13 and 14-19 were the three reps, and in the
+    # third rep the base side's fastest child (call 16, .12) was not its first (call 14, .98)
+    assert table == {
+        "base": {"median": 1.14, "q1": 1.13, "q3": 1.385, "runs": [1.14, 1.63, 1.12],
+                 "children": [[1.14, 1.28, 1.42], [1.63, 1.77, 1.91], [1.98, 1.12, 1.26]]},
+        "change": {"median": 2.21, "q1": 2.13, "q3": 2.385, "runs": [2.21, 2.56, 2.05],
+                   "children": [[2.21, 2.35, 2.49], [2.56, 2.7, 2.84], [2.05, 2.19, 2.33]]},
+    }
 
 
 def test_load_timer_warms_once_then_prints_the_median_call(monkeypatch, capsys):

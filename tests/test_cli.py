@@ -107,8 +107,10 @@ class TestGenerate:
             ([5], "error: a synthetic spec must be a JSON object, got 5"),
             ({"specs": [JAN_SPEC, "jan"]}, "error: a synthetic spec must be a JSON object, got 'jan'"),
             ({"specs": JAN_SPEC}, "error: 'specs' must be a list of synthetic specs"),
+            ({"name": "x", "n_train": 10, "n_test": 10, "churn_rate": 1e-9},
+             "error: invalid synthetic spec: spec 'x': could not draw both classes at rate 1e-09\n"),
         ],
-        ids=["list-entry-not-object", "specs-entry-not-object", "specs-not-list"],
+        ids=["list-entry-not-object", "specs-entry-not-object", "specs-not-list", "one-class-draw"],
     )
     def test_bad_spec_file_exits_1_naming_it(self, tmp_path, capsys, payload, message):
         spec = write_json(tmp_path / "spec.json", payload)
@@ -400,19 +402,24 @@ class TestBenchmark:
 
 
 class TestSweep:
-    def test_emits_three_tables(self, tmp_path):
+    """The incentive-sensitivity tables that `benchmark` writes next to the cells and the summary."""
+
+    def test_emits_three_tables(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", SMALL_RUN)
         out_dir = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 0
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 0
         for name in ("profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv"):
             assert (out_dir / name).exists()
         rows = list(csv.DictReader((out_dir / "profit_vs_d.csv").open()))
         assert {r["d_label"] for r in rows} == {"clv/20", "clv/5"}
+        written = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+        assert written == [str(out_dir / name) for name in (
+            "benchmark_cells.csv", "summary.json", "profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv")]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", SMALL_RUN)
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o1"), "--jobs", "1"])
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "1"])
+        main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o1"), "--jobs", "1"])
+        main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "1"])
         for name in ("profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
@@ -485,6 +492,13 @@ class TestStats:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_non_numeric_profit_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "p.csv"
+        bad.write_text("dataset,m1,m2,m3\nd1,30.5,abc,-4.0\nd2,18.0,21.5,3.0\nd3,25.0,9.5,7.5\n")
+        assert main(["stats", "--profits", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 2: non-numeric profit value\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_profit_names_line(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"
         bad.write_text("dataset,a,b,c\nd1,1.0,2.0,3.0\nd2,1.0,nan,3.0\n")
@@ -522,12 +536,11 @@ class TestFileReaders:
         "argv",
         [
             lambda d, tmp: ["benchmark", "--config", d],
-            lambda d, tmp: ["sweep", "--config", d],
             lambda d, tmp: ["generate", "--spec", d],
             lambda d, tmp: ["stats", "--profits", d],
             lambda d, tmp: ["benchmark", "--config", _dataset_config(tmp, d)],
         ],
-        ids=["benchmark-config", "sweep-config", "generate-spec", "stats-profits", "dataset-csv"],
+        ids=["benchmark-config", "generate-spec", "stats-profits", "dataset-csv"],
     )
     def test_directory_exits_1_naming_it(self, tmp_path, capsys, argv):
         folder = tmp_path / "folder"
@@ -637,7 +650,6 @@ class TestParsing:
             ["stats", "--profits", "m.csv", "--alpha", "1.5"],
             ["benchmark", "--jobs", "0"],
             ["benchmark", "--jobs", "-4"],
-            ["sweep", "--jobs", "0"],
         ],
     )
     def test_bad_alpha_or_jobs_rejected_before_any_work(self, tmp_path, capsys, argv):
@@ -645,6 +657,26 @@ class TestParsing:
         assert main(argv + ["--out", str(out_dir)]) == 1
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_removed_sweep_command_exits_1_before_any_work(self, tmp_path, capsys):
+        # `benchmark` writes the sensitivity tables that `sweep` wrote
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--out", str(out_dir)]) == 1
+        assert "argument command: invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, jobs",
+        [({0, 1}, 64, 2), (None, 5, 5), (None, None, 1)],
+        ids=["affinity-mask", "no-affinity-call", "cpu-count-unknown"],
+    )
+    def test_jobs_defaults_to_the_usable_cpus(self, monkeypatch, affinity, cpu_count, jobs):
+        if affinity is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+        assert cli._build_parser().parse_args(["benchmark"]).jobs == jobs
 
     def test_subcommand_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -741,3 +773,10 @@ def test_readme_run_config_shows_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Run config (JSON)", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
     assert cli._run_config(json.loads(block)) == ex.RunConfig()
+
+
+def test_readme_library_use_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("campaign profit:")

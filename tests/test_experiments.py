@@ -175,6 +175,12 @@ class TestMonteCarloCv:
         with pytest.raises(ValueError, match=r"grid point \(0.01, 2\) appears more than once"):
             ex.monte_carlo_cv(train, [(0.01, 2), (0.03, 2), (0.01, 2)], P, splits=1, n_seeds=1)
 
+    def test_single_class_data_rejected(self):
+        one_class = Dataset(name="one", schema=("f1",), features=np.zeros((20, 1)),
+                            labels=np.ones(20, dtype=np.int64), clvs=np.full(20, 50.0))
+        with pytest.raises(ValueError, match="^could not draw a two-class training part$"):
+            ex.monte_carlo_cv(one_class, [(0.01, 2)], P, splits=1, n_seeds=1)
+
     @pytest.mark.parametrize("splits, n_seeds", [(0, 1), (1, 0), (-2, 3)])
     def test_no_validation_run_rejected(self, splits, n_seeds):
         _, train, _ = small_benchmark_inputs(1)[0]

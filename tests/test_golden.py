@@ -11,7 +11,11 @@ were written once with
         --out tests/data/<dir> --jobs 1
 
 and any byte that moves is an output change that must be declared.
-The sweep tables of `golden/` are pinned by their sha256.
+The same command also writes the three sensitivity tables
+(`profit_vs_d.csv`, `gap_vs_d.csv`, `eta_profit_vs_d.csv`) into the
+directory. They are not checked in (`.gitignore` lists them): those of
+`golden/` are pinned by their sha256 below, and a table byte that moves
+is declared with the new hash.
 """
 
 import hashlib
@@ -41,7 +45,8 @@ def test_multi_epoch_cv_run_reproduces_golden_bytes(tmp_path, jobs):
 
 
 def test_small_run_sweep_reproduces_pinned_hashes(tmp_path):
-    assert main(["sweep", "--config", str(DATA / "golden" / "run.json"), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    config = str(DATA / "golden" / "run.json")
+    assert main(["benchmark", "--config", config, "--out", str(tmp_path), "--jobs", "1"]) == 0
     expected = {
         "eta_profit_vs_d.csv": "0f99aa862781565e9656ab0d9badee21ee5226792f437d6fd39e439a250a083c",
         "gap_vs_d.csv": "9db7d11f8215383f14cad7f16c65f1fb2c5abbc99f302c748e5bdf1777b2f6b4",
