@@ -21,11 +21,11 @@ alternating which side runs first:
   process start to exit, and the largest resident memory summed over the
   run's process tree at one instant (sampled every 10 ms).
 
-Every benchmark run's benchmark_cells.csv and summary.json sha256 is
-recorded; the script fails if they differ between runs, sides or job
-counts, and stops naming the side when a run exits non-zero. The BLAS
-thread variables the runs inherit are recorded under env.threads (null
-when unset).
+The sha256 of every file a benchmark run writes (benchmark_cells.csv,
+summary.json and the three *_vs_d.csv tables) is recorded; the script
+fails if any differs between runs, sides or job counts, and stops
+naming the side when a run exits non-zero. The BLAS thread variables the
+runs inherit are recorded under env.threads (null when unset).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import measure  # noqa: E402  perfbench's process-tree sampler
 
 CHILD = ROOT / "perfbench" / "child.py"
-OUTPUTS = ("benchmark_cells.csv", "summary.json")
+OUTPUTS = ("benchmark_cells.csv", "summary.json", "profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv")
 SIDES = ("base", "change")
 CSV_ROWS = 20_000
 WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check_settings, setting
+
 __all__ = [
     "CampaignParams",
     "sigmoid",
@@ -35,29 +37,21 @@ __all__ = [
 class CampaignParams:
     """Economic parameters of a retention campaign.
 
-    f: cost of contacting one customer (finite, >= 0).
+    f: cost of contacting one customer.
     d: monetary incentive, paid only when a contacted would-be churner
-       accepts the offer (finite, > 0).
-    gamma: fraction of contacted would-be churners who accept and stay,
-       in (0, 1].
+       accepts the offer.
+    gamma: fraction of contacted would-be churners who accept and stay.
     slope: steepness of the sigmoid surrogate used by the smooth regret
-       loss (finite, > 0).
+       loss.
     """
 
-    f: float
-    d: float
-    gamma: float
-    slope: float = 10.0
+    f: float = setting(ge=0)
+    d: float = setting(gt=0)
+    gamma: float = setting(gt=0, le=1)
+    slope: float = setting(10.0, gt=0)
 
     def __post_init__(self) -> None:
-        if not (self.f >= 0 and np.isfinite(self.f)):
-            raise ValueError(f"f (contact cost) must be finite and >= 0, got {self.f}")
-        if not (self.d > 0 and np.isfinite(self.d)):
-            raise ValueError(f"d (incentive) must be finite and > 0, got {self.d}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma (acceptance fraction) must be in (0, 1], got {self.gamma}")
-        if not (self.slope > 0 and np.isfinite(self.slope)):
-            raise ValueError(f"slope (surrogate steepness) must be finite and > 0, got {self.slope}")
+        check_settings(self)
 
 
 def sigmoid(x):

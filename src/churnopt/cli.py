@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as ex
+from ._settings import config_key
 from .data import load_dataset, read_csv_rows, save_dataset
 from .stats import _first_repeat, comparison_summary, rank_methods
 
@@ -103,7 +104,7 @@ def _run_config(config) -> ex.RunConfig:
             value = scope[key]
             if fld.type.startswith("tuple["):
                 if not isinstance(value, list):
-                    raise _CliError(f"config key {ex._config_key(fld)!r} must be a list, got {value!r}")
+                    raise _CliError(f"config key {config_key(fld)!r} must be a list, got {value!r}")
                 value = tuple(value)
             kwargs[fld.name] = value
     try:

@@ -12,16 +12,15 @@ matter how fits are scheduled.
 
 from __future__ import annotations
 
-import numbers
-import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._settings import check_settings, config_key, setting
 from .campaign import (
     CampaignParams,
     break_even_clv,
@@ -67,44 +66,6 @@ __all__ = [
 ]
 
 
-# what a field annotated with each type must hold; a bool is neither an int nor a float
-_HOLDS = {
-    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    # the bound also rules out NaN, +-inf and ints beyond the float range
-    "float": ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and abs(v) <= sys.float_info.max),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _in_block(block: str, key: str, default):
-    """A RunConfig field set as block.key in a JSON config; any other field is a top-level key of its name."""
-    return field(default=default, metadata={"block": block, "key": key})
-
-
-def _config_key(fld) -> str:
-    """The key that sets a dataclass field in a JSON config: block.key, or the field's name."""
-    return f"{fld.metadata['block']}.{fld.metadata['key']}" if "block" in fld.metadata else fld.name
-
-
-def _check_field_types(obj) -> None:
-    """Raise ValueError naming the first dataclass field whose value its annotation
-    rules out: "T | None" also admits None, "tuple[T, ...]" is a tuple of T entries."""
-    for fld in fields(obj):
-        kind, values = fld.type.removesuffix(" | None"), [getattr(obj, fld.name)]
-        if kind.startswith("tuple[") and kind.endswith(", ...]"):
-            if not isinstance(values[0], tuple):
-                raise ValueError(f"{_config_key(fld)} must be a tuple, got {values[0]!r}")
-            kind, values = kind[len("tuple["):-len(", ...]")], values[0]
-        elif kind != fld.type and values[0] is None:
-            continue
-        what, holds = _HOLDS.get(kind, ("", lambda v: True))
-        for value in values:
-            if not holds(value):
-                raise ValueError(f"{_config_key(fld)} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for one synthetic churn dataset with individual CLVs.
@@ -117,32 +78,18 @@ class SyntheticSpec:
     """
 
     name: str
-    n_train: int
-    n_test: int
-    n_features: int = 24
-    churn_rate: float = 0.18
-    clv_mean: float = 85.0
-    clv_sigma: float = 0.8
-    signal: float = 1.2
-    clv_churn_corr: float = 0.0
-    seed: int = 0
+    n_train: int = setting(ge=10)
+    n_test: int = setting(ge=10)
+    n_features: int = setting(24, ge=1)
+    churn_rate: float = setting(0.18, gt=0, lt=1)
+    clv_mean: float = setting(85.0, gt=0)
+    clv_sigma: float = setting(0.8, ge=0)
+    signal: float = setting(1.2, ge=0)
+    clv_churn_corr: float = setting(0.0, ge=-1, le=1)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_train < 10 or self.n_test < 10:
-            raise ValueError("n_train and n_test must be >= 10")
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
-        if not 0 < self.churn_rate < 1:
-            raise ValueError(f"churn_rate must lie in (0, 1), got {self.churn_rate}")
-        if not self.clv_mean > 0:
-            raise ValueError("clv_mean must be > 0")
-        if self.clv_sigma < 0 or self.signal < 0:
-            raise ValueError("clv_sigma and signal must be >= 0")
-        if not -1 <= self.clv_churn_corr <= 1:
-            raise ValueError("clv_churn_corr must lie in [-1, 1]")
+        check_settings(self)
 
 
 def _draw_split(rng: np.random.Generator, spec: SyntheticSpec, n: int, direction: np.ndarray):
@@ -334,40 +281,41 @@ DEFAULT_D_GRID = ("clv/20", "clv/15", "clv/10", "clv/5", "clv/3")
 class RunConfig:
     """Everything a benchmark run needs beyond the datasets themselves; errors name a field by its config key."""
 
-    f: float = _in_block("campaign", "f", 1.36)
-    gamma: float = _in_block("campaign", "gamma", 0.3)
-    slope: float = _in_block("campaign", "slope", 10.0)
+    f: float = setting(1.36, block="campaign", like=(CampaignParams, "f"))
+    gamma: float = setting(0.3, block="campaign", like=(CampaignParams, "gamma"))
+    slope: float = setting(10.0, block="campaign", like=(CampaignParams, "slope"))
     d_grid: tuple[str | float, ...] = DEFAULT_D_GRID
     methods: tuple[str, ...] = DEFAULT_METHODS
-    q: int = 2
-    hidden: int | None = _in_block("model", "hidden", None)
-    learning_rate: float = _in_block("model", "learning_rate", 0.01)
-    epochs: int = _in_block("model", "epochs", 50)
-    batch_size: int | None = _in_block("model", "batch_size", None)
-    cv_learning_rates: tuple[float, ...] = _in_block("cv", "learning_rates", ())  # nonempty (with cv.epochs) tunes
-    cv_epochs: tuple[int, ...] = _in_block("cv", "epochs", ())
-    cv_splits: int = _in_block("cv", "splits", 5)
-    cv_seeds: int = _in_block("cv", "seeds", 10)
-    smote_k: int = _in_block("smote", "k_neighbors", 5)
-    smote_ratio: float = _in_block("smote", "ratio", 1.0)
-    knn_k: int = _in_block("baselines", "knn_k", 5)
-    cart_max_depth: int = _in_block("baselines", "cart_max_depth", 6)
-    cart_min_leaf: int = _in_block("baselines", "cart_min_leaf", 5)
+    q: int = setting(2, ge=1)
+    hidden: int | None = setting(None, ge=1, block="model")
+    learning_rate: float = setting(0.01, block="model", like=(TrainConfig, "learning_rate"))
+    epochs: int = setting(50, block="model", like=(TrainConfig, "epochs"))
+    batch_size: int | None = setting(None, block="model", like=(TrainConfig, "batch_size"))
+    # nonempty (with cv.epochs) tunes
+    cv_learning_rates: tuple[float, ...] = setting((), block="cv", key="learning_rates",
+                                                   like=(TrainConfig, "learning_rate"))
+    cv_epochs: tuple[int, ...] = setting((), block="cv", key="epochs", like=(TrainConfig, "epochs"))
+    cv_splits: int = setting(5, ge=1, block="cv", key="splits")
+    cv_seeds: int = setting(10, ge=1, block="cv", key="seeds")
+    smote_k: int = setting(5, block="smote", key="k_neighbors", like=(SmoteConfig, "k_neighbors"))
+    smote_ratio: float = setting(1.0, block="smote", key="ratio", like=(SmoteConfig, "ratio"))
+    knn_k: int = setting(5, ge=1, block="baselines")
+    cart_max_depth: int = setting(6, block="baselines", like=(CartConfig, "max_depth"))
+    cart_min_leaf: int = setting(5, block="baselines", like=(CartConfig, "min_leaf"))
     class_threshold: float = 0.5
-    regret_net_accuracy: str = "threshold"  # or "midpoint": score decisions per customer
+    # "midpoint": score regret_net's decisions per customer
+    regret_net_accuracy: str = setting("threshold", one_of=("threshold", "midpoint"))
     drop_below_break_even: bool = False
-    seed: int = 0
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        key = {fld.name: _config_key(fld) for fld in fields(self)}
+        check_settings(self)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown method(s) {unknown}; available: {METHODS}")
-        if self.regret_net_accuracy not in ("threshold", "midpoint"):
-            raise ValueError("regret_net_accuracy must be 'threshold' or 'midpoint'")
         if not self.methods or not self.d_grid:
             raise ValueError("methods and d_grid must be nonempty")
+        key = {fld.name: config_key(fld) for fld in fields(self)}
         # cells and summary.json are keyed by method name and d label, and
         # a repeated CV entry would train and score the same runs again
         for name, labels in (("methods", self.methods), ("d_grid", [str(e) for e in self.d_grid]),
@@ -375,31 +323,8 @@ class RunConfig:
             repeated = _first_repeat(labels)
             if repeated is not None:
                 raise ValueError(f"{key[name]} lists {labels[repeated]!r} more than once")
-        for name, low in (("q", 1), ("hidden", 1), ("cv_splits", 1), ("cv_seeds", 1), ("knn_k", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValueError(f"{key[name]} must be >= {low}, got {value}")
-        # these check their own ranges, and each message starts with the name
-        # of the argument at fault; d is resolved, and checked, per dataset
-        key |= {arg: key[name] for arg, name in (("k_neighbors", "smote_k"), ("ratio", "smote_ratio"),
-                                                 ("max_depth", "cart_max_depth"), ("min_leaf", "cart_min_leaf"))}
-        for check in (partial(SmoteConfig, self.smote_k, self.smote_ratio),
-                      partial(CartConfig, self.cart_max_depth, self.cart_min_leaf),
-                      partial(self.campaign, 1.0),
-                      partial(TrainConfig, self.learning_rate, self.epochs, self.batch_size)):
-            try:
-                check()
-            except ValueError as exc:
-                name, rest = str(exc).split(" ", 1)
-                raise ValueError(f"{key.get(name, name)} {rest}") from None
         if bool(self.cv_learning_rates) != bool(self.cv_epochs):
             raise ValueError(f"{key['cv_learning_rates']} and {key['cv_epochs']} must both be given or both be empty")
-        for lr, epochs in self.cv_grid:
-            try:
-                TrainConfig(lr, epochs)
-            except ValueError as exc:
-                point = f"{key['cv_learning_rates']}={lr}, {key['cv_epochs']}={epochs}"
-                raise ValueError(f"cv grid point ({point}): {exc}") from None
 
     @property
     def cv_grid(self) -> list[tuple[float, int]]:
@@ -526,8 +451,9 @@ _SCORERS = {
 }
 
 
-def _failed(name, d_label, d, method, exc: Exception) -> CellResult:
-    return CellResult(name, d_label, d, method, status="failed", error=f"{type(exc).__name__}: {exc}")
+def _failed(name, cell, exc: Exception) -> CellResult:
+    _, d_label, params, method = cell
+    return CellResult(name, d_label, params.d, method, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_task(task) -> list[CellResult]:
@@ -539,7 +465,7 @@ def _run_task(task) -> list[CellResult]:
         if balance:
             smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=groups[0][0][0])
             data = smote_balance(train_s, smote)
-        scorers = fit(data, cfg, [(cfg.campaign(cells[0][2]), seeds) for seeds, cells in groups])
+        scorers = fit(data, cfg, [(cells[0][2], seeds) for seeds, cells in groups])
     except Exception as exc:  # a failed fit fails exactly the cells it serves
         scorers = [partial(_reraise, exc)] * len(groups)
     out = []
@@ -548,7 +474,7 @@ def _run_task(task) -> list[CellResult]:
             test_scores = score(test_s)
             train_scores = score(train_s) if any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells) else None
         except Exception as exc:
-            out += [_failed(name, *cell[1:], exc) for cell in cells]
+            out += [_failed(name, cell, exc) for cell in cells]
         else:
             out += [_run_cell(name, cell, cfg, train_s, train_scores, test_s, test_scores) for cell in cells]
     return out
@@ -556,9 +482,8 @@ def _run_task(task) -> list[CellResult]:
 
 def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_scores) -> CellResult:
     """Apply one cell's decision rule to the fitted scores and measure it."""
-    _, d_label, d, method = cell
+    _, d_label, params, method = cell
     try:
-        params = cfg.campaign(d)
         scorer, rule = _METHOD_TABLE[method]
         # accuracy judges `classified`, which for a midpoint rule is the
         # class-threshold call unless regret_net_accuracy is "midpoint"
@@ -575,9 +500,9 @@ def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_sc
         optimal = optimal_total_profit(test_s.labels, params, test_s.clvs)
         gap = normalized_gap(-optimal, -profit) if optimal != 0 else np.nan
         acc = accuracy(classified, test_s.labels)
-        return CellResult(name, d_label, d, method, profit, acc, gap, targeted_fraction(decisions), optimal)
+        return CellResult(name, d_label, params.d, method, profit, acc, gap, targeted_fraction(decisions), optimal)
     except Exception as exc:  # isolate the cell, keep the run going
-        return _failed(name, d_label, d, method, exc)
+        return _failed(name, cell, exc)
 
 
 @dataclass(frozen=True)
@@ -606,11 +531,12 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
     A task is (name, train, test, scorer, cfg, groups), with both splits
     standardized and the training split cut to the customers above
     break-even under drop_below_break_even. A group is (seeds, cells),
-    each cell (row, d_label, d, method), and the seeds are those of the
-    group's first cell in row order. A scorer is fitted once per dataset,
-    or per (dataset, d) under drop_below_break_even. Its task holds one
-    group, except regret_net's: its loss reads d, so it trains one net
-    per d value, as one stack, with a group for each.
+    each cell (row, d_label, campaign, method) with one campaign per
+    (dataset, d), and the seeds are those of the group's first cell in
+    row order. A scorer is fitted once per dataset, or per (dataset, d)
+    under drop_below_break_even. Its task holds one group, except
+    regret_net's: its loss reads d, so it trains one net per d value, as
+    one stack, with a group for each.
 
     Raises ValueError naming the dataset when a split does not standardize,
     a d entry gives no campaign, or a d leaves no training customer (fewer
@@ -631,9 +557,8 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
             raise ValueError(f"dataset {name!r}: {exc}") from None
         for dj, entry in enumerate(cfg.d_grid):
             try:
-                d = resolve_d(entry, clv_mean)
-                params = cfg.campaign(d)  # checks f, gamma and slope too
-            except (TypeError, ValueError) as exc:
+                params = cfg.campaign(resolve_d(entry, clv_mean))
+            except ValueError as exc:
                 raise ValueError(f"dataset {name!r}: {exc}") from None
             train_d, where = train_s, ""
             if cfg.drop_below_break_even:
@@ -652,7 +577,7 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
                 group = dj if scorer == "regret_net" else None
                 if group not in groups:
                     groups[group] = (_cell_seeds(cfg.seed, di, dj, mi), [])
-                groups[group][1].append((row, str(entry), d, method))
+                groups[group][1].append((row, str(entry), params, method))
                 row += 1
     return [(*task[:-1], list(task[-1].values())) for task in tasks.values()]
 

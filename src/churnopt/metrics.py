@@ -40,7 +40,8 @@ def threshold_candidates(scores) -> np.ndarray:
     observed scores, so these candidates cover every attainable campaign.
     """
     distinct = np.unique(np.asarray(scores, dtype=float))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    with np.errstate(invalid="ignore"):  # -inf + inf: mp handles the NaN midpoint
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
@@ -66,8 +67,9 @@ def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, f
     n1[np.isnan(t)] = 0
     churner_gain = params.gamma * (clv_avg - params.d) - params.f
     nonchurner_cost = params.d + params.f
-    profit = (churner_gain * n0 - nonchurner_cost * n1) / scores.size
     # with an infinite clv_avg, a campaign without churners scores inf * 0 = NaN: never the best
+    with np.errstate(invalid="ignore"):
+        profit = (churner_gain * n0 - nonchurner_cost * n1) / scores.size
     profit[np.isnan(profit)] = -np.inf
     i = int(np.argmax(profit))
     return float(profit[i]), float(t[i])

@@ -17,6 +17,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
+from ._settings import check_settings, setting
 from .campaign import CampaignParams, sigmoid, smooth_regret_loss, smooth_regret_terms
 from .data import Dataset
 
@@ -64,21 +65,14 @@ class Mlp:
 class TrainConfig:
     """Optimizer and loss settings for gradient-trained scorers."""
 
-    learning_rate: float = 0.01
-    epochs: int = 50
-    batch_size: int | None = None  # None: full batch up to 1024 rows, else 128
-    loss: str = "smooth-regret"
-    seed: int = 0
+    learning_rate: float = setting(0.01, gt=0)
+    epochs: int = setting(50, ge=1)
+    batch_size: int | None = setting(None, ge=1)  # None: full batch up to 1024 rows, else 128
+    loss: str = setting("smooth-regret", one_of=LOSS_KINDS)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
+        check_settings(self)
 
     def resolve_batch_size(self, n: int) -> int:
         if self.batch_size is not None:
@@ -376,19 +370,23 @@ class LogisticModel:
 
 
 def fit_logistic(data: Dataset) -> LogisticModel:
-    """300 full-batch Adam cross-entropy steps at learning rate 0.05 from a zero start."""
+    """300 full-batch Adam cross-entropy steps at learning rate 0.05 from a zero start.
+
+    Raises RuntimeError when a gradient overflows Adam's second moment,
+    which would freeze the weights it covers.
+    """
     X, y = data.features, data.labels.astype(float)
     # w and b lie end to end in one vector, stepped by train_stack's _adam
     theta, g = np.zeros(X.shape[1] + 1), np.empty(X.shape[1] + 1)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     for epoch in range(300):
         u = X @ theta[:-1] + theta[-1]
-        loss = float(np.mean(_cross_entropy(u, y)))
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
         du = (sigmoid(u) - y) / len(y)
         g[:-1], g[-1] = X.T @ du, du.sum()
         theta, m, v = _adam(theta, g, m, v, epoch + 1, 0.05)
+    # a second moment that is inf or NaN stays so, so one check after the last step suffices
+    if not np.isfinite(v).all():
+        raise RuntimeError("non-finite Adam second moment in the logistic fit")
     return LogisticModel(w=theta[:-1], b=float(theta[-1]))
 
 
@@ -487,14 +485,11 @@ def knn_scores(train: Dataset, X, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CartConfig:
-    max_depth: int = 6
-    min_leaf: int = 5
+    max_depth: int = setting(6, ge=0)
+    min_leaf: int = setting(5, ge=1)
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

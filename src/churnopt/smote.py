@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check_settings, setting
 from .data import Dataset
 from .models import nearest_neighbors
 
@@ -24,15 +25,12 @@ __all__ = ["SmoteConfig", "smote_balance"]
 class SmoteConfig:
     """k_neighbors: candidates per seed point; ratio: target minority:majority."""
 
-    k_neighbors: int = 5
-    ratio: float = 1.0
-    seed: int = 0
+    k_neighbors: int = setting(5, ge=1)
+    ratio: float = setting(1.0, gt=0, le=1)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not 0 < self.ratio <= 1:
-            raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
+        check_settings(self)
 
 
 def smote_balance(train: Dataset, cfg: SmoteConfig) -> Dataset:

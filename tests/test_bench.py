@@ -147,3 +147,18 @@ def test_failed_benchmark_run_stops_naming_its_side(monkeypatch, tmp_path):
         run=lambda cmd, env, cwd, timeout_s: SimpleNamespace(returncode=1, stderr="RuntimeError: worker died\n")))
     with pytest.raises(SystemExit, match=r"base side \(/base/src\) exited 1: -m churnopt.cli benchmark(.|\n)*worker died"):
         bench.bench_cli(SRCS, reps=1, tmp=tmp_path)
+
+
+@pytest.mark.parametrize("table", ["profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv"])
+def test_differing_table_bytes_stop_the_script(monkeypatch, tmp_path, table):
+    def run(cmd, env, cwd, timeout_s):
+        """Write the same outputs on both sides, but for one table whose bytes name the side."""
+        side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
+        (cwd / "out").mkdir(exist_ok=True)
+        for name in bench.OUTPUTS:
+            (cwd / "out" / name).write_text(side if name == table else name)
+        return SimpleNamespace(returncode=0, wall_s=1.0, peak_rss_mb=100.0, stderr="")
+
+    monkeypatch.setattr(bench, "measure", SimpleNamespace(run=run))
+    with pytest.raises(SystemExit, match=f"output bytes differ between runs: .*'{table}'"):
+        bench.bench_cli(SRCS, reps=1, tmp=tmp_path)

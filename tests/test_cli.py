@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from churnopt import cli
 from churnopt import experiments as ex
+from churnopt._settings import config_key
 from churnopt.cli import main
 from reference import (
     MONTHS,
@@ -48,7 +49,7 @@ SMALL_RUN = {
 }
 
 # the JSON key of each RunConfig field, which every config error names
-CONFIG_KEYS = {fld.name: ex._config_key(fld) for fld in fields(ex.RunConfig)}
+CONFIG_KEYS = {fld.name: config_key(fld) for fld in fields(ex.RunConfig)}
 
 
 def write_json(path, payload):
@@ -261,8 +262,8 @@ class TestBenchmark:
             ({"model": {"learning_rate": 0}}, "learning_rate"),
             ({"model": {"hidden": 0}}, "hidden"),
             ({"model": {"batch_size": 0}}, "batch_size"),
-            ({"cv": {"learning_rates": [0.01], "epochs": [0]}}, "cv grid point"),
-            ({"cv": {"learning_rates": [-0.1], "epochs": [5]}}, "cv grid point"),
+            ({"cv": {"learning_rates": [0.01], "epochs": [0]}}, "cv.epochs must be >= 1, got 0"),
+            ({"cv": {"learning_rates": [-0.1], "epochs": [5]}}, "cv.learning_rates must be > 0, got -0.1"),
             ({"cv": {"learning_rates": [0.01], "epochs": [2.5]}}, "cv_epochs"),
             ({"cv": {"learning_rates": [0.01], "epochs": [True]}}, "cv_epochs"),
             ({"cv": {"learning_rates": [0.01]}}, "cv_epochs"),
@@ -295,10 +296,7 @@ class TestBenchmark:
             ({"model": {"epochs": 0}}, "invalid config: model.epochs must be >= 1, got 0"),
             ({"baselines": {"cart_min_leaf": 0}}, "invalid config: baselines.cart_min_leaf must be >= 1, got 0"),
             ({"cv": {"learning_rates": [0.01], "epochs": 5}}, "config key 'cv.epochs' must be a list, got 5"),
-            (
-                {"cv": {"learning_rates": [0.01], "epochs": [0]}},
-                "cv grid point (cv.learning_rates=0.01, cv.epochs=0): epochs must be >= 1, got 0",
-            ),
+            ({"cv": {"learning_rates": [0.01], "epochs": [0]}}, "invalid config: cv.epochs must be >= 1, got 0"),
             ({"smote": {"seed": 1}}, "unknown config key(s) ['smote.seed']"),
             ({"model": {"loss": "cross-entropy"}}, "unknown config key(s) ['model.loss']"),
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "seed": -1}]}},
@@ -308,9 +306,9 @@ class TestBenchmark:
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_mean": 0}]}},
              "invalid synthetic spec: clv_mean must be > 0"),
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "clv_sigma": -0.5}]}},
-             "invalid synthetic spec: clv_sigma and signal must be >= 0"),
+             "invalid synthetic spec: clv_sigma must be >= 0, got -0.5"),
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 20, "n_test": 20, "signal": -1}]}},
-             "invalid synthetic spec: clv_sigma and signal must be >= 0"),
+             "invalid synthetic spec: signal must be >= 0, got -1"),
             # 10**17 rows ask for 711 PiB, which no allocator grants
             ({"datasets": {"synthetic": [{"name": "a", "n_train": 10**17, "n_test": 20}]}},
              "invalid synthetic spec: Unable to allocate"),
@@ -332,7 +330,7 @@ class TestBenchmark:
         out_dir = tmp_path / "out"
         assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
         err = capsys.readouterr().err
-        assert f"invalid config: campaign.{key} (" in err and f"got {value}" in err and "dataset" not in err
+        assert f"invalid config: campaign.{key} must" in err and f"got {value}" in err and "dataset" not in err
         assert built == [] and not out_dir.exists()
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from churnopt import experiments as ex
+from churnopt._settings import config_key
 from churnopt.campaign import CampaignParams, midpoint, optimal_total_profit, prescribe, total_profit
 from churnopt.data import Dataset, standardize
 from churnopt.metrics import accuracy, threshold_candidates
@@ -43,7 +44,7 @@ def small_benchmark_inputs(n_datasets=2, seed0=50):
 
 FAST = dict(learning_rate=0.05, epochs=15)
 
-CONFIG_KEYS = {fld.name: ex._config_key(fld) for fld in fields(ex.RunConfig)}
+CONFIG_KEYS = {fld.name: config_key(fld) for fld in fields(ex.RunConfig)}
 
 
 def by_key(message: str, *names: str) -> str:
@@ -691,16 +692,17 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("f", -1.0, "campaign.f (contact cost) must be finite and >= 0, got -1.0"),
-            ("gamma", 0.0, "campaign.gamma (acceptance fraction) must be in (0, 1], got 0.0"),
-            ("gamma", 5.0, "campaign.gamma (acceptance fraction) must be in (0, 1], got 5.0"),
-            ("slope", 0.0, "campaign.slope (surrogate steepness) must be finite and > 0, got 0.0"),
+            ("f", -1.0, "campaign.f must be >= 0, got -1.0"),
+            ("gamma", 0.0, "campaign.gamma must lie in (0, 1], got 0.0"),
+            ("gamma", 5.0, "campaign.gamma must lie in (0, 1], got 5.0"),
+            ("slope", 0.0, "campaign.slope must be > 0, got 0.0"),
             ("epochs", 0, "model.epochs must be >= 1, got 0"),
             ("smote_k", 0, "smote.k_neighbors must be >= 1, got 0"),
             ("smote_ratio", 1.5, "smote.ratio must lie in (0, 1], got 1.5"),
             ("cart_max_depth", -1, "baselines.cart_max_depth must be >= 0, got -1"),
             ("cart_min_leaf", 0, "baselines.cart_min_leaf must be >= 1, got 0"),
-            ("regret_net_accuracy", "median", "regret_net_accuracy must be 'threshold' or 'midpoint'"),
+            ("regret_net_accuracy", "median",
+             "regret_net_accuracy must be one of ('threshold', 'midpoint'), got 'median'"),
         ],
     )
     def test_message_names_the_config_key(self, field, value, message):
@@ -738,8 +740,8 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"cv_learning_rates": (0.01, 0.03), "cv_epochs": (5, 0)}, "cv grid point .* epochs must be >= 1"),
-            ({"cv_learning_rates": (-0.1,), "cv_epochs": (5,)}, "cv grid point .* learning_rate must be > 0"),
+            ({"cv_learning_rates": (0.01, 0.03), "cv_epochs": (5, 0)}, "cv_epochs must be >= 1, got 0"),
+            ({"cv_learning_rates": (-0.1,), "cv_epochs": (5,)}, "cv_learning_rates must be > 0, got -0.1"),
             ({"cv_learning_rates": (0.01,), "cv_epochs": (2.5,)}, "cv_epochs must be an integer"),
             ({"cv_learning_rates": (0.01,), "cv_epochs": (True,)}, "cv_epochs must be an integer"),
             ({"cv_learning_rates": (0.01,)}, "cv_learning_rates and cv_epochs must both"),

@@ -202,6 +202,17 @@ class TestMpSweep:
         params = CampaignParams(f=1.0, d=1.0, gamma=0.5)
         _same_mp(np.array([0.1, 0.5, 0.6, 0.9]), np.array([0, 1, 0, 1]), params, 7.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scores, labels, clv_avg, want",
+        [
+            ([-np.inf, np.inf], [0, 1], 85.0, ((0.3 * (85.0 - 4.25) - 1.36) / 2, -np.inf)),  # -inf + inf
+            ([0.2, 0.7], [0, 1], np.inf, (np.inf, 0.45)),  # inf * 0 churners
+        ],
+    )
+    def test_nan_paths_warn_nothing(self, scores, labels, clv_avg, want):
+        assert mp(np.array(scores), np.array(labels), P, clv_avg) == pytest.approx(want)
+
 
 class TestMsp:
     @pytest.mark.parametrize("q", [1, 2, 3, 7])
