@@ -247,14 +247,20 @@ def cmd_stats(args) -> int:
 
 
 def _alpha(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
 
 
 def _jobs(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value

@@ -171,7 +171,8 @@ def bundled_specs(master_seed: int = 0) -> list[SyntheticSpec]:
 
 def monte_carlo_cv(
     data: Dataset,
-    grid: Sequence[tuple[float, int]],
+    learning_rates: Sequence[float],
+    epochs: Sequence[int],
     params: CampaignParams,
     base: TrainConfig | None = None,
     hidden: int | None = None,
@@ -179,34 +180,34 @@ def monte_carlo_cv(
     n_seeds: int = 10,
     seed: int = 0,
 ) -> TrainConfig:
-    """Pick (learning rate, epochs) by repeated random 80/20 validation.
+    """Pick (learning rate, epochs) from learning_rates x epochs by repeated random 80/20 validation.
 
     Each grid cell is scored by the mean held-out loss over `splits`
     random splits times `n_seeds` training seeds (splits and seeds are
     shared across cells, so the comparison is paired). The cells of one
     learning rate share their epoch prefix: each (learning rate, split,
     seed) run is one slice of a single training stack, trained to the
-    largest epoch count of its learning rate and scored after every
-    epoch count in the grid along the way. Ties break toward the smaller
-    learning rate, then fewer epochs. Training failures are excluded
-    from the mean, counted, and reported via a warning; a run that fails
-    in epoch e fails the cells with e or more epochs.
+    largest epoch count and scored after every epoch count along the
+    way. Ties break toward the smaller learning rate, then fewer epochs.
+    Training failures are excluded from the mean, counted, and reported
+    via a warning; a run that fails in epoch e fails the cells with e or
+    more epochs.
 
-    Raises ValueError on an empty grid, a repeated or invalid grid
-    point, or fewer than one split or seed.
+    Raises ValueError on an empty or repeating list, an entry that
+    TrainConfig refuses, or fewer than one split or seed.
     """
-    if not grid:
-        raise ValueError("hyperparameter grid must be nonempty")
+    base = base if base is not None else TrainConfig()
+    # TrainConfig's own rules check each entry, so a count converts to int only once it is an integer
+    rates = [replace(base, learning_rate=lr).learning_rate for lr in learning_rates]
+    counts = [int(replace(base, epochs=e).epochs) for e in epochs]
+    for name, values in (("learning_rates", rates), ("epochs", counts)):
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
+        repeated = _first_repeat(values)
+        if repeated is not None:
+            raise ValueError(f"{name} lists {values[repeated]} more than once")
     if splits < 1 or n_seeds < 1:
         raise ValueError(f"splits and n_seeds must be >= 1, got {splits} and {n_seeds}")
-    base = base if base is not None else TrainConfig()
-    points = [(lr, replace(base, learning_rate=lr, epochs=int(epochs)).epochs) for lr, epochs in grid]
-    repeated = _first_repeat(points)
-    if repeated is not None:
-        raise ValueError(f"grid point {points[repeated]} appears more than once")
-    epochs_by_lr: dict[float, list[int]] = {}
-    for lr, epochs in points:
-        epochs_by_lr.setdefault(lr, []).append(epochs)
     if hidden is None:
         hidden = default_hidden(data.n_features)
     rng = np.random.default_rng(seed)
@@ -224,36 +225,29 @@ def monte_carlo_cv(
     run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(splits * n_seeds)]
 
     # one slice per (learning rate, split, seed), in that order
-    runs = [
-        (lr, si, run_seeds[si * n_seeds + s]) for lr in epochs_by_lr for si in range(splits) for s in range(n_seeds)
-    ]
+    runs = [(lr, si, run_seeds[si * n_seeds + s]) for lr in rates for si in range(splits) for s in range(n_seeds)]
     slices = [
         StackSlice(
             init_mlp(data.n_features, hidden, seed=run_seed),
             params,
-            replace(base, learning_rate=lr, epochs=max(epochs_by_lr[lr]), seed=run_seed),
+            replace(base, learning_rate=lr, epochs=max(counts), seed=run_seed),
             rows=splits_idx[si][: n - n_val],
         )
         for lr, si, run_seed in runs
     ]
     validation = [data.subset(perm[n - n_val :]) for perm in splits_idx]
     failures = 0
-    losses: dict[tuple[float, int], list[float]] = {}
-    for (lr, si, _), (models, _) in zip(runs, train_stack(data, slices, keep=set(e for _, e in points))):
-        for epochs in epochs_by_lr[lr]:
-            if epochs in models:
-                losses.setdefault((lr, epochs), []).append(mean_loss(models[epochs], validation[si], params, base.loss))
+    losses: dict[tuple[float, int], list[float]] = {(lr, e): [] for lr in rates for e in counts}
+    for (lr, si, _), (models, _) in zip(runs, train_stack(data, slices, keep=counts)):
+        for e in counts:
+            if e in models:
+                losses[lr, e].append(mean_loss(models[e], validation[si], params, base.loss))
             else:
                 failures += 1
-    best: tuple[float, float, int] | None = None  # (score, lr, epochs)
-    for lr, epochs in sorted(points):
-        cell = losses.get((lr, epochs))
-        score = float(np.mean(cell)) if cell else np.inf
-        if best is None or score < best[0]:
-            best = (score, lr, epochs)
     if failures:
         warnings.warn(f"{failures} training run(s) failed during cross-validation", stacklevel=2)
-    return replace(base, learning_rate=best[1], epochs=best[2])
+    lr, e = min(sorted(losses), key=lambda point: np.mean(losses[point]) if losses[point] else np.inf)
+    return replace(base, learning_rate=lr, epochs=e)
 
 
 # method -> (scorer, decision rule); the scorers are fitted by _SCORERS
@@ -326,11 +320,6 @@ class RunConfig:
         if bool(self.cv_learning_rates) != bool(self.cv_epochs):
             raise ValueError(f"{key['cv_learning_rates']} and {key['cv_epochs']} must both be given or both be empty")
 
-    @property
-    def cv_grid(self) -> list[tuple[float, int]]:
-        """The (learning rate, epochs) points that Monte Carlo CV compares; empty: no tuning."""
-        return [(lr, e) for lr in self.cv_learning_rates for e in self.cv_epochs]
-
     def campaign(self, d: float) -> CampaignParams:
         return CampaignParams(f=self.f, d=d, gamma=self.gamma, slope=self.slope)
 
@@ -400,9 +389,9 @@ def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
     slices = []
     for params, seeds in fits:
         tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
-        if loss == "smooth-regret" and cfg.cv_grid:
+        if loss == "smooth-regret" and cfg.cv_learning_rates:
             tc = monte_carlo_cv(
-                data, cfg.cv_grid, params, base=tc, hidden=hidden,
+                data, cfg.cv_learning_rates, cfg.cv_epochs, params, base=tc, hidden=hidden,
                 splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
             )
         slices.append(StackSlice(init_mlp(data.n_features, hidden, seed=tc.seed), params, tc))

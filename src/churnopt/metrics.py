@@ -67,10 +67,9 @@ def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, f
     n1[np.isnan(t)] = 0
     churner_gain = params.gamma * (clv_avg - params.d) - params.f
     nonchurner_cost = params.d + params.f
-    # with an infinite clv_avg, a campaign without churners scores inf * 0 = NaN: never the best
-    with np.errstate(invalid="ignore"):
-        profit = (churner_gain * n0 - nonchurner_cost * n1) / scores.size
-    profit[np.isnan(profit)] = -np.inf
+    # a campaign without churners earns no churner term, also when clv_avg is infinite (inf * 0 is NaN)
+    churner_term = np.multiply(churner_gain, n0, out=np.zeros(t.size), where=n0 > 0)
+    profit = (churner_term - nonchurner_cost * n1) / scores.size
     i = int(np.argmax(profit))
     return float(profit[i]), float(t[i])
 

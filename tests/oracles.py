@@ -232,7 +232,8 @@ def profit_at_threshold(scores, labels, t, params, clv_avg):
     n1 = int(np.sum(targeted & (labels == 1)))
     churner_gain = params.gamma * (clv_avg - params.d) - params.f
     nonchurner_cost = params.d + params.f
-    profit = (churner_gain * n0 - nonchurner_cost * n1) / n
+    churner_term = churner_gain * n0 if n0 > 0 else 0.0
+    profit = (churner_term - nonchurner_cost * n1) / n
     return ThresholdedEvaluation(
         threshold=float(t),
         profit_per_customer=float(profit),

@@ -656,6 +656,20 @@ class TestParsing:
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--jobs", "1.5", "must be an integer, got '1.5'"),
+            ("--jobs", "abc", "must be an integer, got 'abc'"),
+            ("--alpha", "abc", "must be a finite number, got 'abc'"),
+        ],
+    )
+    def test_unparsable_flag_value_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", flag, value, "--out", str(out_dir)]) == 1
+        assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_removed_sweep_command_exits_1_before_any_work(self, tmp_path, capsys):
         # `benchmark` writes the sensitivity tables that `sweep` wrote
         out_dir = tmp_path / "out"

@@ -142,8 +142,14 @@ class TestMonteCarloCv:
         datasets = small_benchmark_inputs(1)
         _, train, _ = datasets[0]
         tr, _ = standardize(train, train)
-        best = ex.monte_carlo_cv(tr, [(0.02, 5)], P, splits=2, n_seeds=1, seed=0)
+        best = ex.monte_carlo_cv(tr, [0.02], [5], P, splits=2, n_seeds=1, seed=0)
         assert (best.learning_rate, best.epochs) == (0.02, 5)
+
+    def test_numpy_entries_accepted(self):
+        _, train, _ = small_benchmark_inputs(1)[0]
+        tr, _ = standardize(train, train)
+        best = ex.monte_carlo_cv(tr, np.array([0.02]), np.array([5]), P, splits=2, n_seeds=1, seed=0)
+        assert (best.learning_rate, best.epochs) == (0.02, 5) and type(best.epochs) is int
 
     def test_rigged_grid_prefers_real_training(self):
         rng = np.random.default_rng(7)
@@ -153,71 +159,87 @@ class TestMonteCarloCv:
             name="cv", schema=("f1",), features=x.reshape(-1, 1),
             labels=labels, clvs=rng.uniform(20, 150, 150),
         )
-        best = ex.monte_carlo_cv(ds, [(1e-9, 1), (0.05, 60)], P, splits=3, n_seeds=2, seed=0)
+        best = ex.monte_carlo_cv(ds, [1e-9, 0.05], [1, 60], P, splits=3, n_seeds=2, seed=0)
         assert (best.learning_rate, best.epochs) == (0.05, 60)
 
     def test_deterministic(self):
         datasets = small_benchmark_inputs(1)
         _, train, _ = datasets[0]
         tr, _ = standardize(train, train)
-        grid = [(0.05, 5), (0.01, 5)]
-        a = ex.monte_carlo_cv(tr, grid, P, splits=2, n_seeds=2, seed=3)
-        b = ex.monte_carlo_cv(tr, grid, P, splits=2, n_seeds=2, seed=3)
+        a = ex.monte_carlo_cv(tr, [0.05, 0.01], [5], P, splits=2, n_seeds=2, seed=3)
+        b = ex.monte_carlo_cv(tr, [0.05, 0.01], [5], P, splits=2, n_seeds=2, seed=3)
         assert (a.learning_rate, a.epochs) == (b.learning_rate, b.epochs)
 
     def test_empty_grid_rejected(self):
         datasets = small_benchmark_inputs(1)
         _, train, _ = datasets[0]
-        with pytest.raises(ValueError, match="nonempty"):
-            ex.monte_carlo_cv(train, [], P)
+        with pytest.raises(ValueError, match="^learning_rates must be nonempty$"):
+            ex.monte_carlo_cv(train, [], [5], P)
+        with pytest.raises(ValueError, match="^epochs must be nonempty$"):
+            ex.monte_carlo_cv(train, [0.01], [], P)
 
     def test_repeated_grid_point_rejected(self):
+        # each would put one (learning rate, epochs) point on the grid twice
         _, train, _ = small_benchmark_inputs(1)[0]
-        with pytest.raises(ValueError, match=r"grid point \(0.01, 2\) appears more than once"):
-            ex.monte_carlo_cv(train, [(0.01, 2), (0.03, 2), (0.01, 2)], P, splits=1, n_seeds=1)
+        with pytest.raises(ValueError, match="^learning_rates lists 0.01 more than once$"):
+            ex.monte_carlo_cv(train, [0.01, 0.03, 0.01], [2], P, splits=1, n_seeds=1)
+        with pytest.raises(ValueError, match="^epochs lists 2 more than once$"):
+            ex.monte_carlo_cv(train, [0.01], [2, 4, 2], P, splits=1, n_seeds=1)
+
+    @pytest.mark.parametrize(
+        "rates, epochs, message",
+        [
+            ([0.01], [2.5], "epochs must be an integer, got 2.5"),
+            ([0.01], [True], "epochs must be an integer, got True"),
+            ([0.01], [0], "epochs must be >= 1, got 0"),
+            ([-0.1], [2], "learning_rate must be > 0, got -0.1"),
+            ([np.inf], [2], "learning_rate must be a finite number, got inf"),
+        ],
+    )
+    def test_entry_refused_naming_the_field(self, rates, epochs, message):
+        # TrainConfig's own rule checks each entry
+        _, train, _ = small_benchmark_inputs(1)[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ex.monte_carlo_cv(train, rates, epochs, P, splits=1, n_seeds=1)
 
     def test_single_class_data_rejected(self):
         one_class = Dataset(name="one", schema=("f1",), features=np.zeros((20, 1)),
                             labels=np.ones(20, dtype=np.int64), clvs=np.full(20, 50.0))
         with pytest.raises(ValueError, match="^could not draw a two-class training part$"):
-            ex.monte_carlo_cv(one_class, [(0.01, 2)], P, splits=1, n_seeds=1)
+            ex.monte_carlo_cv(one_class, [0.01], [2], P, splits=1, n_seeds=1)
 
     @pytest.mark.parametrize("splits, n_seeds", [(0, 1), (1, 0), (-2, 3)])
     def test_no_validation_run_rejected(self, splits, n_seeds):
         _, train, _ = small_benchmark_inputs(1)[0]
         with pytest.raises(ValueError, match="splits and n_seeds must be >= 1"):
-            ex.monte_carlo_cv(train, [(0.01, 5)], P, splits=splits, n_seeds=n_seeds)
+            ex.monte_carlo_cv(train, [0.01], [5], P, splits=splits, n_seeds=n_seeds)
 
 
-def _cv_with_warnings(cv, data, grid, **kwargs):
+def _cv_with_warnings(cv, data, *grid, **kwargs):
     """(learning rate, epochs) a CV function picks and the CV warnings it gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        best = cv(data, grid, P, **kwargs)
+        best = cv(data, *grid, P, **kwargs)
     messages = [str(w.message) for w in caught if "cross-validation" in str(w.message)]
     return (best.learning_rate, best.epochs), messages
 
 
 class TestMonteCarloCvMatchesOracle:
-    """Shared epoch prefixes against training every grid point from scratch (tests/oracles.py)."""
+    """Shared epoch prefixes against training every point of the product grid from scratch (tests/oracles.py)."""
 
     @settings(max_examples=10, deadline=None)
     @given(
-        epochs_by_lr=st.dictionaries(
-            st.sampled_from([0.003, 0.05, 0.4, 1e308]),
-            st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
-            min_size=1,
-            max_size=3,
-        ),
+        rates=st.lists(st.sampled_from([0.003, 0.05, 0.4, 1e308]), min_size=1, max_size=3, unique=True),
+        epochs=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
         batch_size=st.sampled_from([None, 24]),
         seed=st.integers(0, 1000),
     )
-    def test_same_pick_and_warning(self, epochs_by_lr, batch_size, seed):
+    def test_same_pick_and_warning(self, rates, epochs, batch_size, seed):
         _, train, _ = small_benchmark_inputs(1)[0]
         tr, _ = standardize(train, train)
-        grid = [(lr, e) for lr, counts in epochs_by_lr.items() for e in counts]
+        grid = [(lr, e) for lr in rates for e in epochs]
         kwargs = dict(base=TrainConfig(batch_size=batch_size), splits=2, n_seeds=2, seed=seed)
-        assert _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs) == _cv_with_warnings(
+        assert _cv_with_warnings(ex.monte_carlo_cv, tr, rates, epochs, **kwargs) == _cv_with_warnings(
             oracles.monte_carlo_cv, tr, grid, **kwargs
         )
 
@@ -225,9 +247,10 @@ class TestMonteCarloCvMatchesOracle:
         # at learning rate 1e308 every run of this split turns non-finite in epoch 4
         _, train, _ = small_benchmark_inputs(1)[0]
         tr, _ = standardize(train, train)
-        grid = [(1e308, 6), (1e308, 2), (1e308, 3), (1e308, 8), (0.05, 2)]
+        rates, epochs = [1e308, 0.05], [6, 2, 3, 8]
         kwargs = dict(splits=2, n_seeds=2, seed=0)
-        got = _cv_with_warnings(ex.monte_carlo_cv, tr, grid, **kwargs)
+        got = _cv_with_warnings(ex.monte_carlo_cv, tr, rates, epochs, **kwargs)
+        grid = [(lr, e) for lr in rates for e in epochs]
         assert got == _cv_with_warnings(oracles.monte_carlo_cv, tr, grid, **kwargs)
         assert got[1] == ["8 training run(s) failed during cross-validation"]
 
@@ -755,7 +778,7 @@ class TestRunConfig:
 
     def test_count_fields_accept_numpy_integers_and_unset_optionals(self):
         cfg = ex.RunConfig(knn_k=np.int64(3), hidden=None, batch_size=None, cv_learning_rates=(0.01,), cv_epochs=(2, 4))
-        assert cfg.cv_grid == [(0.01, 2), (0.01, 4)]
+        assert (cfg.knn_k, cfg.hidden, cfg.batch_size, cfg.cv_learning_rates, cfg.cv_epochs) == (3, None, None, (0.01,), (2, 4))
 
     def test_regret_net_accuracy_switch(self):
         datasets = small_benchmark_inputs(1)

@@ -213,6 +213,12 @@ class TestMpSweep:
     def test_nan_paths_warn_nothing(self, scores, labels, clv_avg, want):
         assert mp(np.array(scores), np.array(labels), P, clv_avg) == pytest.approx(want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("clv_avg", [np.inf, -np.inf])
+    def test_campaign_without_churners_earns_no_churner_term(self, clv_avg):
+        # targeting no churner earns 0 at t = -inf, as for a finite clv_avg
+        assert mp(np.array([0.2, 0.7]), np.array([1, 1]), P, clv_avg) == (0.0, -np.inf)
+
 
 class TestMsp:
     @pytest.mark.parametrize("q", [1, 2, 3, 7])
