@@ -367,23 +367,12 @@ def _cell_seeds(master_seed: int, di: int, dj: int, mi: int) -> tuple[int, int, 
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _threshold_decisions(scores, t):
-    return (np.asarray(scores) <= t).astype(np.int64)
-
-
-def _msp_decisions(train_scores, train_s: Dataset, test_scores, test_clvs, q, params):
-    """Per-segment thresholds fitted on train, carried to test by CLV edges."""
-    result = msp(train_scores, train_s.labels, train_s.clvs, q, params)
-    seg = assign_segments(test_clvs, result.edges)
-    return _threshold_decisions(test_scores, result.thresholds[seg])
-
-
 def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
     """One net per (campaign, seeds) in fits, all trained as one stack.
 
     Under a CV grid each smooth-regret net first tunes its own learning
-    rate and epoch count. A net whose training fails scores by raising
-    its error, which fails only the cells it serves.
+    rate and epoch count. A net whose training fails is returned as its
+    error, which fails only the cells it serves.
     """
     hidden = cfg.hidden if cfg.hidden is not None else default_hidden(data.n_features)
     slices = []
@@ -396,17 +385,9 @@ def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
             )
         slices.append(StackSlice(init_mlp(data.n_features, hidden, seed=tc.seed), params, tc))
     return [
-        partial(_reraise, error) if error is not None else partial(_net_scores, models[s.cfg.epochs])
+        error or (lambda ds, model=models[s.cfg.epochs]: forward_batch(model, ds.features))
         for s, (models, error) in zip(slices, train_stack(data, slices))
     ]
-
-
-def _net_scores(model, ds: Dataset):
-    return forward_batch(model, ds.features)
-
-
-def _reraise(exc: Exception, ds: Dataset):
-    raise exc
 
 
 def _fit_logistic(data: Dataset, cfg: RunConfig, fits):
@@ -426,9 +407,10 @@ def _fit_cart(data: Dataset, cfg: RunConfig, fits):
 
 # scorer -> (trains on the SMOTE-balanced split, fit). A fit takes the
 # training split, cfg and one (campaign, (smote, train, cv) seeds) pair
-# per group of cells it serves, and returns one function per group that
-# scores a split. Only regret_net reads d, so only its tasks hold more
-# than one group: one per d value.
+# per group of cells it serves, and returns for each group a function that
+# scores a split, or the exception that stopped that group. Only
+# regret_net reads d, so only its tasks hold more than one group: one per
+# d value.
 _SCORERS = {
     "regret_net": (False, partial(_fit_net, loss="smooth-regret")),
     "xent_net": (True, partial(_fit_net, loss="cross-entropy")),
@@ -440,11 +422,6 @@ _SCORERS = {
 }
 
 
-def _failed(name, cell, exc: Exception) -> CellResult:
-    _, d_label, params, method = cell
-    return CellResult(name, d_label, params.d, method, status="failed", error=f"{type(exc).__name__}: {exc}")
-
-
 def _run_task(task) -> list[CellResult]:
     """Fit one scorer, then run every cell it serves, group by group; see _plan."""
     name, train_s, test_s, scorer, cfg, groups = task
@@ -454,34 +431,36 @@ def _run_task(task) -> list[CellResult]:
         if balance:
             smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=groups[0][0][0])
             data = smote_balance(train_s, smote)
-        scorers = fit(data, cfg, [(cells[0][2], seeds) for seeds, cells in groups])
+        scorers = fit(data, cfg, [(cells[0][1], seeds) for seeds, cells in groups])
     except Exception as exc:  # a failed fit fails exactly the cells it serves
-        scorers = [partial(_reraise, exc)] * len(groups)
+        scorers = [exc] * len(groups)
     out = []
     for score, (_, cells) in zip(scorers, groups):
-        try:
-            test_scores = score(test_s)
-            train_scores = score(train_s) if any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells) else None
+        uses_train = any(_METHOD_TABLE[m][1] == "msp" for *_, m in cells)
+        try:  # each group is scored once: (test, train) scores, or the error that fails its cells
+            scores = score if isinstance(score, Exception) else (score(test_s), score(train_s) if uses_train else None)
         except Exception as exc:
-            out += [_failed(name, cell, exc) for cell in cells]
-        else:
-            out += [_run_cell(name, cell, cfg, train_s, train_scores, test_s, test_scores) for cell in cells]
+            scores = exc
+        out += [_run_cell(name, cell, cfg, train_s, test_s, scores) for cell in cells]
     return out
 
 
-def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_scores) -> CellResult:
-    """Apply one cell's decision rule to the fitted scores and measure it."""
-    _, d_label, params, method = cell
+def _run_cell(name, cell, cfg: RunConfig, train_s, test_s, scores) -> CellResult:
+    """Apply one cell's decision rule to the (test, train) scores and measure it; scores may be its group's error."""
+    d_label, params, method = cell
     try:
+        if isinstance(scores, Exception):
+            raise scores
+        test_scores, train_scores = scores
         scorer, rule = _METHOD_TABLE[method]
+        threshold = cfg.class_threshold
+        if rule == "msp":  # per-segment thresholds fitted on train, carried to test by CLV edges
+            result = msp(train_scores, train_s.labels, train_s.clvs, cfg.q, params)
+            threshold = result.thresholds[assign_segments(test_s.clvs, result.edges)]
         # accuracy judges `classified`, which for a midpoint rule is the
         # class-threshold call unless regret_net_accuracy is "midpoint"
-        decisions = classified = _threshold_decisions(test_scores, cfg.class_threshold)
-        if rule == "msp":
-            decisions = classified = _msp_decisions(
-                train_scores, train_s, test_scores, test_s.clvs, cfg.q, params
-            )
-        elif rule == "midpoint":
+        decisions = classified = (test_scores <= threshold).astype(np.int64)
+        if rule == "midpoint":
             decisions = prescribe(test_scores, midpoint(params, test_s.clvs))
             if scorer == "regret_net" and cfg.regret_net_accuracy == "midpoint":
                 classified = decisions
@@ -491,7 +470,7 @@ def _run_cell(name, cell, cfg: RunConfig, train_s, train_scores, test_s, test_sc
         acc = accuracy(classified, test_s.labels)
         return CellResult(name, d_label, params.d, method, profit, acc, gap, targeted_fraction(decisions), optimal)
     except Exception as exc:  # isolate the cell, keep the run going
-        return _failed(name, cell, exc)
+        return CellResult(name, d_label, params.d, method, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -520,9 +499,9 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
     A task is (name, train, test, scorer, cfg, groups), with both splits
     standardized and the training split cut to the customers above
     break-even under drop_below_break_even. A group is (seeds, cells),
-    each cell (row, d_label, campaign, method) with one campaign per
+    each cell (d_label, campaign, method) with one campaign per
     (dataset, d), and the seeds are those of the group's first cell in
-    row order. A scorer is fitted once per dataset, or per (dataset, d)
+    grid order. A scorer is fitted once per dataset, or per (dataset, d)
     under drop_below_break_even. Its task holds one group, except
     regret_net's: its loss reads d, so it trains one net per d value, as
     one stack, with a group for each.
@@ -537,7 +516,6 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
         raise ValueError(f"dataset name {datasets[repeated][0]!r} appears more than once")
     uses_msp = any(_METHOD_TABLE[m][1] == "msp" for m in cfg.methods)
     tasks: dict[tuple, tuple] = {}
-    row = 0
     for di, (name, train_ds, test_ds) in enumerate(datasets):
         clv_mean = float(train_ds.clvs.mean())
         try:
@@ -566,8 +544,7 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
                 group = dj if scorer == "regret_net" else None
                 if group not in groups:
                     groups[group] = (_cell_seeds(cfg.seed, di, dj, mi), [])
-                groups[group][1].append((row, str(entry), params, method))
-                row += 1
+                groups[group][1].append((str(entry), params, method))
     return [(*task[:-1], list(task[-1].values())) for task in tasks.values()]
 
 
@@ -581,56 +558,56 @@ def run_benchmark(
     Each fit is one task serving one or more cells. With w = min(jobs,
     fits) above 1, the tasks run on w processes, this one and w - 1
     children, see _run_pooled; otherwise they run here and no process
-    starts. Per-fit seeding keeps the report identical either way.
+    starts. The tasks' cells come back in any order and are assembled by
+    (dataset, d label, method) into grid order, and per-fit seeding keeps
+    the report identical either way.
     Raises ValueError, before any fit runs, when _plan rejects a dataset,
     and RuntimeError when a child dies.
     """
     tasks = _plan(datasets, cfg)
     workers = min(jobs, len(tasks))
-    results = _run_pooled(tasks, workers) if workers > 1 else [_run_task(t) for t in tasks]
-    by_row = {
-        row: cell
-        for task, out in zip(tasks, results)
-        for (row, *_), cell in zip((cell for _, cells in task[-1] for cell in cells), out)
-    }
-    return BenchmarkReport(cells=tuple(by_row[row] for row in range(len(by_row))))
+    results = _run_pooled(tasks, workers) if workers > 1 else map(_run_task, tasks)
+    # unique keys: RunConfig refuses a repeated method or d label and _plan a repeated dataset name
+    cells = {(c.dataset, c.d_label, c.method): c for out in results for c in out}
+    grid = ((name, str(entry), method) for name, _, _ in datasets for entry in cfg.d_grid for method in cfg.methods)
+    return BenchmarkReport(cells=tuple(cells[key] for key in grid))
 
 
 def _work(tasks, counter, put) -> None:
-    """Until no task is left, claim the next index i from the shared counter and put((i, cells))."""
+    """Until no task is left, claim the next index from the shared counter and put that task's cells."""
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
         if i >= len(tasks):
             return
-        put((i, _run_task(tasks[i])))
+        put(_run_task(tasks[i]))
 
 
 def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
-    """Run tasks on `workers` processes, this one included; the results in task order.
+    """Run tasks on `workers` processes, this one included; each task's cells, in the order they finish.
 
     Every process runs _work on one counter, so none idles while a task is
     unclaimed. Children come from the default start method (under fork they
     inherit the plan, under spawn it is pickled once per child) and send
-    their results through one queue. Raises RuntimeError when a child exits
-    nonzero, or when every child has exited with results still missing.
+    their results through one queue; run_benchmark assembles them by name.
+    Raises RuntimeError when a child exits nonzero, or when every child has
+    exited with results still missing.
     """
     import multiprocessing  # here, so that a serial run never imports it
     from queue import Empty
 
     ctx = multiprocessing.get_context()
     counter, queue = ctx.Value("i", 0), ctx.Queue()
-    children, done = [], []
+    children, results = [], []
     try:
         for _ in range(workers - 1):
             children.append(ctx.Process(target=_work, args=(tasks, counter, queue.put), daemon=True))
             children[-1].start()
-        _work(tasks, counter, done.append)
-        results = dict(done)
+        _work(tasks, counter, results.append)
         while len(results) < len(tasks):
             try:  # the timeout only bounds how late a dead child is noticed
-                i, cells = queue.get(timeout=0.1)
+                results.append(queue.get(timeout=0.1))
             except Empty:
                 codes = [child.exitcode for child in children]
                 if any(codes):
@@ -638,8 +615,6 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
                 if None not in codes and queue.empty():
                     missing = len(tasks) - len(results)
                     raise RuntimeError(f"every benchmark worker exited with {missing} task results missing") from None
-                continue
-            results[i] = cells
     except BaseException:
         for child in children:
             child.terminate()
@@ -647,7 +622,7 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
     finally:
         for child in children:
             child.join()
-    return [results[i] for i in range(len(tasks))]
+    return results
 
 
 def benchmark_summary(report: BenchmarkReport, cfg: RunConfig, datasets_names, alpha: float = 0.05) -> dict:

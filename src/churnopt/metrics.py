@@ -91,11 +91,19 @@ def msp(scores, labels, clvs, q: int, params: CampaignParams) -> MspResult:
     with unequal segment sizes this is not a population average. The
     segment edges carry the thresholds over to other customers through
     :func:`~churnopt.data.assign_segments`.
+
+    Raises ValueError naming the segment whose CLVs sum past the float
+    maximum, since its mean CLV is then not finite.
     """
     scores, labels = _as_scores_labels(scores, labels)
     clvs = np.asarray(clvs, dtype=float)
     segments = quantile_segments(clvs, q)
-    seg_profit, thresholds = np.array([mp(scores[i], labels[i], params, clvs[i].mean()) for i in segments]).T
+    with np.errstate(over="ignore"):  # a mean past the float maximum is refused below
+        clv_avgs = [clvs[i].mean() for i in segments]
+    for s, clv_avg in enumerate(clv_avgs):
+        if not np.isfinite(clv_avg):
+            raise ValueError(f"segment {s + 1} of {q}: mean CLV is {clv_avg}; it must be finite")
+    seg_profit, thresholds = np.array([mp(scores[i], labels[i], params, a) for i, a in zip(segments, clv_avgs)]).T
     edges = np.array([clvs[i].max() for i in segments[:-1]], dtype=float)
     return MspResult(thresholds, edges, float(seg_profit.mean()))
 

@@ -328,6 +328,16 @@ def test_criterion_9_full_benchmark(tmp_path):
     assert hashlib.sha256((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()).hexdigest() == (
         "5ba23c0b1c4d9268597bb04df44d5c36ebcc73d92a8fd57840c92dda86f49ed2"
     )
+    # and of the three sensitivity tables the run writes from the same cells
+    tables = {
+        "profit_vs_d": "a009fe230608dedcfee4f0bc714639cc3c4bb057621bb226a1436f756ce5d7f8",
+        "gap_vs_d": "c4134517e966ba6fe30472f84f35446771a0c6f159885aa4f9f42f0080862197",
+        "eta_profit_vs_d": "94f061f9cfadbcfcaff9ff780ef07889e2a3bf64e626c8975326ed559cef6b2c",
+    }
+    for stem, rows in ex.sensitivity_sweep(report, cfg).items():
+        path = ex.write_table_csv(rows, tmp_path / f"{stem}.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == tables.pop(stem), stem
+    assert tables == {}
 
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 481  # header + one row per cell

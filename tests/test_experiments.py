@@ -323,6 +323,15 @@ class TestRunBenchmark:
         parallel = ex.run_benchmark(datasets, cfg, jobs=2).to_csv(tmp_path / "p.csv")
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_pooled_results_in_any_order_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        # the pool hands back each task's cells as the task finishes; cells are assembled by name
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=("clv/20", "clv/5"), methods=("regret_net", "knn", "msp_knn", "constant"), **FAST)
+        serial = ex.run_benchmark(datasets, cfg, jobs=1).to_csv(tmp_path / "s.csv")
+        monkeypatch.setattr(ex, "_run_pooled", lambda tasks, workers: [ex._run_task(t) for t in reversed(tasks)])
+        reversed_ = ex.run_benchmark(datasets, cfg, jobs=2).to_csv(tmp_path / "r.csv")
+        assert reversed_.read_bytes() == serial.read_bytes()
+
     def test_failed_cell_is_isolated(self):
         rng = np.random.default_rng(0)
         bad_train = Dataset(

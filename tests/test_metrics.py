@@ -336,6 +336,15 @@ class TestMsp:
             mp_value, _ = mp(scores, labels, P, 85.0)
             assert result.msp >= mp_value - 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_segment_mean_clv_past_the_float_maximum_rejected(self):
+        # 1e308 + 1.5e308 overflows, so the upper segment's mean CLV would be inf
+        with pytest.raises(ValueError, match="segment 2 of 2: mean CLV is inf"):
+            msp([0.1, 0.6, 0.2, 0.7], [0, 1, 0, 1], [1, 2, 1e308, 1.5e308], 2, P)
+        # each value alone is finite, and so is a segment that holds it alone
+        result = msp([0.1, 0.6, 0.2, 0.7], [0, 1, 0, 1], [1, 2, 1e308, 1.5e308], 4, P)
+        assert np.isfinite(result.msp)
+
 
 class TestAccuracy:
     def test_perfect_separation(self):
