@@ -10,11 +10,11 @@ alternating which side runs first:
   each hot kernel (knn_scores, mp, one Adam step, fit_cart,
   smote_balance) on fixed seeded inputs;
 - load_csv_s: per rep, CSV_CHILDREN children per side, alternating sides
-  child by child; each child prints the median of LOAD_CALLS
+  child by child; each child prints the fastest of LOAD_CALLS
   ``load_dataset`` calls, timed after one untimed warm call, on a
   20,000-row CSV written once from ``SyntheticSpec`` by the change side.
   A rep records each side's fastest child, since whole children land in
-  slow phases of a shared host; every child's median is kept too;
+  slow phases of a shared host; every child's time is kept too;
 - wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
   config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
   and --jobs 2, run through ``perfbench/measure.py``: wall time from
@@ -25,12 +25,15 @@ The sha256 of every file a benchmark run writes (benchmark_cells.csv,
 summary.json and the three *_vs_d.csv tables) is recorded; the script
 fails if any differs between runs, sides or job counts, and stops
 naming the side when a run exits non-zero. The BLAS thread variables the
-runs inherit are recorded under env.threads (null when unset).
+runs inherit are recorded under env.threads (null when unset), and the
+kernel set numpy's bundled OpenBLAS chose for this CPU under
+env.blas_core (null when numpy.libs holds no OpenBLAS).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import io
 import json
@@ -57,9 +60,9 @@ WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
              "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
              "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
 LOAD_CALLS = 7
-CSV_CHILDREN = 3
+CSV_CHILDREN = 5
 TIME_LOAD = f"""\
-import statistics, sys, time
+import sys, time
 from churnopt.data import load_dataset
 load_dataset(sys.argv[1])
 times = []
@@ -67,7 +70,7 @@ for _ in range({LOAD_CALLS}):
     start = time.perf_counter()
     load_dataset(sys.argv[1])
     times.append(time.perf_counter() - start)
-print(statistics.median(times))
+print(min(times))
 """
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
@@ -83,6 +86,16 @@ def _export_src(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return dest / "src"
+
+
+def _blas_core() -> str | None:
+    """The kernel set the OpenBLAS in numpy's wheel directory numpy.libs runs (say "SkylakeX"), or None without one."""
+    for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def _order(rep: int) -> tuple[str, str]:
@@ -118,7 +131,7 @@ def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
 
 
 def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
-    """{side: stats of each rep's fastest child, plus "children": each rep's child medians} on one CSV_ROWS-row file."""
+    """{side: stats of each rep's fastest child, plus "children": each rep's child times} on one CSV_ROWS-row file."""
     path = tmp / "load.csv"
     _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
     children = {side: [[] for _ in range(reps)] for side in SIDES}
@@ -170,8 +183,9 @@ def main(argv=None) -> int:
                 "src_dirty": bool(_git("status", "--porcelain", "src")),
                 "base": _git("rev-parse", args.base), "base_src_tree": _git("rev-parse", f"{args.base}:src")},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "blas": f"{blas.get('name')} {blas.get('version')}", "cores": os.cpu_count(),
-                "machine": platform.machine(), "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
+                "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": _blas_core(),
+                "cores": os.cpu_count(), "machine": platform.machine(),
+                "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
     }
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {"base": _export_src(args.base, Path(tmp)), "change": ROOT / "src"}

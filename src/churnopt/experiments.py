@@ -217,7 +217,7 @@ def monte_carlo_cv(
     for _ in range(splits):
         for _ in range(100):
             perm = rng.permutation(n)
-            if len(np.unique(data.labels[perm[: n - n_val]])) == 2:
+            if 0 < data.labels[perm[: n - n_val]].sum() < n - n_val:
                 splits_idx.append(perm)
                 break
         else:

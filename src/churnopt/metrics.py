@@ -17,7 +17,6 @@ from .data import quantile_segments
 
 __all__ = [
     "MspResult",
-    "threshold_candidates",
     "mp",
     "msp",
     "accuracy",
@@ -33,38 +32,36 @@ def _as_scores_labels(scores, labels):
     return scores, labels
 
 
-def threshold_candidates(scores) -> np.ndarray:
-    """-inf, midpoints between consecutive distinct sorted scores, +inf.
-
-    The profit curve is piecewise constant with breakpoints only at
-    observed scores, so these candidates cover every attainable campaign.
-    """
-    distinct = np.unique(np.asarray(scores, dtype=float))
-    with np.errstate(invalid="ignore"):  # -inf + inf: mp handles the NaN midpoint
-        mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.concatenate(([-np.inf], mids, [np.inf]))
-
-
 def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, float]:
     """Maximum profit over a single threshold; ties go to the smallest campaign.
 
     Targeting every score <= t, each targeted churner contributes
     gamma*(clv_avg - d) - f and each targeted non-churner costs d + f,
-    averaged over all n customers. One sorted sweep counts both classes
-    at every candidate threshold. Returns (best per-customer profit,
-    best threshold).
+    averaged over all n customers. The profit curve is piecewise constant
+    with breakpoints only at observed scores, so the candidates -inf, the
+    midpoints of consecutive distinct scores and +inf cover every
+    attainable campaign, save where a midpoint rounds onto +inf. One
+    sort of the scores gives the candidates, the customers each targets
+    and, by a running count, its churners. Returns (best per-customer
+    profit, best threshold).
     """
     scores, labels = _as_scores_labels(scores, labels)
     if scores.size == 0:
         raise ValueError("mp needs at least one customer")
     if np.isnan(scores).any():
         raise ValueError("mp needs scores that are not NaN")
-    t = threshold_candidates(scores)
-    n0 = np.searchsorted(np.sort(scores[labels == 0]), t, side="right")
-    n1 = np.searchsorted(np.sort(scores[labels == 1]), t, side="right")
+    order = np.argsort(scores)
+    ranked = scores[order]
+    step = np.flatnonzero(ranked[1:] != ranked[:-1])
+    with np.errstate(invalid="ignore"):  # -inf + inf: the NaN midpoint is handled below
+        mids = (ranked[step] + ranked[step + 1]) / 2.0
+    t = np.concatenate(([-np.inf], mids, [np.inf]))
+    targeted = np.searchsorted(ranked, t, side="right")
     # the midpoint of -inf and +inf is NaN, and no score is <= NaN
-    n0[np.isnan(t)] = 0
-    n1[np.isnan(t)] = 0
+    targeted[np.isnan(t)] = 0
+    churners = np.concatenate(([0], np.cumsum(labels[order] == 0)))
+    n0 = churners[targeted]
+    n1 = targeted - n0
     churner_gain = params.gamma * (clv_avg - params.d) - params.f
     nonchurner_cost = params.d + params.f
     # a campaign without churners earns no churner term, also when clv_avg is infinite (inf * 0 is NaN)

@@ -285,7 +285,7 @@ def train_stack(
     for s, r in zip(slices, rows):
         if len(r) != n or (s.init.w1.shape, s.cfg.loss, s.params.slope, s.cfg.resolve_batch_size(n)) != shared:
             raise ValueError("the nets of a stack must share their shape, loss, slope, row count and batch size")
-        if len(np.unique(y[r])) < 2:
+        if not 0 < y[r].sum() < len(r):
             raise ValueError(f"dataset {data.name!r} has a single class; need both for training")
 
     # slices with one campaign share its targets, laid end to end: slice

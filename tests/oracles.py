@@ -11,8 +11,9 @@ Tests compare the package against these for exact equality:
   models.adam_step; models.fit_logistic steps them as one flat vector.
 - monte_carlo_cv: trains every (learning rate, epochs) grid point from
   scratch, one net at a time, with no sharing of epoch prefixes.
-- profit_at_threshold and mp: rescan every customer at each candidate
-  threshold instead of one sorted sweep.
+- threshold_candidates, profit_at_threshold and mp: take the candidates
+  from np.unique and rescan every customer at each of them, instead of
+  one sorted pass.
 - nearest_neighbors: each block of 128 queries fills one
   128 x len(ref) x n_features difference buffer, reduces it over the
   feature axis with np.sum and stable-argsorts every distance row in
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows
-from churnopt.metrics import _as_scores_labels, threshold_candidates
+from churnopt.metrics import _as_scores_labels
 from churnopt.models import (
     AdamState,
     LogisticModel,
@@ -214,6 +215,14 @@ def fit_logistic(data):
         grads = {"w": X.T @ du, "b": np.asarray(du.sum())}
         p, state = adam_step(p, grads, state, 0.05)
     return LogisticModel(w=p["w"], b=float(p["b"]))
+
+
+def threshold_candidates(scores) -> np.ndarray:
+    """-inf, midpoints between consecutive distinct sorted scores, +inf."""
+    distinct = np.unique(np.asarray(scores, dtype=float))
+    with np.errstate(invalid="ignore"):  # -inf + inf: mp handles the NaN midpoint
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
 @dataclass(frozen=True)

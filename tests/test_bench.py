@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -81,28 +84,30 @@ def test_csv_step_writes_once_then_times_alternating_sides(csv_runs, tmp_path):
     path = str(tmp_path / "load.csv")
     assert csv_runs[0] == ("change", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "20000"])
     # each rep alternates the sides child by child, and the rep's first side alternates too
-    assert bench.CSV_CHILDREN == 3
-    sides = ["base", "change"] * 3 + ["change", "base"] * 3 + ["base", "change"] * 3
+    assert bench.CSV_CHILDREN == 5
+    sides = ["base", "change"] * 5 + ["change", "base"] * 5 + ["base", "change"] * 5
     assert [side for side, _ in csv_runs[1:]] == sides
     assert all(cmd[1:] == ["-c", bench.TIME_LOAD, path] for _, cmd in csv_runs[1:])
 
 
 def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
     table = bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
-    # call 1 wrote the file; calls 2-7, 8-13 and 14-19 were the three reps, and in the
-    # third rep the base side's fastest child (call 16, .12) was not its first (call 14, .98)
+    # call 1 wrote the file; calls 2-11, 12-21 and 22-31 were the three reps, and in the
+    # second rep the base side's fastest child (call 15, .05) was not its first (call 13, .91)
     assert table == {
-        "base": {"median": 1.14, "q1": 1.13, "q3": 1.385, "runs": [1.14, 1.63, 1.12],
-                 "children": [[1.14, 1.28, 1.42], [1.63, 1.77, 1.91], [1.98, 1.12, 1.26]]},
-        "change": {"median": 2.21, "q1": 2.13, "q3": 2.385, "runs": [2.21, 2.56, 2.05],
-                   "children": [[2.21, 2.35, 2.49], [2.56, 2.7, 2.84], [2.05, 2.19, 2.33]]},
+        "base": {"median": 1.1, "q1": 1.075, "q3": 1.12, "runs": [1.14, 1.05, 1.1],
+                 "children": [[1.14, 1.28, 1.42, 1.56, 1.7], [1.91, 1.05, 1.19, 1.33, 1.47],
+                              [1.54, 1.68, 1.82, 1.96, 1.1]]},
+        "change": {"median": 2.12, "q1": 2.075, "q3": 2.165, "runs": [2.21, 2.12, 2.03],
+                   "children": [[2.21, 2.35, 2.49, 2.63, 2.77], [2.84, 2.98, 2.12, 2.26, 2.4],
+                                [2.61, 2.75, 2.89, 2.03, 2.17]]},
     }
 
 
-def test_load_timer_warms_once_then_prints_the_median_call(monkeypatch, capsys):
+def test_load_timer_warms_once_then_prints_the_fastest_call(monkeypatch, capsys):
     import churnopt.data
 
-    clock, durations, calls = [0.0], [100.0, 5, 1, 4, 2, 3, 9, 7], []
+    clock, durations, calls = [0.0], [0.5, 5, 1, 4, 2, 3, 9, 7], []
 
     def load_dataset(path):
         calls.append(path)
@@ -114,7 +119,7 @@ def test_load_timer_warms_once_then_prints_the_median_call(monkeypatch, capsys):
     assert bench.LOAD_CALLS == len(durations) - 1
     exec(bench.TIME_LOAD, {})
     assert calls == ["load.csv"] * len(durations)
-    assert float(capsys.readouterr().out) == 4.0  # the warm call's 100 is not timed
+    assert float(capsys.readouterr().out) == 1.0  # the warm call is not timed
 
 
 def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch, tmp_path):
@@ -162,3 +167,19 @@ def test_differing_table_bytes_stop_the_script(monkeypatch, tmp_path, table):
     monkeypatch.setattr(bench, "measure", SimpleNamespace(run=run))
     with pytest.raises(SystemExit, match=f"output bytes differ between runs: .*'{table}'"):
         bench.bench_cli(SRCS, reps=1, tmp=tmp_path)
+
+
+def test_env_names_the_openblas_core_numpy_runs():
+    """A fresh interpreter under OPENBLAS_CORETYPE=Haswell reads "Haswell"."""
+    if bench._blas_core() is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
+    code = f"import runpy; print(runpy.run_path({str(ROOT / 'bench' / 'bench.py')!r})['_blas_core']())"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Haswell\n"
+
+
+def test_env_blas_core_is_null_without_a_bundled_openblas(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "np", SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py")))
+    assert bench._blas_core() is None

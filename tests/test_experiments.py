@@ -18,7 +18,7 @@ from churnopt import experiments as ex
 from churnopt._settings import config_key
 from churnopt.campaign import CampaignParams, midpoint, optimal_total_profit, prescribe, total_profit
 from churnopt.data import Dataset, standardize
-from churnopt.metrics import accuracy, threshold_candidates
+from churnopt.metrics import accuracy
 from churnopt.models import StackSlice, TrainConfig, default_hidden, fit_logistic, forward_batch, init_mlp, train_stack
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
@@ -107,7 +107,7 @@ class TestSyntheticSpec:
         scores = fit_logistic(tr).score_batch(te.features)
         best_profit, best_acc = -np.inf, -np.inf
         z_profit = z_acc = None
-        for t in threshold_candidates(scores):
+        for t in oracles.threshold_candidates(scores):
             z = (scores <= t).astype(int)
             profit = total_profit(z, te.labels, P, te.clvs)
             acc = accuracy(z, te.labels)
@@ -584,6 +584,18 @@ assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {st
 print([m for m in ("multiprocessing", "concurrent.futures", "concurrent.futures.process") if m in sys.modules])
 """)
         assert out.splitlines()[-1] == "[]"
+
+    def test_serial_run_imports_no_masked_arrays(self, tmp_path):
+        # numpy 1.x imports numpy.ma with numpy itself; the run must not add it where numpy did not
+        out = _fresh(f"""
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from churnopt.cli import main
+assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "1"]) == 0
+print(before or "numpy.ma" not in sys.modules)
+""")
+        assert out.splitlines()[-1] == "True"
 
 
 class TestSummaryAndSweep:

@@ -5,7 +5,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import profit_at_threshold
+from oracles import profit_at_threshold, threshold_candidates
 
 from churnopt.campaign import CampaignParams
 from churnopt.data import quantile_segments
@@ -14,7 +14,6 @@ from churnopt.metrics import (
     mp,
     msp,
     targeted_fraction,
-    threshold_candidates,
 )
 
 P = CampaignParams(f=1.36, d=4.25, gamma=0.3, slope=10.0)
@@ -156,8 +155,9 @@ def _same_mp(scores, labels, params, clv_avg):
     assert np.array_equal(np.signbit(got), np.signbit(want)), (got, want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMpSweep:
-    """The sorted sweep against the per-candidate rescan of tests/oracles.py."""
+    """The sorted pass against the per-candidate rescan of tests/oracles.py, warning about nothing."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -191,18 +191,23 @@ class TestMpSweep:
             ([-0.0, 0.0, -0.0], [0, 1, 0]),
             ([0.3, 0.3, 0.3], [0, 0, 0]),
             ([0.3, 0.7], [1, 1]),
+            ([np.inf, -np.inf], [0, 1]),
+            ([-np.inf, -np.inf, 0.5], [0, 0, 1]),  # t = -inf targets the -inf scores
+            ([0.5, np.inf, np.inf], [1, 0, 0]),  # the midpoint of 0.5 and +inf is +inf
+            ([0.4, 0.4, 0.4], [0, 1, 0]),
+            ([0.3], [0]),
+            ([0.3], [1]),
         ],
     )
     def test_edge_inputs(self, scores, labels):
         for params in (P, CampaignParams(f=1.0, d=1.0, gamma=0.5)):
-            for clv_avg in (1.0, 7.0, 85.0):
+            for clv_avg in (1.0, 7.0, 85.0, np.inf, -np.inf):
                 _same_mp(np.array(scores), np.array(labels), params, clv_avg)
 
     def test_exact_tie_parameters(self):
         params = CampaignParams(f=1.0, d=1.0, gamma=0.5)
         _same_mp(np.array([0.1, 0.5, 0.6, 0.9]), np.array([0, 1, 0, 1]), params, 7.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "scores, labels, clv_avg, want",
         [
@@ -213,7 +218,6 @@ class TestMpSweep:
     def test_nan_paths_warn_nothing(self, scores, labels, clv_avg, want):
         assert mp(np.array(scores), np.array(labels), P, clv_avg) == pytest.approx(want)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("clv_avg", [np.inf, -np.inf])
     def test_campaign_without_churners_earns_no_churner_term(self, clv_avg):
         # targeting no churner earns 0 at t = -inf, as for a finite clv_avg
