@@ -29,11 +29,14 @@ def setting(default=MISSING, *, ge=None, gt=None, le=None, lt=None, one_of=None,
 
     ge, gt, le and lt bound a number and one_of lists the values it may
     take. like=(Owner, "name") takes the rules of field name of the config
-    class Owner, so a setting that mirrors another keeps one range. A
-    field given a block is set as block.key in a JSON config, where key
-    defaults to the field's name.
+    class Owner, and its default when none is given, so a setting that
+    mirrors another keeps one range and one default. A field given a
+    block is set as block.key in a JSON config, where key defaults to the
+    field's name.
     """
-    rules = dict(next(fld for fld in fields(like[0]) if fld.name == like[1]).metadata) if like else {}
+    owner = next(fld for fld in fields(like[0]) if fld.name == like[1]) if like else None
+    rules = dict(owner.metadata) if owner else {}
+    default = owner.default if owner and default is MISSING else default
     given = dict(ge=ge, gt=gt, le=le, lt=lt, one_of=one_of, block=block, key=key)
     return field(default=default, metadata=rules | {name: value for name, value in given.items() if value is not None})
 

@@ -277,25 +277,25 @@ class RunConfig:
 
     f: float = setting(1.36, block="campaign", like=(CampaignParams, "f"))
     gamma: float = setting(0.3, block="campaign", like=(CampaignParams, "gamma"))
-    slope: float = setting(10.0, block="campaign", like=(CampaignParams, "slope"))
+    slope: float = setting(block="campaign", like=(CampaignParams, "slope"))
     d_grid: tuple[str | float, ...] = DEFAULT_D_GRID
     methods: tuple[str, ...] = DEFAULT_METHODS
     q: int = setting(2, ge=1)
     hidden: int | None = setting(None, ge=1, block="model")
-    learning_rate: float = setting(0.01, block="model", like=(TrainConfig, "learning_rate"))
-    epochs: int = setting(50, block="model", like=(TrainConfig, "epochs"))
-    batch_size: int | None = setting(None, block="model", like=(TrainConfig, "batch_size"))
+    learning_rate: float = setting(block="model", like=(TrainConfig, "learning_rate"))
+    epochs: int = setting(block="model", like=(TrainConfig, "epochs"))
+    batch_size: int | None = setting(block="model", like=(TrainConfig, "batch_size"))
     # nonempty (with cv.epochs) tunes
     cv_learning_rates: tuple[float, ...] = setting((), block="cv", key="learning_rates",
                                                    like=(TrainConfig, "learning_rate"))
     cv_epochs: tuple[int, ...] = setting((), block="cv", key="epochs", like=(TrainConfig, "epochs"))
     cv_splits: int = setting(5, ge=1, block="cv", key="splits")
     cv_seeds: int = setting(10, ge=1, block="cv", key="seeds")
-    smote_k: int = setting(5, block="smote", key="k_neighbors", like=(SmoteConfig, "k_neighbors"))
-    smote_ratio: float = setting(1.0, block="smote", key="ratio", like=(SmoteConfig, "ratio"))
+    smote_k: int = setting(block="smote", key="k_neighbors", like=(SmoteConfig, "k_neighbors"))
+    smote_ratio: float = setting(block="smote", key="ratio", like=(SmoteConfig, "ratio"))
     knn_k: int = setting(5, ge=1, block="baselines")
-    cart_max_depth: int = setting(6, block="baselines", like=(CartConfig, "max_depth"))
-    cart_min_leaf: int = setting(5, block="baselines", like=(CartConfig, "min_leaf"))
+    cart_max_depth: int = setting(block="baselines", like=(CartConfig, "max_depth"))
+    cart_min_leaf: int = setting(block="baselines", like=(CartConfig, "min_leaf"))
     class_threshold: float = 0.5
     # "midpoint": score regret_net's decisions per customer
     regret_net_accuracy: str = setting("threshold", one_of=("threshold", "midpoint"))

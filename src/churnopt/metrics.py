@@ -40,10 +40,11 @@ def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, f
     averaged over all n customers. The profit curve is piecewise constant
     with breakpoints only at observed scores, so the candidates -inf, the
     midpoints of consecutive distinct scores and +inf cover every
-    attainable campaign, save where a midpoint rounds onto +inf. One
-    sort of the scores gives the candidates, the customers each targets
-    and, by a running count, its churners. Returns (best per-customer
-    profit, best threshold).
+    attainable campaign. Where a midpoint is not finite (a score is
+    infinite, or the sum overflows), the lower score takes its place and
+    targets the same customers. One sort of the scores gives the
+    candidates, the customers each targets and, by a running count, its
+    churners. Returns (best per-customer profit, best threshold).
     """
     scores, labels = _as_scores_labels(scores, labels)
     if scores.size == 0:
@@ -53,12 +54,12 @@ def mp(scores, labels, params: CampaignParams, clv_avg: float) -> tuple[float, f
     order = np.argsort(scores)
     ranked = scores[order]
     step = np.flatnonzero(ranked[1:] != ranked[:-1])
-    with np.errstate(invalid="ignore"):  # -inf + inf: the NaN midpoint is handled below
-        mids = (ranked[step] + ranked[step + 1]) / 2.0
-    t = np.concatenate(([-np.inf], mids, [np.inf]))
+    lower = ranked[step]
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf + inf, or a sum past the float maximum
+        mids = (lower + ranked[step + 1]) / 2.0
+    # + 0.0 makes a zero lower score +0.0, whichever zero the sort put last in its run
+    t = np.concatenate(([-np.inf], np.where(np.isfinite(mids), mids, lower + 0.0), [np.inf]))
     targeted = np.searchsorted(ranked, t, side="right")
-    # the midpoint of -inf and +inf is NaN, and no score is <= NaN
-    targeted[np.isnan(t)] = 0
     churners = np.concatenate(([0], np.cumsum(labels[order] == 0)))
     n0 = churners[targeted]
     n1 = targeted - n0

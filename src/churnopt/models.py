@@ -258,8 +258,8 @@ def train_stack(
     stacked matmul, so numpy runs one GEMM or GEMV per slice on that
     slice's 2-D operands, and every other step is elementwise or reduces
     within one slice: each slice gets the bits that training it alone
-    gives. A slice whose mean batch loss turns non-finite leaves the
-    stack, and one leaves once its epochs are done.
+    gives. A slice that fails or finishes keeps its row and is not read
+    again: zeroed at rate 0, its weights stay zero and finite.
 
     Returns one (models, error) pair per slice. models maps the slice's
     epoch count, and each count in keep below it, to a new model after
@@ -297,54 +297,46 @@ def train_stack(
     rngs = [np.random.default_rng(s.cfg.seed) for s in slices]
     models: list[dict[int, Mlp]] = [{} for _ in slices]
     errors: list[RuntimeError | None] = [None] * len(slices)
-    history: list[list[float]] = [[] for _ in slices]
+    history = np.zeros((len(slices), max(last_epoch)))  # per-epoch mean training losses
 
-    # one row per live slice of the parameters, their gradients and Adam's moments
+    # one row per slice of the parameters, their gradients, Adam's moments and rate
     theta = np.stack([_flat(s.init) for s in slices])
     g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
     lr = np.array([[s.cfg.learning_rate] for s in slices])
-    live = np.arange(len(slices))
     p, grads = _views(theta, hidden, input_dim), _views(g, hidden, input_dim)
+    order = np.empty((len(slices), n), dtype=np.intp)
+    live = np.ones(len(slices), dtype=bool)
     t = 0
 
-    def keep_only(mask):
-        nonlocal live, theta, g, m, v, lr, p, grads
-        live, theta, g, m, v, lr = live[mask], theta[mask], g[mask], m[mask], v[mask], lr[mask]
-        p, grads = _views(theta, hidden, input_dim), _views(g, hidden, input_dim)
+    def freeze(which):
+        """Zero the rows of the slices which selects and take them out of live; whether any slice is still live."""
+        live[which] = False
+        theta[which] = g[which] = m[which] = v[which] = lr[which] = 0
+        return live.any()
 
-    for epoch in range(max(last_epoch)):
-        order = np.empty((len(live), n), dtype=np.intp)
-        for i, k in enumerate(live):
-            order[i] = rows[k][rngs[k].permutation(n)]
+    for done in range(1, max(last_epoch) + 1):  # the epochs done at the end of this pass
+        for k in np.flatnonzero(live):
+            order[k] = rows[k][rngs[k].permutation(n)]
         # np.take gathers faster than fancy indexing
-        epoch_targets = np.take(targets, order + offset[live], axis=-1)
-        epoch_loss = np.zeros(len(live))
+        epoch_targets = np.take(targets, order + offset, axis=-1)
         for b, start in enumerate(range(0, n, batch)):
             stop = min(start + batch, n)
             X_batch = np.take(X, order[:, start:stop], axis=0)
             losses = _loss_and_grad(p, X_batch, epoch_targets[..., start:stop], loss, slope, grads)
-            ok = np.isfinite(losses)
-            if not ok.all():
-                for k in live[~ok]:
-                    errors[k] = RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
-                keep_only(ok)
-                if not live.size:
+            if not np.isfinite(losses).all():
+                failed = np.flatnonzero(live & ~np.isfinite(losses))
+                for k in failed:
+                    errors[k] = RuntimeError(f"non-finite training loss at epoch {done - 1}, batch {b}")
+                if not freeze(failed):
                     return list(zip(models, errors))
-                order, epoch_targets = order[ok], epoch_targets[..., ok, :]
-                losses, epoch_loss = losses[ok], epoch_loss[ok]
             t += 1
-            theta[...], m, v = _adam(theta, g, m, v, t, lr)
-            epoch_loss += losses * (stop - start)
-        done = epoch + 1
-        for i, k in enumerate(live):
-            history[k].append(float(epoch_loss[i] / n))
-            if done == last_epoch[k] or done in keep:
-                models[k][done] = Mlp(**_views(theta[i].copy(), hidden, input_dim), loss_history=history[k][:])
-        going = last_epoch[live] > done
-        if not going.all():
-            keep_only(going)
-            if not live.size:
-                break
+            theta[...], m[...], v[...] = _adam(theta, g, m, v, t, lr)
+            history[:, done - 1] += losses * (stop - start)
+        history[:, done - 1] /= n
+        for k in np.flatnonzero(live & ((last_epoch == done) | (done in keep))):
+            models[k][done] = Mlp(**_views(theta[k].copy(), hidden, input_dim), loss_history=history[k, :done].tolist())
+        if not freeze(last_epoch == done):
+            break
     return list(zip(models, errors))
 
 

@@ -218,11 +218,15 @@ def fit_logistic(data):
 
 
 def threshold_candidates(scores) -> np.ndarray:
-    """-inf, midpoints between consecutive distinct sorted scores, +inf."""
+    """-inf, midpoints between consecutive distinct sorted scores, +inf.
+
+    Where a midpoint is not finite, the lower score (+ 0.0, so a zero is
+    +0.0) stands in for it.
+    """
     distinct = np.unique(np.asarray(scores, dtype=float))
-    with np.errstate(invalid="ignore"):  # -inf + inf: mp handles the NaN midpoint
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf + inf, or a sum past the float maximum
         mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.concatenate(([-np.inf], mids, [np.inf]))
+    return np.concatenate(([-np.inf], np.where(np.isfinite(mids), mids, distinct[:-1] + 0.0), [np.inf]))
 
 
 @dataclass(frozen=True)

@@ -165,14 +165,17 @@ class TestMpSweep:
         n = data.draw(st.integers(1, 40))
         eps = np.finfo(float).eps
         pool = data.draw(
-            st.sampled_from(["rounded", "adjacent", "signed_zero_inf"]), label="pool"
+            st.sampled_from(["rounded", "adjacent", "signed_zero_inf", "huge"]), label="pool"
         )
         if pool == "rounded":  # few distinct values, many ties
             values = st.integers(0, 6).map(lambda v: v / 6)
         elif pool == "adjacent":  # consecutive doubles, whose midpoints round onto an end
             values = st.integers(0, 8).map(lambda j: 0.5 + j * eps / 4)
-        else:
+        elif pool == "signed_zero_inf":
             values = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 0.25, -0.25])
+        else:  # near the float maximum, where midpoints overflow
+            big = np.finfo(float).max
+            values = st.sampled_from([big, 1.5e308, 1e308, -1e308, -big, np.inf, 0.5])
         scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
         params = CampaignParams(
@@ -186,14 +189,15 @@ class TestMpSweep:
     @pytest.mark.parametrize(
         "scores, labels",
         [
-            ([-np.inf, np.inf], [1, 1]),  # the only candidate between them is NaN
+            ([-np.inf, np.inf], [1, 1]),  # their midpoint is NaN, and -inf stands in
             ([-np.inf, np.inf, np.inf], [0, 1, 0]),
             ([-0.0, 0.0, -0.0], [0, 1, 0]),
             ([0.3, 0.3, 0.3], [0, 0, 0]),
             ([0.3, 0.7], [1, 1]),
             ([np.inf, -np.inf], [0, 1]),
             ([-np.inf, -np.inf, 0.5], [0, 0, 1]),  # t = -inf targets the -inf scores
-            ([0.5, np.inf, np.inf], [1, 0, 0]),  # the midpoint of 0.5 and +inf is +inf
+            ([0.5, np.inf, np.inf], [1, 0, 0]),  # the midpoint of 0.5 and +inf is +inf, and 0.5 stands in
+            ([-0.0, np.inf], [0, 1]),  # -0.0 stands in as +0.0, as in the oracle
             ([0.4, 0.4, 0.4], [0, 1, 0]),
             ([0.3], [0]),
             ([0.3], [1]),
@@ -217,6 +221,15 @@ class TestMpSweep:
     )
     def test_nan_paths_warn_nothing(self, scores, labels, clv_avg, want):
         assert mp(np.array(scores), np.array(labels), P, clv_avg) == pytest.approx(want)
+
+    @pytest.mark.parametrize(
+        "scores", [[0.5, np.inf], [1e308, 1.5e308]], ids=["infinite-score", "overflowing-midpoint"]
+    )
+    def test_lower_score_stands_in_for_a_midpoint_that_is_not_finite(self, scores):
+        # targeting the churner alone earns gain / 2; the midpoint, +inf, would target both
+        gain = 0.3 * (85.0 - 4.25) - 1.36
+        assert mp(np.array(scores), np.array([0, 1]), P, 85.0) == (gain / 2, scores[0])
+        assert gain / 2 == pytest.approx(11.4325)
 
     @pytest.mark.parametrize("clv_avg", [np.inf, -np.inf])
     def test_campaign_without_churners_earns_no_churner_term(self, clv_avg):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -341,10 +342,17 @@ class TestStackEqualsSolo:
             StackSlice(init_mlp(3, 2, seed=i), P, TrainConfig(lr, epochs=3, batch_size=8, loss="cross-entropy", seed=i))
             for i, lr in enumerate([0.03, 1e308, 0.5])
         ]
-        runs = train_stack(ds, slices, keep=(1, 2))
-        with pytest.raises(RuntimeError, match="epoch 0, batch 1") as alone:
-            oracles.train(slices[1].init, ds, P, slices[1].cfg)
+        # the failed slice's row trains on without a warning of its own
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            runs = train_stack(ds, slices, keep=(1, 2))
+        with warnings.catch_warnings(record=True) as solo:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="epoch 0, batch 1") as alone:
+                oracles.train(slices[1].init, ds, P, slices[1].cfg)
         assert runs[1][0] == {} and str(runs[1][1]) == str(alone.value)
+        runtime = [[w for w in caught if issubclass(w.category, RuntimeWarning)] for caught in (stacked, solo)]
+        assert len(runtime[0]) == len(runtime[1]) > 0
         for s, (models, error) in zip(slices[::2], runs[::2]):
             assert error is None and sorted(models) == [1, 2, 3]
             for e, model in models.items():

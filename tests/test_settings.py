@@ -135,6 +135,13 @@ def test_mirrored_field_refuses_what_its_owner_refuses(name):
     assert [refuses(RunConfig, name, v) for v in PROBES] == [refuses(owner, owner_name, v) for v in PROBES]
 
 
+# f and gamma restate values that CampaignParams does not default; the cv lists default to ()
+@pytest.mark.parametrize("name", [name for name in MIRRORS if name not in ("f", "gamma", "cv_learning_rates", "cv_epochs")])
+def test_mirrored_field_takes_its_owners_default(name):
+    owner, owner_name = MIRRORS[name]
+    assert getattr(RunConfig(), name) == next(f for f in fields(owner) if f.name == owner_name).default
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 def test_defaults_and_values_on_or_just_inside_the_bounds_are_accepted(cls):
     cls(**REQUIRED.get(cls, {}))
