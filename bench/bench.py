@@ -9,12 +9,9 @@ alternating which side runs first:
 - probes: ``perfbench/child.py probes 0``, the median time of one call of
   each hot kernel (knn_scores, mp, one Adam step, fit_cart,
   smote_balance) on fixed seeded inputs;
-- load_csv_s: per rep, CSV_CHILDREN children per side, alternating sides
-  child by child; each child prints the fastest of LOAD_CALLS
-  ``load_dataset`` calls, timed after one untimed warm call, on a
-  20,000-row CSV written once from ``SyntheticSpec`` by the change side.
-  A rep records each side's fastest child, since whole children land in
-  slow phases of a shared host; every child's time is kept too;
+- load_csv_s: per rep, one child loads both trees' ``churnopt`` under
+  two names and prints each side's fastest of LOAD_CALLS warm
+  ``load_dataset`` calls on a CSV_ROWS-row CSV, taking turns call by call;
 - wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
   config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
   and --jobs 2, run through ``perfbench/measure.py``: wall time from
@@ -23,11 +20,10 @@ alternating which side runs first:
 
 The sha256 of every file a benchmark run writes (benchmark_cells.csv,
 summary.json and the three *_vs_d.csv tables) is recorded; the script
-fails if any differs between runs, sides or job counts, and stops
-naming the side when a run exits non-zero. The BLAS thread variables the
-runs inherit are recorded under env.threads (null when unset), and the
-kernel set numpy's bundled OpenBLAS chose for this CPU under
-env.blas_core (null when numpy.libs holds no OpenBLAS).
+fails if any differs between runs, sides or job counts, and stops naming
+the side when a child exits non-zero. env records the BLAS thread
+variables the runs inherit (null when unset) and the kernel set numpy's
+bundled OpenBLAS chose for this CPU (blas_core; null without one).
 """
 
 from __future__ import annotations
@@ -55,22 +51,27 @@ import measure  # noqa: E402  perfbench's process-tree sampler
 CHILD = ROOT / "perfbench" / "child.py"
 OUTPUTS = ("benchmark_cells.csv", "summary.json", "profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv")
 SIDES = ("base", "change")
-CSV_ROWS = 20_000
-WRITE_CSV = ("import sys; from churnopt.data import save_dataset; "
-             "from churnopt.experiments import SyntheticSpec, generate_synthetic; "
+CSV_ROWS = 2_000  # the size of the largest file perfbench's regret_tune_csv reads
+WRITE_CSV = ("import sys; from churnopt import SyntheticSpec, generate_synthetic, save_dataset; "
              "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
-LOAD_CALLS = 7
-CSV_CHILDREN = 5
+LOAD_CALLS = 40
+# argv: the CSV, then side and package-directory pairs; a module goes in sys.modules before it runs, for dataclass
 TIME_LOAD = f"""\
-import sys, time
-from churnopt.data import load_dataset
-load_dataset(sys.argv[1])
-times = []
-for _ in range({LOAD_CALLS}):
-    start = time.perf_counter()
-    load_dataset(sys.argv[1])
-    times.append(time.perf_counter() - start)
-print(min(times))
+import json, sys, time
+from importlib.util import module_from_spec, spec_from_file_location
+loads, times, sides = {{}}, {{}}, sys.argv[2::2]
+for side, pkg in zip(sides, sys.argv[3::2]):
+    spec = spec_from_file_location(f"churnopt_{{side}}", f"{{pkg}}/__init__.py", submodule_search_locations=[pkg])
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    loads[side], times[side] = module.load_dataset, []
+for _ in range({LOAD_CALLS} + 1):  # the first round warms each side
+    for side in sides:
+        start = time.perf_counter()
+        loads[side](sys.argv[1])
+        times[side].append(time.perf_counter() - start)
+    sides.reverse()
+print(json.dumps({{side: min(t[1:]) for side, t in times.items()}}))
 """
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
@@ -102,7 +103,7 @@ def _order(rep: int) -> tuple[str, str]:
     return SIDES if rep % 2 == 0 else SIDES[::-1]
 
 
-def _child(side: str, src: Path, *args: str) -> str:
+def _child(side: str, src: Path | str, *args: str) -> str:
     """Run python with args and src on PYTHONPATH; its stdout. A failure stops the script naming the side."""
     done = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
@@ -131,16 +132,15 @@ def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
 
 
 def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
-    """{side: stats of each rep's fastest child, plus "children": each rep's child times} on one CSV_ROWS-row file."""
+    """{side: stats of each rep's fastest call} on one CSV_ROWS-row file; one child per rep times both sides."""
     path = tmp / "load.csv"
     _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
-    children = {side: [[] for _ in range(reps)] for side in SIDES}
+    fastest = []
     for rep in range(reps):
-        for _ in range(CSV_CHILDREN):
-            for side in _order(rep):
-                children[side][rep].append(float(_child(side, srcs[side], "-c", TIME_LOAD, str(path))))
-    return {side: {**_stats([min(rep) for rep in by_rep]), "children": [[round(t, 4) for t in rep] for rep in by_rep]}
-            for side, by_rep in children.items()}
+        trees = [arg for side in _order(rep) for arg in (side, str(srcs[side] / "churnopt"))]
+        both = os.pathsep.join(str(srcs[side]) for side in _order(rep))  # read only in a failure's message
+        fastest.append(json.loads(_child(" and ".join(_order(rep)), both, "-c", TIME_LOAD, str(path), *trees)))
+    return {side: _stats([rep[side] for rep in fastest]) for side in SIDES}
 
 
 def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
@@ -171,9 +171,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against (its src/ is exported)")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--reps", type=int, default=3,
-                    help="alternating runs per side of the probes and each job count, and of "
-                         f"{CSV_CHILDREN} CSV-load children")
+    ap.add_argument("--reps", type=int, default=3, help="runs of each step, alternating which side goes first")
     args = ap.parse_args(argv)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

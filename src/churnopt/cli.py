@@ -156,6 +156,14 @@ def cmd_generate(args) -> int:
         if not isinstance(raw, list):
             raise _CliError("'specs' must be a list of synthetic specs")
     specs = [_spec_from_dict(r, default_seed=i) for i, r in enumerate(raw if isinstance(raw, list) else [raw])]
+    if not specs:
+        raise _CliError(f"{args.spec} lists no synthetic spec")
+    for s in specs:  # each name becomes two files in --out
+        if s.name in ("", "..") or "\0" in s.name or Path(s.name).name != s.name:
+            raise _CliError(f"spec name {s.name!r} must be a plain file name")
+    repeated = _first_repeat([s.name for s in specs])
+    if repeated is not None:
+        raise _CliError(f"spec name {specs[repeated].name!r} appears more than once")
     out = Path(args.out)
     for s in specs:
         train, test = _generate(s)

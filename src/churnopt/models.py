@@ -258,15 +258,20 @@ def train_stack(
     stacked matmul, so numpy runs one GEMM or GEMV per slice on that
     slice's 2-D operands, and every other step is elementwise or reduces
     within one slice: each slice gets the bits that training it alone
-    gives. A slice that fails or finishes keeps its row and is not read
-    again: zeroed at rate 0, its weights stay zero and finite.
+    gives. That is checked under OpenBLAS's SkylakeX, Haswell and
+    Sandybridge kernels, and is known to fail under Katmai
+    (OPENBLAS_CORETYPE=Prescott), whose products round their last bit by
+    operand alignment: a slice's views are not aligned as a lone net's
+    fresh arrays are. A slice that fails or finishes keeps its row and is
+    not read again: zeroed at rate 0, its weights stay zero and finite.
 
     Returns one (models, error) pair per slice. models maps the slice's
     epoch count, and each count in keep below it, to a new model after
     that many epochs, which carries the per-epoch mean training loss so
-    far on its loss_history. error is None, or the RuntimeError
-    "non-finite training loss at epoch E, batch B" that stopped the
-    slice; models then holds the counts it completed.
+    far on its loss_history. error is None, or the RuntimeError that
+    stopped the slice: "non-finite training loss at epoch E, batch B"
+    (checked before each step) or "non-finite weights after epoch E"
+    (checked after each epoch); models then holds the counts it completed.
 
     Raises:
         ValueError: there are no slices; they differ in net shape, loss,
@@ -333,6 +338,13 @@ def train_stack(
             theta[...], m[...], v[...] = _adam(theta, g, m, v, t, lr)
             history[:, done - 1] += losses * (stop - start)
         history[:, done - 1] /= n
+        # a batch's loss is checked before its step; the weights the epoch's steps leave are checked here
+        if not np.isfinite(theta).all():
+            diverged = ~np.isfinite(theta).all(axis=1)
+            for k in np.flatnonzero(diverged):
+                errors[k] = RuntimeError(f"non-finite weights after epoch {done}")
+            if not freeze(diverged):
+                return list(zip(models, errors))
         for k in np.flatnonzero(live & ((last_epoch == done) | (done in keep))):
             models[k][done] = Mlp(**_views(theta[k].copy(), hidden, input_dim), loss_history=history[k, :done].tolist())
         if not freeze(last_epoch == done):

@@ -116,6 +116,8 @@ def train(mlp, data, params, cfg):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}, batch {b}")
             p, state = adam_step(p, grads, state, cfg.learning_rate)
             epoch_loss += loss * idx.size
+        if not all(np.isfinite(a).all() for a in p.values()):
+            raise RuntimeError(f"non-finite weights after epoch {epoch + 1}")
         history.append(epoch_loss / n)
     return Mlp(**p, loss_history=history)
 

@@ -1,9 +1,10 @@
-"""bench/bench.py's probe and CSV steps, with canned child output in place of real runs."""
+"""bench/bench.py's steps, with canned child output in place of real runs; one test runs the real CSV timer."""
 
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import time
@@ -66,13 +67,13 @@ def test_failed_child_stops_naming_its_side(monkeypatch):
 
 @pytest.fixture
 def csv_runs(monkeypatch):
-    """Replace bench's subprocess.run; timed load number k answers 1 (base) or 2 (change) + (7 * k mod 100) / 100."""
+    """Replace bench's subprocess.run; timing child r answers base 1 + r / 10 and change 2 + (3 - r) / 10."""
     runs = []
 
     def run(cmd, env, capture_output, text):
-        side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
-        runs.append((side, cmd))
-        stdout = "" if cmd[2] == bench.WRITE_CSV else f"{1 if side == 'base' else 2}.{7 * len(runs) % 100:02d}\n"
+        runs.append((env["PYTHONPATH"], cmd))
+        r = len(runs) - 1
+        stdout = "" if cmd[2] == bench.WRITE_CSV else json.dumps({"change": 2 + (3 - r) / 10, "base": 1 + r / 10})
         return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
@@ -82,44 +83,84 @@ def csv_runs(monkeypatch):
 def test_csv_step_writes_once_then_times_alternating_sides(csv_runs, tmp_path):
     bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
     path = str(tmp_path / "load.csv")
-    assert csv_runs[0] == ("change", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "20000"])
-    # each rep alternates the sides child by child, and the rep's first side alternates too
-    assert bench.CSV_CHILDREN == 5
-    sides = ["base", "change"] * 5 + ["change", "base"] * 5 + ["base", "change"] * 5
-    assert [side for side, _ in csv_runs[1:]] == sides
-    assert all(cmd[1:] == ["-c", bench.TIME_LOAD, path] for _, cmd in csv_runs[1:])
+    assert csv_runs[0] == ("/change/src", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "2000"])
+    # each child gets both package directories, and the side that goes first alternates by rep
+    first_base = ["base", "/base/src/churnopt", "change", "/change/src/churnopt"]
+    first_change = first_base[2:] + first_base[:2]
+    assert [cmd[1:] for _, cmd in csv_runs[1:]] == [["-c", bench.TIME_LOAD, path, *trees]
+                                                    for trees in (first_base, first_change, first_base)]
+    both = [os.pathsep.join(srcs) for srcs in (("/base/src", "/change/src"), ("/change/src", "/base/src"))]
+    assert [env for env, _ in csv_runs[1:]] == [both[0], both[1], both[0]]
 
 
 def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
-    table = bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
-    # call 1 wrote the file; calls 2-11, 12-21 and 22-31 were the three reps, and in the
-    # second rep the base side's fastest child (call 15, .05) was not its first (call 13, .91)
-    assert table == {
-        "base": {"median": 1.1, "q1": 1.075, "q3": 1.12, "runs": [1.14, 1.05, 1.1],
-                 "children": [[1.14, 1.28, 1.42, 1.56, 1.7], [1.91, 1.05, 1.19, 1.33, 1.47],
-                              [1.54, 1.68, 1.82, 1.96, 1.1]]},
-        "change": {"median": 2.12, "q1": 2.075, "q3": 2.165, "runs": [2.21, 2.12, 2.03],
-                   "children": [[2.21, 2.35, 2.49, 2.63, 2.77], [2.84, 2.98, 2.12, 2.26, 2.4],
-                                [2.61, 2.75, 2.89, 2.03, 2.17]]},
+    assert bench.bench_csv(SRCS, reps=3, tmp=tmp_path) == {
+        "base": {"median": 1.2, "q1": 1.15, "q3": 1.25, "runs": [1.1, 1.2, 1.3]},
+        "change": {"median": 2.1, "q1": 2.05, "q3": 2.15, "runs": [2.2, 2.1, 2.0]},
     }
 
 
-def test_load_timer_warms_once_then_prints_the_fastest_call(monkeypatch, capsys):
-    import churnopt.data
+class _Clock:
+    """perf_counter for the timer script: each fake load_dataset call advances it by that side's next duration."""
 
-    clock, durations, calls = [0.0], [0.5, 5, 1, 4, 2, 3, 9, 7], []
+    def __init__(self, durations):
+        self.now, self.durations, self.calls = 0.0, durations, []
 
-    def load_dataset(path):
-        calls.append(path)
-        clock[0] += durations[len(calls) - 1]
+    def __call__(self):
+        return self.now
 
-    monkeypatch.setattr(churnopt.data, "load_dataset", load_dataset)
-    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(sys, "argv", ["-c", "load.csv"])
-    assert bench.LOAD_CALLS == len(durations) - 1
-    exec(bench.TIME_LOAD, {})
-    assert calls == ["load.csv"] * len(durations)
-    assert float(capsys.readouterr().out) == 1.0  # the warm call is not timed
+    def load(self, side, path):
+        self.now += self.durations[side][sum(s == side for s, _ in self.calls)]
+        self.calls.append((side, path))
+
+
+def test_load_timer_warms_once_then_prints_the_fastest_call(monkeypatch, tmp_path, capsys):
+    # the warm calls are the fastest of all and must not count
+    durations = {"base": [0.5] + [5 + k % 7 for k in range(bench.LOAD_CALLS)],
+                 "change": [0.25] + [4 + (k % 5) / 2 for k in range(bench.LOAD_CALLS)]}
+    durations["base"][17], durations["change"][33] = 1.5, 1.25
+    clock = _Clock(durations)
+    args = []
+    for side in ("change", "base"):
+        pkg = tmp_path / side / "churnopt"
+        pkg.mkdir(parents=True)
+        init = f"import time\n\n\ndef load_dataset(path):\n    time.perf_counter.load({side!r}, path)\n"
+        (pkg / "__init__.py").write_text(init)
+        args += [side, str(pkg)]
+    monkeypatch.setattr(time, "perf_counter", clock)
+    monkeypatch.setattr(sys, "argv", ["-c", "load.csv", *args])
+    try:
+        exec(bench.TIME_LOAD, {})
+    finally:
+        for side in ("base", "change"):
+            sys.modules.pop(f"churnopt_{side}", None)
+    # the sides take turns, and the side that goes first flips every round
+    rounds = [("change", "base"), ("base", "change")] * (bench.LOAD_CALLS // 2 + 1)
+    assert clock.calls == [(side, "load.csv") for pair in rounds[: bench.LOAD_CALLS + 1] for side in pair]
+    assert json.loads(capsys.readouterr().out) == {"change": 1.25, "base": 1.5}
+
+
+def test_load_timer_loads_each_tree_under_its_own_name(tmp_path):
+    """The real script on two copies of src/: the slowed copy's fastest call is the slower one."""
+    from churnopt import SyntheticSpec, generate_synthetic, save_dataset
+
+    path = save_dataset(generate_synthetic(SyntheticSpec("csv", 40, 10, n_features=3))[0], tmp_path / "load.csv")
+    args = []
+    for side in bench.SIDES:
+        pkg = tmp_path / side / "churnopt"
+        shutil.copytree(ROOT / "src" / "churnopt", pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        args += [side, str(pkg)]
+    # every call of the base copy sleeps 10 ms, far longer than a 40-row load
+    data = tmp_path / "base" / "churnopt" / "data.py"
+    data.write_text(data.read_text().replace("def load_dataset(", "def _load(") +
+                    "\n\ndef load_dataset(*args, **kwargs):\n    import time\n    time.sleep(0.01)\n"
+                    "    return _load(*args, **kwargs)\n")
+    done = subprocess.run([sys.executable, "-c", bench.TIME_LOAD, str(path), *args], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    fastest = json.loads(done.stdout)
+    assert sorted(fastest) == ["base", "change"]
+    assert fastest["base"] >= 0.01 > fastest["change"] > 0
 
 
 def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch, tmp_path):

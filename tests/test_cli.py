@@ -120,6 +120,34 @@ class TestGenerate:
         assert not (tmp_path / "data").exists()
 
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{"name": "a", "n_train": 20, "n_test": 10}, {"name": "a", "n_train": 30, "n_test": 10}],
+             "error: spec name 'a' appears more than once\n"),
+            ({"name": "../escape", "n_train": 20, "n_test": 10},
+             "error: spec name '../escape' must be a plain file name\n"),
+            ([{"name": "b", "n_train": 20, "n_test": 10}, {"name": "", "n_train": 20, "n_test": 10}],
+             "error: spec name '' must be a plain file name\n"),
+            ({"name": "..", "n_train": 20, "n_test": 10}, "error: spec name '..' must be a plain file name\n"),
+            ({"name": "x/", "n_train": 20, "n_test": 10}, "error: spec name 'x/' must be a plain file name\n"),
+            ({"name": "a\u0000b", "n_train": 20, "n_test": 10},
+             "error: spec name 'a\\x00b' must be a plain file name\n"),
+            ([], "lists no synthetic spec\n"),
+            ({"specs": []}, "lists no synthetic spec\n"),
+        ],
+        ids=["repeated", "parent-dir", "empty", "dot-dot", "trailing-slash", "nul", "empty-list", "empty-specs"],
+    )
+    def test_spec_names_that_are_not_distinct_file_names_exit_1_before_any_write(self, tmp_path, capsys, payload,
+                                                                                 message):
+        spec = write_json(tmp_path / "spec.json", payload)
+        out = tmp_path / "deep" / "data"
+        assert main(["generate", "--spec", spec, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.endswith(message) and captured.out == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
 class TestBenchmark:
     def test_small_run_outputs(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", SMALL_RUN)
@@ -233,6 +261,18 @@ class TestBenchmark:
         )
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_net_whose_weights_end_non_finite_fails_its_cell(self, tmp_path, capsys):
+        # at rate 1e308 every batch loss stays finite, but the last step leaves the weights non-finite
+        run = {"seed": 0, "d_grid": ["clv/10"], "methods": ["regret_net"],
+               "model": {"learning_rate": 1e308, "epochs": 3},
+               "datasets": {"synthetic": [{"name": "a", "n_train": 200, "n_test": 60, "n_features": 4}]}}
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", write_json(tmp_path / "run.json", run), "--out", str(out_dir)]) == 2
+        assert "FAILED a d=clv/10 regret_net: RuntimeError: non-finite weights after epoch 3" in capsys.readouterr().err
+        [cell] = csv.DictReader((out_dir / "benchmark_cells.csv").open())
+        assert (cell["status"], cell["profit"]) == ("failed", "")
 
     @pytest.mark.parametrize(
         "entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf")]

@@ -22,7 +22,8 @@ from churnopt.campaign import (
     smooth_regret,
     total_profit,
 )
-from churnopt.data import Dataset
+from churnopt.data import Dataset, standardize
+from churnopt.experiments import SyntheticSpec, generate_synthetic
 from churnopt.models import (
     AdamState,
     CartConfig,
@@ -222,6 +223,24 @@ class TestTrain:
         assert models == {}
         assert isinstance(error, RuntimeError) and "epoch 0, batch 0" in str(error)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_weights_non_finite_after_the_last_step_fail_the_slice(self):
+        # every batch loss is finite, but the third epoch's last Adam step overflows the weights
+        spec = SyntheticSpec(name="x", n_train=200, n_test=60, n_features=4, seed=3)
+        train, _ = standardize(*generate_synthetic(spec))
+        params = CampaignParams(f=1.36, d=4.25, gamma=0.3)
+        cfg = TrainConfig(learning_rate=1e308, epochs=3, seed=0)
+        healthy = TrainConfig(learning_rate=0.01, epochs=3, seed=1)
+        runs = train_stack(train, [StackSlice(init_mlp(4, 2, seed=0), params, cfg),
+                                   StackSlice(init_mlp(4, 2, seed=1), params, healthy)], keep=(1, 2))
+        [(models, error), (kept, fine)] = runs
+        assert sorted(models) == [1, 2] and str(error) == "non-finite weights after epoch 3"
+        assert fine is None and sorted(kept) == [1, 2, 3]
+        for e, model in models.items():
+            assert_same_net(model, oracles.train(init_mlp(4, 2, seed=0), train, params, replace(cfg, epochs=e)), e)
+        with pytest.raises(RuntimeError, match="^non-finite weights after epoch 3$"):
+            oracles.train(init_mlp(4, 2, seed=0), train, params, cfg)
+
     def test_single_class_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [1, 1], [85.0, 85.0])
         with pytest.raises(ValueError, match="single class"):
@@ -247,7 +266,7 @@ def random_training_set(rng, n, k):
 
 
 def assert_same_net(got, want, context):
-    """Bit for bit, so that equal NaN weights of a diverging net compare equal."""
+    """Bit for bit."""
     for name in ("w1", "b1", "w2", "b2"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), (context, name)
@@ -255,7 +274,12 @@ def assert_same_net(got, want, context):
 
 
 class TestFlatTrainingMatchesOracle:
-    """A stack of one flat parameter row against the dict-based Adam loop of tests/oracles.py."""
+    """A stack of one flat parameter row against the dict-based Adam loop of tests/oracles.py.
+
+    Checked bit for bit under OpenBLAS's SkylakeX, Haswell and Sandybridge
+    kernels. Known to fail under Katmai (OPENBLAS_CORETYPE=Prescott), whose
+    products round their last bit by operand alignment (ROADMAP item 11).
+    """
 
     @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
     @pytest.mark.parametrize("batching", ["full", "divides", "remainder"])
@@ -292,6 +316,11 @@ class TestStackEqualsSolo:
     """Every slice of a stack against tests/oracles.train run on that slice alone.
 
     The slice at learning rate 1e308 overflows by design; both sides warn.
+    Checked bit for bit under OpenBLAS's SkylakeX, Haswell and Sandybridge
+    kernels. Known to fail under Katmai (OPENBLAS_CORETYPE=Prescott), whose
+    products round their last bit by operand alignment: a slice's operands
+    are views into the stack, aligned differently from the lone net's
+    fresh arrays (ROADMAP item 11).
     """
 
     @pytest.mark.parametrize("loss", ["smooth-regret", "cross-entropy"])
