@@ -2,28 +2,21 @@
 
     python bench/bench.py --base REV --out BENCH_N.json [--reps 3]
 
-Exports ``src/`` of git revision REV ("base") and runs every step once
-from it and once from ``src/`` of this checkout ("change") per rep,
-alternating which side runs first:
+Times ``src/`` of git revision REV ("base") against this checkout's
+``src/`` ("change"), reps times per step:
 
-- probes: ``perfbench/child.py probes 0``, the median time of one call of
-  each hot kernel (knn_scores, mp, one Adam step, fit_cart,
-  smote_balance) on fixed seeded inputs;
-- load_csv_s: per rep, one child loads both trees' ``churnopt`` under
-  two names and prints each side's fastest of LOAD_CALLS warm
-  ``load_dataset`` calls on a CSV_ROWS-row CSV, taking turns call by call;
-- wall_s and peak_rss_mb: the default bundled `churnopt benchmark` (no
-  config: 12 datasets x 5 incentive values x 8 methods) with --jobs 1
-  and --jobs 2, run through ``perfbench/measure.py``: wall time from
-  process start to exit, and the largest resident memory summed over the
-  run's process tree at one instant (sampled every 10 ms).
+- kernels: one child per rep loads both trees' ``churnopt`` and runs
+  ROUNDS rounds of one call per side of each of _kernels' calls: stats
+  of each side's fastest call (s) and of the rounds' median change/base;
+- wall_s and peak_rss_mb: the default bundled `churnopt benchmark` at
+  --jobs 1 and 2, once per side, alternating which goes first, through
+  ``perfbench/measure.py``: start to exit, and the largest resident
+  memory summed over the process tree at one instant (10 ms samples).
 
-The sha256 of every file a benchmark run writes (benchmark_cells.csv,
-summary.json and the three *_vs_d.csv tables) is recorded; the script
-fails if any differs between runs, sides or job counts, and stops naming
-the side when a child exits non-zero. env records the BLAS thread
-variables the runs inherit (null when unset) and the kernel set numpy's
-bundled OpenBLAS chose for this CPU (blas_core; null without one).
+It records the sha256 of every file a benchmark run writes, failing if
+one differs between runs, sides or job counts, and stops naming the side
+when a child exits non-zero. env records the BLAS thread variables the
+runs inherit and numpy's OpenBLAS kernel set (blas_core; null if none).
 """
 
 from __future__ import annotations
@@ -40,6 +33,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
@@ -48,31 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import measure  # noqa: E402  perfbench's process-tree sampler
 
-CHILD = ROOT / "perfbench" / "child.py"
 OUTPUTS = ("benchmark_cells.csv", "summary.json", "profit_vs_d.csv", "gap_vs_d.csv", "eta_profit_vs_d.csv")
 SIDES = ("base", "change")
-CSV_ROWS = 2_000  # the size of the largest file perfbench's regret_tune_csv reads
-WRITE_CSV = ("import sys; from churnopt import SyntheticSpec, generate_synthetic, save_dataset; "
-             "save_dataset(generate_synthetic(SyntheticSpec('csv', int(sys.argv[2]), 10))[0], sys.argv[1])")
-LOAD_CALLS = 40
-# argv: the CSV, then side and package-directory pairs; a module goes in sys.modules before it runs, for dataclass
-TIME_LOAD = f"""\
-import json, sys, time
-from importlib.util import module_from_spec, spec_from_file_location
-loads, times, sides = {{}}, {{}}, sys.argv[2::2]
-for side, pkg in zip(sides, sys.argv[3::2]):
-    spec = spec_from_file_location(f"churnopt_{{side}}", f"{{pkg}}/__init__.py", submodule_search_locations=[pkg])
-    module = sys.modules[spec.name] = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    loads[side], times[side] = module.load_dataset, []
-for _ in range({LOAD_CALLS} + 1):  # the first round warms each side
-    for side in sides:
-        start = time.perf_counter()
-        loads[side](sys.argv[1])
-        times[side].append(time.perf_counter() - start)
-    sides.reverse()
-print(json.dumps({{side: min(t[1:]) for side, t in times.items()}}))
-"""
+ORDERS = (SIDES, SIDES[::-1])  # rep r runs ORDERS[r % 2]
+ROUNDS = 40
+TIMER = f"import runpy, sys; runpy.run_path({str(Path(__file__).resolve())!r})['time_kernels'](*sys.argv[1:])"
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
@@ -99,48 +74,74 @@ def _blas_core() -> str | None:
     return None
 
 
-def _order(rep: int) -> tuple[str, str]:
-    return SIDES if rep % 2 == 0 else SIDES[::-1]
-
-
-def _child(side: str, src: Path | str, *args: str) -> str:
-    """Run python with args and src on PYTHONPATH; its stdout. A failure stops the script naming the side."""
-    done = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True)
-    _check(side, src, done.returncode, args, done.stderr)
-    return done.stdout
-
-
-def _check(side: str, src: Path, returncode: int, args, stderr: str) -> None:
+def _check(side: str, src: Path | str, returncode: int, args, stderr: str) -> None:
     if returncode != 0:
         raise SystemExit(f"{side} side ({src}) exited {returncode}: {' '.join(args)}\n{stderr[-2000:]}")
 
 
 def _stats(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "runs": [round(s, 4) for s in samples]}
+    return {"median": median, "q1": q1, "q3": q3, "runs": samples}
 
 
-def bench_probes(srcs: dict[str, Path], reps: int) -> dict:
-    """{probe: {side: stats}} over reps runs of ``child.py probes 0`` per side."""
-    samples: dict[str, dict[str, list[float]]] = {}
+def _kernels(co, csv: Path) -> dict:
+    """The timed kernels, as calls on seeded inputs built through the churnopt package co: a 2,000-row CSV
+    (regret_tune_csv's largest), the bundled dec month, and one train_stack epoch as xent_net and regret_net train."""
+    co.save_dataset(co.generate_synthetic(co.SyntheticSpec("csv", 2_000, 10))[0], csv)
+    train, test = co.standardize(*co.generate_synthetic(co.bundled_specs()[-1]))
+    balanced = co.smote_balance(train, co.SmoteConfig())
+    cfg = co.RunConfig()
+    campaigns = [cfg.campaign(co.experiments.resolve_d(entry, train.clvs.mean())) for entry in cfg.d_grid]
+    net = (train.n_features, co.models.default_hidden(train.n_features))
+    xent = [co.StackSlice(co.init_mlp(*net), campaigns[0], co.TrainConfig(epochs=1, loss="cross-entropy"))]
+    regret = [co.StackSlice(co.init_mlp(*net, seed=j), c, co.TrainConfig(epochs=1)) for j, c in enumerate(campaigns)]
+    scores = co.knn_scores(balanced, train.features, 5)
+    return {
+        "load_dataset": lambda: co.load_dataset(csv),
+        "knn_scores": lambda: co.knn_scores(balanced, test.features, 5),
+        "mp": lambda: co.mp(scores, train.labels, campaigns[0], train.clvs.mean()),
+        "fit_cart": lambda: co.fit_cart(balanced, co.models.CartConfig()),
+        "smote_balance": lambda: co.smote_balance(train, co.SmoteConfig()),
+        "xent_epoch": lambda: co.train_stack(balanced, xent),
+        "regret_epoch": lambda: co.train_stack(train, regret),
+    }
+
+
+def time_kernels(tmp: str, *trees: str) -> None:
+    """Print {kernel: {side: fastest call, "ratio": median change/base of a round}} of side and package pairs."""
+    calls = {}
+    for side, pkg in zip(trees[::2], trees[1::2]):  # a module goes in sys.modules before it runs, for dataclass
+        spec = spec_from_file_location(f"churnopt_{side}", f"{pkg}/__init__.py", submodule_search_locations=[pkg])
+        module = sys.modules[spec.name] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        calls[side] = _kernels(module, Path(tmp) / f"{side}.csv")
+    results = {}
+    for kernel in calls["base"]:
+        sides, times = list(calls), {side: [] for side in calls}
+        for _ in range(ROUNDS + 1):  # the first round warms each side
+            for side in sides:
+                start = time.perf_counter()
+                calls[side][kernel]()
+                times[side].append(time.perf_counter() - start)
+            sides.reverse()
+        base, change = times["base"][1:], times["change"][1:]
+        # a round's two calls run back to back, so their ratio cancels what the host did meanwhile
+        results[kernel] = {"base": min(base), "change": min(change),
+                           "ratio": statistics.median(c / b for b, c in zip(base, change))}
+    print(json.dumps(results))
+
+
+def bench_kernels(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
+    """{kernel: {side or "ratio": stats}} over reps; one child per rep times both sides."""
+    results = []
     for rep in range(reps):
-        for side in _order(rep):
-            for probe, value in json.loads(_child(side, srcs[side], str(CHILD), "probes", "0")).items():
-                samples.setdefault(probe, {s: [] for s in SIDES})[side].append(value)
-    return {probe: {side: _stats(runs) for side, runs in by_side.items()} for probe, by_side in sorted(samples.items())}
-
-
-def bench_csv(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
-    """{side: stats of each rep's fastest call} on one CSV_ROWS-row file; one child per rep times both sides."""
-    path = tmp / "load.csv"
-    _child("change", srcs["change"], "-c", WRITE_CSV, str(path), str(CSV_ROWS))
-    fastest = []
-    for rep in range(reps):
-        trees = [arg for side in _order(rep) for arg in (side, str(srcs[side] / "churnopt"))]
-        both = os.pathsep.join(str(srcs[side]) for side in _order(rep))  # read only in a failure's message
-        fastest.append(json.loads(_child(" and ".join(_order(rep)), both, "-c", TIME_LOAD, str(path), *trees)))
-    return {side: _stats([rep[side] for rep in fastest]) for side in SIDES}
+        trees = [arg for side in ORDERS[rep % 2] for arg in (side, str(srcs[side] / "churnopt"))]
+        args = ["-c", TIMER, str(tmp), *trees]
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+        _check(" and ".join(ORDERS[rep % 2]), ", ".join(map(str, srcs.values())), done.returncode, args, done.stderr)
+        results.append(json.loads(done.stdout))
+    return {kernel: {key: _stats([rep[kernel][key] for rep in results]) for key in (*SIDES, "ratio")}
+            for kernel in results[0]}
 
 
 def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
@@ -149,7 +150,7 @@ def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
     hashes = set()
     for rep in range(reps):
         for jobs in (1, 2):
-            for side in _order(rep):
+            for side in ORDERS[rep % 2]:
                 args = ["-m", "churnopt.cli", "benchmark", "--out", "out", "--jobs", str(jobs)]
                 m = measure.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(srcs[side])), cwd=tmp,
                                 timeout_s=600)
@@ -187,8 +188,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {"base": _export_src(args.base, Path(tmp)), "change": ROOT / "src"}
-        report["probes"] = bench_probes(srcs, args.reps)
-        report["load_csv_s"] = bench_csv(srcs, args.reps, Path(tmp))
+        report["kernels"] = bench_kernels(srcs, args.reps, Path(tmp))
         tables, sha256 = bench_cli(srcs, args.reps, Path(tmp))
         report.update(tables, outputs_sha256=sha256)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

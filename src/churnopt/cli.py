@@ -164,11 +164,11 @@ def cmd_generate(args) -> int:
     repeated = _first_repeat([s.name for s in specs])
     if repeated is not None:
         raise _CliError(f"spec name {specs[repeated].name!r} appears more than once")
+    drawn = [(s.name, _generate(s)) for s in specs]  # all of them first, so a spec that fails leaves no file
     out = Path(args.out)
-    for s in specs:
-        train, test = _generate(s)
-        for ds, tag in ((train, "train"), (test, "test")):
-            path = save_dataset(ds, out / f"{s.name}_{tag}.csv")
+    for name, splits in drawn:
+        for ds, tag in zip(splits, ("train", "test")):
+            path = save_dataset(ds, out / f"{name}_{tag}.csv")
             print(f"wrote {path} ({len(ds)} rows)")
     return 0
 
@@ -179,7 +179,7 @@ def cmd_benchmark(args) -> int:
     datasets = _build_datasets(config, cfg)
     out = Path(args.out or config.get("out_dir") or _default_out())
     try:
-        report = ex.run_benchmark(datasets, cfg, jobs=args.jobs)
+        report = ex.run_benchmark(datasets, cfg, jobs=args.jobs, out_dir=out)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
     cells_path = report.to_csv(out / "benchmark_cells.csv")
@@ -308,6 +308,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # creating or writing an output; the readers report their own
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -552,6 +552,7 @@ def run_benchmark(
     datasets: Sequence[tuple[str, Dataset, Dataset]],
     cfg: RunConfig,
     jobs: int = 1,
+    out_dir: str | Path | None = None,
 ) -> BenchmarkReport:
     """Evaluate every (dataset, d, method) cell; failures never abort the run.
 
@@ -561,10 +562,15 @@ def run_benchmark(
     starts. The tasks' cells come back in any order and are assembled by
     (dataset, d label, method) into grid order, and per-fit seeding keeps
     the report identical either way.
+    out_dir, when given, is created with its parents once the plan stands,
+    so an output path that cannot be a directory fails before the fits.
     Raises ValueError, before any fit runs, when _plan rejects a dataset,
-    and RuntimeError when a child dies.
+    OSError when out_dir cannot be created, and RuntimeError when a child
+    dies.
     """
     tasks = _plan(datasets, cfg)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(tasks))
     results = _run_pooled(tasks, workers) if workers > 1 else map(_run_task, tasks)
     # unique keys: RunConfig refuses a repeated method or d label and _plan a repeated dataset name

@@ -270,8 +270,9 @@ def train_stack(
     that many epochs, which carries the per-epoch mean training loss so
     far on its loss_history. error is None, or the RuntimeError that
     stopped the slice: "non-finite training loss at epoch E, batch B"
-    (checked before each step) or "non-finite weights after epoch E"
-    (checked after each epoch); models then holds the counts it completed.
+    (checked before each step), or "non-finite weights after epoch E" or
+    else "non-finite Adam second moment after epoch E" (checked after each
+    epoch); models then holds the counts it completed.
 
     Raises:
         ValueError: there are no slices; they differ in net shape, loss,
@@ -338,12 +339,16 @@ def train_stack(
             theta[...], m[...], v[...] = _adam(theta, g, m, v, t, lr)
             history[:, done - 1] += losses * (stop - start)
         history[:, done - 1] /= n
-        # a batch's loss is checked before its step; the weights the epoch's steps leave are checked here
-        if not np.isfinite(theta).all():
-            diverged = ~np.isfinite(theta).all(axis=1)
-            for k in np.flatnonzero(diverged):
-                errors[k] = RuntimeError(f"non-finite weights after epoch {done}")
-            if not freeze(diverged):
+        # a batch's loss is checked before its step; the weights and second
+        # moments the epoch's steps leave are checked here: an inf in v stays
+        # inf and turns every later update of its weight into 0
+        if not (np.isfinite(theta).all() and np.isfinite(v).all()):
+            bad_weights = ~np.isfinite(theta).all(axis=1)
+            failed = bad_weights | ~np.isfinite(v).all(axis=1)
+            for k in np.flatnonzero(failed):
+                what = "weights" if bad_weights[k] else "Adam second moment"
+                errors[k] = RuntimeError(f"non-finite {what} after epoch {done}")
+            if not freeze(failed):
                 return list(zip(models, errors))
         for k in np.flatnonzero(live & ((last_epoch == done) | (done in keep))):
             models[k][done] = Mlp(**_views(theta[k].copy(), hidden, input_dim), loss_history=history[k, :done].tolist())

@@ -118,6 +118,8 @@ def train(mlp, data, params, cfg):
             epoch_loss += loss * idx.size
         if not all(np.isfinite(a).all() for a in p.values()):
             raise RuntimeError(f"non-finite weights after epoch {epoch + 1}")
+        if not all(np.isfinite(a).all() for a in state.v.values()):
+            raise RuntimeError(f"non-finite Adam second moment after epoch {epoch + 1}")
         history.append(epoch_loss / n)
     return Mlp(**p, loss_history=history)
 

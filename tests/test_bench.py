@@ -1,4 +1,4 @@
-"""bench/bench.py's steps, with canned child output in place of real runs; one test runs the real CSV timer."""
+"""bench/bench.py's steps, with canned child output in place of real runs; one test runs the real kernel timer."""
 
 import importlib.util
 import json
@@ -7,7 +7,7 @@ import platform
 import shutil
 import subprocess
 import sys
-import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,90 +18,63 @@ _spec = importlib.util.spec_from_file_location("bench", ROOT / "bench" / "bench.
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-PROBES = ("probe.knn_scores_ms", "probe.mp_ms", "probe.adam_step_us", "probe.fit_cart_ms", "probe.smote_balance_ms")
 SRCS = {"base": Path("/base/src"), "change": Path("/change/src")}
+KERNELS = ("load_dataset", "knn_scores", "mp", "fit_cart", "smote_balance", "xent_epoch", "regret_epoch")
+# timing child r prints base BASE[r] and change CHANGE[r], times 8**-i for kernel i (exact in binary), and ratio
+# RATIO[r]
+BASE, CHANGE, RATIO = (1.0, 2.0, 4.0), (3.0, 5.0, 6.0), (1.25, 0.75, 1.0)
 
 
 @pytest.fixture
-def child_runs(monkeypatch):
-    """Replace bench's subprocess.run; each call answers probe values 100 * side + call number."""
+def kernel_runs(monkeypatch):
+    """Replace bench's subprocess.run; each call is a timing child answering every kernel."""
     runs = []
 
-    def run(cmd, env, capture_output, text):
-        side = next(side for side, src in SRCS.items() if env["PYTHONPATH"] == str(src))
-        runs.append((side, cmd))
-        offset = 100 if side == "base" else 200
-        stdout = json.dumps({probe: offset + len(runs) + i / 10 for i, probe in enumerate(PROBES)})
-        return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
+    def run(cmd, capture_output, text):
+        r = len(runs)
+        runs.append(cmd)
+        times = {kernel: {"change": CHANGE[r] * 8.0**-i, "base": BASE[r] * 8.0**-i, "ratio": RATIO[r]}
+                 for i, kernel in enumerate(KERNELS)}
+        return SimpleNamespace(returncode=0, stdout=json.dumps(times), stderr="")
 
     monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
     return runs
 
 
-def test_runs_the_probes_step_alternating_sides(child_runs):
-    bench.bench_probes(SRCS, reps=3)
-    assert [side for side, _ in child_runs] == ["base", "change", "change", "base", "base", "change"]
-    assert all(cmd[1:] == [str(bench.CHILD), "probes", "0"] for _, cmd in child_runs)
-
-
-def test_tabulates_each_probe_per_side(child_runs):
-    table = bench.bench_probes(SRCS, reps=3)
-    assert list(table) == sorted(PROBES)
-    # calls 1, 4, 5 ran the base side and 2, 3, 6 the change side
-    assert table["probe.knn_scores_ms"]["base"]["runs"] == [101.0, 104.0, 105.0]
-    assert table["probe.knn_scores_ms"]["change"] == {"median": 203.0, "q1": 202.5, "q3": 204.5,
-                                                      "runs": [202.0, 203.0, 206.0]}
-    assert table["probe.mp_ms"]["base"]["median"] == pytest.approx(104.1)
-
-
-def test_failed_child_stops_naming_its_side(monkeypatch):
-    def run(cmd, env, capture_output, text):
-        if env["PYTHONPATH"] == str(SRCS["base"]):
-            return SimpleNamespace(returncode=0, stdout=json.dumps(dict.fromkeys(PROBES, 1.0)), stderr="")
-        return SimpleNamespace(returncode=1, stdout="", stderr="Traceback ...\nImportError: cannot import name 'mp'\n")
-
-    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
-    with pytest.raises(SystemExit, match=r"change side \(/change/src\) exited 1(.|\n)*ImportError: cannot import"):
-        bench.bench_probes(SRCS, reps=1)
-
-
-@pytest.fixture
-def csv_runs(monkeypatch):
-    """Replace bench's subprocess.run; timing child r answers base 1 + r / 10 and change 2 + (3 - r) / 10."""
-    runs = []
-
-    def run(cmd, env, capture_output, text):
-        runs.append((env["PYTHONPATH"], cmd))
-        r = len(runs) - 1
-        stdout = "" if cmd[2] == bench.WRITE_CSV else json.dumps({"change": 2 + (3 - r) / 10, "base": 1 + r / 10})
-        return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
-
-    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
-    return runs
-
-
-def test_csv_step_writes_once_then_times_alternating_sides(csv_runs, tmp_path):
-    bench.bench_csv(SRCS, reps=3, tmp=tmp_path)
-    path = str(tmp_path / "load.csv")
-    assert csv_runs[0] == ("/change/src", [bench.sys.executable, "-c", bench.WRITE_CSV, path, "2000"])
+def test_kernel_step_runs_one_child_per_rep_alternating_sides(kernel_runs, tmp_path):
+    bench.bench_kernels(SRCS, reps=3, tmp=tmp_path)
     # each child gets both package directories, and the side that goes first alternates by rep
     first_base = ["base", "/base/src/churnopt", "change", "/change/src/churnopt"]
     first_change = first_base[2:] + first_base[:2]
-    assert [cmd[1:] for _, cmd in csv_runs[1:]] == [["-c", bench.TIME_LOAD, path, *trees]
-                                                    for trees in (first_base, first_change, first_base)]
-    both = [os.pathsep.join(srcs) for srcs in (("/base/src", "/change/src"), ("/change/src", "/base/src"))]
-    assert [env for env, _ in csv_runs[1:]] == [both[0], both[1], both[0]]
+    assert kernel_runs == [[bench.sys.executable, "-c", bench.TIMER, str(tmp_path), *trees]
+                           for trees in (first_base, first_change, first_base)]
 
 
-def test_csv_step_tabulates_each_side(csv_runs, tmp_path):
-    assert bench.bench_csv(SRCS, reps=3, tmp=tmp_path) == {
-        "base": {"median": 1.2, "q1": 1.15, "q3": 1.25, "runs": [1.1, 1.2, 1.3]},
-        "change": {"median": 2.1, "q1": 2.05, "q3": 2.15, "runs": [2.2, 2.1, 2.0]},
-    }
+def test_kernel_step_tabulates_each_side_and_the_ratio(kernel_runs, tmp_path):
+    table = bench.bench_kernels(SRCS, reps=3, tmp=tmp_path)
+    assert list(table) == list(KERNELS)
+    for i, kernel in enumerate(KERNELS):
+        # unrounded: the last kernel's times lie far below 0.1 ms
+        scale = 8.0**-i
+        assert table[kernel] == {
+            "base": {"median": 2 * scale, "q1": 1.5 * scale, "q3": 3 * scale, "runs": [b * scale for b in BASE]},
+            "change": {"median": 5 * scale, "q1": 4 * scale, "q3": 5.5 * scale, "runs": [c * scale for c in CHANGE]},
+            # each child's own ratio, not one of its two fastest calls over the other's
+            "ratio": {"median": 1.0, "q1": 0.875, "q3": 1.125, "runs": [1.25, 0.75, 1.0]},
+        }
+
+
+def test_failed_child_stops_naming_its_side(monkeypatch, tmp_path):
+    def run(cmd, capture_output, text):
+        return SimpleNamespace(returncode=1, stdout="", stderr="Traceback ...\nAttributeError: no attribute 'mp'\n")
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run))
+    with pytest.raises(SystemExit, match=r"base and change side \(/base/src, /change/src\) exited 1(.|\n)*no attribute"):
+        bench.bench_kernels(SRCS, reps=1, tmp=tmp_path)
 
 
 class _Clock:
-    """perf_counter for the timer script: each fake load_dataset call advances it by that side's next duration."""
+    """perf_counter for the timer: each fake kernel call advances it by that side's next duration of that kernel."""
 
     def __init__(self, durations):
         self.now, self.durations, self.calls = 0.0, durations, []
@@ -109,58 +82,68 @@ class _Clock:
     def __call__(self):
         return self.now
 
-    def load(self, side, path):
-        self.now += self.durations[side][sum(s == side for s, _ in self.calls)]
-        self.calls.append((side, path))
+    def call(self, side, kernel):
+        self.now += self.durations[side, kernel][sum(c == (side, kernel) for c in self.calls)]
+        self.calls.append((side, kernel))
 
 
-def test_load_timer_warms_once_then_prints_the_fastest_call(monkeypatch, tmp_path, capsys):
-    # the warm calls are the fastest of all and must not count
-    durations = {"base": [0.5] + [5 + k % 7 for k in range(bench.LOAD_CALLS)],
-                 "change": [0.25] + [4 + (k % 5) / 2 for k in range(bench.LOAD_CALLS)]}
-    durations["base"][17], durations["change"][33] = 1.5, 1.25
+def test_timer_warms_once_then_keeps_the_fastest_calls_and_the_median_round(monkeypatch, tmp_path, capsys):
+    rounds = 5
+    durations = {}
+    for i, kernel in enumerate(KERNELS):
+        # the warm calls come first and are the fastest of all, and must not count
+        durations["base", kernel] = [(i + 1) * d for d in (0.5, 8, 4, 2, 8, 4)]
+        durations["change", kernel] = [(i + 1) * d for d in (0.25, 6, 3, 4, 1, 6)]
     clock = _Clock(durations)
+    built = []
+
+    def kernels(co, csv):
+        side = co.__name__.removeprefix("churnopt_")
+        built.append((side, csv))
+        return {kernel: partial(clock.call, side, kernel) for kernel in KERNELS}
+
     args = []
     for side in ("change", "base"):
         pkg = tmp_path / side / "churnopt"
         pkg.mkdir(parents=True)
-        init = f"import time\n\n\ndef load_dataset(path):\n    time.perf_counter.load({side!r}, path)\n"
-        (pkg / "__init__.py").write_text(init)
+        (pkg / "__init__.py").write_text("")
         args += [side, str(pkg)]
-    monkeypatch.setattr(time, "perf_counter", clock)
-    monkeypatch.setattr(sys, "argv", ["-c", "load.csv", *args])
+    monkeypatch.setattr(bench, "ROUNDS", rounds)
+    monkeypatch.setattr(bench, "_kernels", kernels)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=clock))
     try:
-        exec(bench.TIME_LOAD, {})
+        bench.time_kernels(str(tmp_path), *args)
     finally:
         for side in ("base", "change"):
             sys.modules.pop(f"churnopt_{side}", None)
-    # the sides take turns, and the side that goes first flips every round
-    rounds = [("change", "base"), ("base", "change")] * (bench.LOAD_CALLS // 2 + 1)
-    assert clock.calls == [(side, "load.csv") for pair in rounds[: bench.LOAD_CALLS + 1] for side in pair]
-    assert json.loads(capsys.readouterr().out) == {"change": 1.25, "base": 1.5}
+    assert built == [("change", tmp_path / "change.csv"), ("base", tmp_path / "base.csv")]
+    # kernel by kernel, the sides take turns, and the side that goes first flips every round
+    rounds_of = [("change", "base"), ("base", "change")] * (rounds // 2 + 1)
+    assert clock.calls == [(side, kernel) for kernel in KERNELS for pair in rounds_of[: rounds + 1] for side in pair]
+    # the rounds' ratios are 6/8, 3/4, 4/2, 1/8 and 6/4, so their median is 0.75, where the fastest calls give 1/2
+    assert json.loads(capsys.readouterr().out) == {kernel: {"change": i + 1.0, "base": 2.0 * (i + 1), "ratio": 0.75}
+                                                   for i, kernel in enumerate(KERNELS)}
 
 
-def test_load_timer_loads_each_tree_under_its_own_name(tmp_path):
-    """The real script on two copies of src/: the slowed copy's fastest call is the slower one."""
-    from churnopt import SyntheticSpec, generate_synthetic, save_dataset
-
-    path = save_dataset(generate_synthetic(SyntheticSpec("csv", 40, 10, n_features=3))[0], tmp_path / "load.csv")
+def test_timer_times_every_kernel_on_each_tree_under_its_own_name(tmp_path):
+    """The real timing child on two copies of src/: every kernel reads positive times and ratio on both sides."""
     args = []
     for side in bench.SIDES:
         pkg = tmp_path / side / "churnopt"
         shutil.copytree(ROOT / "src" / "churnopt", pkg, ignore=shutil.ignore_patterns("__pycache__"))
         args += [side, str(pkg)]
-    # every call of the base copy sleeps 10 ms, far longer than a 40-row load
-    data = tmp_path / "base" / "churnopt" / "data.py"
-    data.write_text(data.read_text().replace("def load_dataset(", "def _load(") +
-                    "\n\ndef load_dataset(*args, **kwargs):\n    import time\n    time.sleep(0.01)\n"
-                    "    return _load(*args, **kwargs)\n")
-    done = subprocess.run([sys.executable, "-c", bench.TIME_LOAD, str(path), *args], capture_output=True, text=True,
-                          timeout=120)
+    # every mp call of the base copy sleeps 10 ms, far longer than mp itself
+    metrics = tmp_path / "base" / "churnopt" / "metrics.py"
+    metrics.write_text(metrics.read_text().replace("def mp(", "def _mp(") +
+                       "\n\ndef mp(*args, **kwargs):\n    import time\n    time.sleep(0.01)\n"
+                       "    return _mp(*args, **kwargs)\n")
+    done = subprocess.run([sys.executable, "-c", bench.TIMER, str(tmp_path), *args], capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
-    fastest = json.loads(done.stdout)
-    assert sorted(fastest) == ["base", "change"]
-    assert fastest["base"] >= 0.01 > fastest["change"] > 0
+    result = json.loads(done.stdout)
+    assert list(result) == list(KERNELS)
+    assert all(sorted(times) == ["base", "change", "ratio"] and min(times.values()) > 0 for times in result.values())
+    assert result["mp"]["base"] >= 0.01 > result["mp"]["change"] and result["mp"]["ratio"] < 0.5
 
 
 def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch, tmp_path):

@@ -147,6 +147,23 @@ class TestGenerate:
         assert captured.err.startswith("error: ") and captured.err.endswith(message) and captured.out == ""
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
 
+    def test_spec_that_fails_to_draw_leaves_no_file(self, tmp_path, capsys):
+        payload = [{"name": "a", "n_train": 20, "n_test": 10},
+                   {"name": "x", "n_train": 10, "n_test": 10, "churn_rate": 1e-9}]
+        out = tmp_path / "data"
+        assert main(["generate", "--spec", write_json(tmp_path / "spec.json", payload), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid synthetic spec: spec 'x'") and captured.out == ""
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        out.write_text("kept")
+        spec = write_json(tmp_path / "spec.json", {"name": "a", "n_train": 20, "n_test": 10})
+        assert main(["generate", "--spec", spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+        assert out.read_text() == "kept"
+
 
 class TestBenchmark:
     def test_small_run_outputs(self, tmp_path, capsys):
@@ -273,6 +290,30 @@ class TestBenchmark:
         assert "FAILED a d=clv/10 regret_net: RuntimeError: non-finite weights after epoch 3" in capsys.readouterr().err
         [cell] = csv.DictReader((out_dir / "benchmark_cells.csv").open())
         assert (cell["status"], cell["profit"]) == ("failed", "")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_net_whose_adam_second_moment_overflows_fails_its_cell(self, tmp_path, capsys):
+        # CLVs near 1e200 overflow v on the first step, which would leave the net at its start
+        run = {"seed": 0, "d_grid": ["clv/10"], "methods": ["regret_net"], "model": {"epochs": 3},
+               "datasets": {"synthetic": [{"name": "a", "n_train": 200, "n_test": 60, "n_features": 4,
+                                           "clv_mean": 1e200}]}}
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", write_json(tmp_path / "run.json", run), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "FAILED a d=clv/10 regret_net: RuntimeError: non-finite Adam second moment after epoch 1" in err
+        [cell] = csv.DictReader((out_dir / "benchmark_cells.csv").open())
+        assert (cell["status"], cell["profit"]) == ("failed", "")
+
+    def test_out_naming_a_file_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr(ex, "_run_task", fits.append)
+        out = tmp_path / "out"
+        out.write_text("kept")
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN)
+        assert main(["benchmark", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: File exists\n" and captured.out == ""
+        assert fits == [] and out.read_text() == "kept"
 
     @pytest.mark.parametrize(
         "entry", ["clv/0", "clv/-5", "clv/inf", "clv/nan", "clv/abc", 0, -1, float("inf")]
@@ -482,6 +523,15 @@ class TestStats:
         payload = json.loads((tmp_path / "out" / "stats.json").read_text())
         assert payload["holm"]["best"] == "m1"
         assert payload["avg_ranks"]["m1"] < payload["avg_ranks"]["m4"]
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        matrix = self.write_matrix(tmp_path / "m.csv", ["a", "b", "c"],
+                                   [("d1", [3.0, 2.0, 1.0]), ("d2", [3.0, 1.0, 2.0])])
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["stats", "--profits", matrix, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+        assert out.read_text() == "kept"
 
     def test_two_methods_refused(self, tmp_path, capsys):
         matrix = self.write_matrix(

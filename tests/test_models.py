@@ -241,6 +241,25 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="^non-finite weights after epoch 3$"):
             oracles.train(init_mlp(4, 2, seed=0), train, params, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_adam_second_moment_overflow_fails_the_slice(self):
+        # CLVs near 1e200 square past the float range in v on the first step; every later update
+        # of the weights would then be 0, and the returned net its start
+        spec = SyntheticSpec(name="a", n_train=200, n_test=60, n_features=4, clv_mean=1e200, seed=0)
+        train, test = generate_synthetic(spec)
+        params = CampaignParams(f=1.36, d=float(train.clvs.mean()) / 10, gamma=0.3)
+        train, _ = standardize(train, test)
+        cfg = TrainConfig(epochs=3, seed=0)
+        # at rate 1e308 the same first step also leaves the weights non-finite, and that message wins
+        fast = TrainConfig(learning_rate=1e308, epochs=3, seed=0)
+        runs = train_stack(train, [StackSlice(init_mlp(4, 2, seed=0), params, c) for c in (cfg, fast)], keep=(1, 2))
+        messages = ["non-finite Adam second moment after epoch 1", "non-finite weights after epoch 1"]
+        assert [(models, str(error)) for models, error in runs] == [({}, message) for message in messages]
+        for c, message in zip((cfg, fast), messages):
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                oracles.train(init_mlp(4, 2, seed=0), train, params, c)
+
     def test_single_class_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [1, 1], [85.0, 85.0])
         with pytest.raises(ValueError, match="single class"):
