@@ -41,7 +41,8 @@ def kernel_runs(monkeypatch):
     return runs
 
 
-def test_kernel_step_runs_one_child_per_rep_alternating_sides(kernel_runs, tmp_path):
+def test_runs_the_probes_step_alternating_sides(kernel_runs, tmp_path):
+    """The kernel step, which times the probed kernels: one timing child per rep, never perfbench's child."""
     bench.bench_kernels(SRCS, reps=3, tmp=tmp_path)
     # each child gets both package directories, and the side that goes first alternates by rep
     first_base = ["base", "/base/src/churnopt", "change", "/change/src/churnopt"]
@@ -50,7 +51,7 @@ def test_kernel_step_runs_one_child_per_rep_alternating_sides(kernel_runs, tmp_p
                            for trees in (first_base, first_change, first_base)]
 
 
-def test_kernel_step_tabulates_each_side_and_the_ratio(kernel_runs, tmp_path):
+def test_tabulates_each_probe_per_side(kernel_runs, tmp_path):
     table = bench.bench_kernels(SRCS, reps=3, tmp=tmp_path)
     assert list(table) == list(KERNELS)
     for i, kernel in enumerate(KERNELS):
@@ -62,6 +63,15 @@ def test_kernel_step_tabulates_each_side_and_the_ratio(kernel_runs, tmp_path):
             # each child's own ratio, not one of its two fastest calls over the other's
             "ratio": {"median": 1.0, "q1": 0.875, "q3": 1.125, "runs": [1.25, 0.75, 1.0]},
         }
+
+
+def test_csv_step_tabulates_each_side(kernel_runs, tmp_path):
+    """The CSV load is the kernel step's load_dataset entry, with each side's stats and the ratio's."""
+    assert bench.bench_kernels(SRCS, reps=3, tmp=tmp_path)["load_dataset"] == {
+        "base": {"median": 2.0, "q1": 1.5, "q3": 3.0, "runs": [1.0, 2.0, 4.0]},
+        "change": {"median": 5.0, "q1": 4.0, "q3": 5.5, "runs": [3.0, 5.0, 6.0]},
+        "ratio": {"median": 1.0, "q1": 0.875, "q3": 1.125, "runs": [1.25, 0.75, 1.0]},
+    }
 
 
 def test_failed_child_stops_naming_its_side(monkeypatch, tmp_path):
@@ -87,19 +97,15 @@ class _Clock:
         self.calls.append((side, kernel))
 
 
-def test_timer_warms_once_then_keeps_the_fastest_calls_and_the_median_round(monkeypatch, tmp_path, capsys):
-    rounds = 5
-    durations = {}
-    for i, kernel in enumerate(KERNELS):
-        # the warm calls come first and are the fastest of all, and must not count
-        durations["base", kernel] = [(i + 1) * d for d in (0.5, 8, 4, 2, 8, 4)]
-        durations["change", kernel] = [(i + 1) * d for d in (0.25, 6, 3, 4, 1, 6)]
+def _run_timer(monkeypatch, tmp_path, durations, rounds):
+    """Run bench.time_kernels on two empty packages, change first, with fake kernels advancing a _Clock."""
     clock = _Clock(durations)
     built = []
 
     def kernels(co, csv):
         side = co.__name__.removeprefix("churnopt_")
-        built.append((side, csv))
+        # which side builds its inputs, its CSV among them, and how many calls had run by then
+        built.append((side, csv, len(clock.calls)))
         return {kernel: partial(clock.call, side, kernel) for kernel in KERNELS}
 
     args = []
@@ -116,7 +122,29 @@ def test_timer_warms_once_then_keeps_the_fastest_calls_and_the_median_round(monk
     finally:
         for side in ("base", "change"):
             sys.modules.pop(f"churnopt_{side}", None)
-    assert built == [("change", tmp_path / "change.csv"), ("base", tmp_path / "base.csv")]
+    return built, clock
+
+
+def test_csv_step_writes_once_then_times_alternating_sides(monkeypatch, tmp_path):
+    rounds = 4
+    durations = {(side, kernel): [1.0] * (rounds + 1) for side in bench.SIDES for kernel in KERNELS}
+    built, clock = _run_timer(monkeypatch, tmp_path, durations, rounds)
+    # each side writes its CSV once, before any timed call
+    assert built == [("change", tmp_path / "change.csv", 0), ("base", tmp_path / "base.csv", 0)]
+    # then a warm round and rounds timed rounds of load_dataset, the side that goes first flipping every round
+    loads = [side for side, kernel in clock.calls if kernel == "load_dataset"]
+    assert loads == ["change", "base", "base", "change"] * 2 + ["change", "base"]
+
+
+def test_timer_warms_once_then_keeps_the_fastest_calls_and_the_median_round(monkeypatch, tmp_path, capsys):
+    rounds = 5
+    durations = {}
+    for i, kernel in enumerate(KERNELS):
+        # the warm calls come first and are the fastest of all, and must not count
+        durations["base", kernel] = [(i + 1) * d for d in (0.5, 8, 4, 2, 8, 4)]
+        durations["change", kernel] = [(i + 1) * d for d in (0.25, 6, 3, 4, 1, 6)]
+    built, clock = _run_timer(monkeypatch, tmp_path, durations, rounds)
+    assert built == [("change", tmp_path / "change.csv", 0), ("base", tmp_path / "base.csv", 0)]
     # kernel by kernel, the sides take turns, and the side that goes first flips every round
     rounds_of = [("change", "base"), ("base", "change")] * (rounds // 2 + 1)
     assert clock.calls == [(side, kernel) for kernel in KERNELS for pair in rounds_of[: rounds + 1] for side in pair]
