@@ -11,7 +11,9 @@ Times ``src/`` of git revision REV ("base") against this checkout's
 - wall_s and peak_rss_mb: the default bundled `churnopt benchmark` at
   --jobs 1 and 2, once per side, alternating which goes first, through
   ``perfbench/measure.py``: start to exit, and the largest resident
-  memory summed over the process tree at one instant (10 ms samples).
+  memory summed over the process tree at one instant (10 ms samples);
+- scale: the same two metrics, and the output hashes, of the SCALE_RUN
+  config: two generated datasets of 30,000 training and 10,000 test rows.
 
 It records the sha256 of every file a benchmark run writes, failing if
 one differs between runs, sides or job counts, and stops naming the side
@@ -48,6 +50,13 @@ SIDES = ("base", "change")
 ORDERS = (SIDES, SIDES[::-1])  # rep r runs ORDERS[r % 2]
 ROUNDS = 40
 TIMER = f"import runpy, sys; runpy.run_path({str(Path(__file__).resolve())!r})['time_kernels'](*sys.argv[1:])"
+# two 30,000 + 10,000-row datasets, with no knn, whose search is quadratic in the rows
+SCALE_RUN = {
+    "d_grid": ["clv/20", "clv/10"],
+    "methods": ["regret_net", "logistic", "cart"],
+    "model": {"epochs": 3},
+    "datasets": {"synthetic": [{"name": f"scale{i}", "n_train": 30_000, "n_test": 10_000, "seed": i} for i in (1, 2)]},
+}
 # thread-count variables read by the BLAS builds numpy ships with, and by OpenMP
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
@@ -144,14 +153,21 @@ def bench_kernels(srcs: dict[str, Path], reps: int, tmp: Path) -> dict:
             for kernel in results[0]}
 
 
-def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path) -> tuple[dict, dict]:
-    """{metric: {f"jobs{n}": {side: stats}}} for wall_s and peak_rss_mb of the bundled run, and its sha256s."""
+def bench_cli(srcs: dict[str, Path], reps: int, tmp: Path, config: dict | None = None) -> tuple[dict, dict]:
+    """{metric: {f"jobs{n}": {side: stats}}} for wall_s and peak_rss_mb of a run, and its sha256s.
+
+    The run is the default bundled one, or the one the run config `config` describes.
+    """
     samples = {(side, jobs): [] for side in SIDES for jobs in (1, 2)}
     hashes = set()
+    flags = []
+    if config is not None:
+        (tmp / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        flags = ["--config", "run.json"]
     for rep in range(reps):
         for jobs in (1, 2):
             for side in ORDERS[rep % 2]:
-                args = ["-m", "churnopt.cli", "benchmark", "--out", "out", "--jobs", str(jobs)]
+                args = ["-m", "churnopt.cli", "benchmark", *flags, "--out", "out", "--jobs", str(jobs)]
                 m = measure.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(srcs[side])), cwd=tmp,
                                 timeout_s=600)
                 _check(side, srcs[side], m.returncode, args, m.stderr)
@@ -190,7 +206,8 @@ def main(argv=None) -> int:
         srcs = {"base": _export_src(args.base, Path(tmp)), "change": ROOT / "src"}
         report["kernels"] = bench_kernels(srcs, args.reps, Path(tmp))
         tables, sha256 = bench_cli(srcs, args.reps, Path(tmp))
-        report.update(tables, outputs_sha256=sha256)
+        scale, scale_sha256 = bench_cli(srcs, args.reps, Path(tmp), SCALE_RUN)
+        report.update(tables, outputs_sha256=sha256, scale={**scale, "outputs_sha256": scale_sha256})
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))
     return 0

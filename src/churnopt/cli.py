@@ -176,14 +176,13 @@ def cmd_generate(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load_json(args.config) if args.config else {}
     cfg = _run_config(config)
-    datasets = _build_datasets(config, cfg)
     out = Path(args.out or config.get("out_dir") or _default_out())
-    try:
-        report = ex.run_benchmark(datasets, cfg, jobs=args.jobs, out_dir=out)
+    try:  # built in the call, so run_benchmark holds the only reference to the raw splits and can drop them
+        report = ex.run_benchmark(_build_datasets(config, cfg), cfg, jobs=args.jobs, out_dir=out)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
     cells_path = report.to_csv(out / "benchmark_cells.csv")
-    summary = ex.benchmark_summary(report, cfg, [name for name, _, _ in datasets], alpha=args.alpha)
+    summary = ex.benchmark_summary(report, cfg, list(dict.fromkeys(c.dataset for c in report.cells)), alpha=args.alpha)
     summary_path = _write_json(summary, out / "summary.json")
     n_ok = sum(1 for c in report.cells if c.status == "ok")
     print(f"wrote {cells_path} ({n_ok}/{len(report.cells)} cells ok)")

@@ -564,18 +564,21 @@ def run_benchmark(
     the report identical either way.
     out_dir, when given, is created with its parents once the plan stands,
     so an output path that cannot be a directory fails before the fits.
+    Planned, datasets is dropped: CPython 3.11+ then frees raw splits no caller
+    holds, before any fit or fork; on 3.10 they live until the call returns.
     Raises ValueError, before any fit runs, when _plan rejects a dataset,
     OSError when out_dir cannot be created, and RuntimeError when a child
     dies.
     """
-    tasks = _plan(datasets, cfg)
+    tasks, names = _plan(datasets, cfg), [name for name, _, _ in datasets]
+    del datasets
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(tasks))
     results = _run_pooled(tasks, workers) if workers > 1 else map(_run_task, tasks)
     # unique keys: RunConfig refuses a repeated method or d label and _plan a repeated dataset name
     cells = {(c.dataset, c.d_label, c.method): c for out in results for c in out}
-    grid = ((name, str(entry), method) for name, _, _ in datasets for entry in cfg.d_grid for method in cfg.methods)
+    grid = ((name, str(entry), method) for name in names for entry in cfg.d_grid for method in cfg.methods)
     return BenchmarkReport(cells=tuple(cells[key] for key in grid))
 
 

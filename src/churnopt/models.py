@@ -512,19 +512,24 @@ class CartNode:
     right: "CartNode | None" = None
 
 
+# cells of one column block in _best_split; each of its ~8 temporaries holds this many floats
+_SPLIT_BLOCK_CELLS = 2**18
+
+
 def _best_split(X: np.ndarray, y01: np.ndarray, min_leaf: int):
     """Lowest weighted-Gini split; ties to the first feature, lowest threshold.
 
-    Every feature's candidate splits are scored at once, from one argsort
-    down the rows, in column blocks of at most 2**20 cells. The sort need
-    not be stable: tied values are never split, so the class counts at
-    every valid split are the same in any order of the ties.
+    Every feature's candidate splits are scored from one argsort down the
+    rows, in column blocks of at most _SPLIT_BLOCK_CELLS cells (one column
+    when a column is larger), which bounds the search's temporaries. The
+    sort need not be stable: tied values are never split, so the class
+    counts at every valid split are the same in any order of the ties.
     """
     n = y01.size
     sizes = np.arange(1, n)[:, None]
     size_ok = (sizes >= min_leaf) & (n - sizes >= min_leaf)
     best = None  # (impurity, feature, threshold)
-    width = max(1, 2**20 // n)
+    width = max(1, _SPLIT_BLOCK_CELLS // n)
     for lo in range(0, X.shape[1], width):
         cols = X[:, lo : lo + width]
         order = np.argsort(cols, axis=0)
@@ -570,12 +575,15 @@ def fit_cart(data: Dataset, cfg: CartConfig) -> CartNode:
 
 
 def cart_scores(tree: CartNode, X) -> np.ndarray:
-    """Score of the leaf each row of X reaches."""
+    """Score of the leaf each row of X reaches, routing row indices node by node by the rule _grow splits by."""
     X = np.asarray(X, dtype=float)
     out = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        node = tree
-        while node.feature is not None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        out[i] = node.score
+    todo = [(tree, np.arange(X.shape[0]))]
+    while todo:
+        node, rows = todo.pop()
+        if node.feature is None:
+            out[rows] = node.score
+            continue
+        left = X[rows, node.feature] <= node.threshold
+        todo += [(node.left, rows[left]), (node.right, rows[~left])]
     return out

@@ -24,6 +24,8 @@ Tests compare the package against these for exact equality:
   own loop.
 - best_split: argsorts and scores one feature at a time; patched in for
   models._best_split, it grows the reference tree.
+- cart_scores: walks each row down the tree on its own, in a Python loop,
+  instead of routing row indices node by node.
 - quantile_segments and segment_edges: a segment label per customer,
   filled by a loop over segment sizes, and each segment's rows found
   again by scanning those labels.
@@ -313,6 +315,17 @@ def best_split(X, y01, min_leaf):
         if best is None or weighted[i] < best[0]:
             best = (float(weighted[i]), j, float((v[i] + v[i + 1]) / 2))
     return best
+
+
+def cart_scores(tree, X):
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = tree
+        while node.feature is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out[i] = node.score
+    return out
 
 
 def knn_scores(train, X, k):

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from churnopt import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "bench" / "bench.py")
 bench = importlib.util.module_from_spec(_spec)
@@ -197,6 +199,33 @@ def test_cli_step_tabulates_wall_and_peak_rss_per_side_and_job_count(monkeypatch
                                               "change": {"median": 203.5, "q1": 202.75, "q3": 204.25,
                                                          "runs": [202, 205]}}
     assert sha256 == {name: bench.hashlib.sha256(name.encode()).hexdigest() for name in bench.OUTPUTS}
+
+
+@pytest.mark.parametrize("config", [None, bench.SCALE_RUN])
+def test_cli_step_runs_the_bundled_grid_or_the_given_config(monkeypatch, tmp_path, config):
+    runs = []
+
+    def run(cmd, env, cwd, timeout_s):
+        """Record each command and the config it names, then write fixed outputs."""
+        flags = cmd[cmd.index("benchmark") + 1 :]
+        runs.append((flags, json.loads((cwd / flags[1]).read_text()) if "--config" in flags else None))
+        (cwd / "out").mkdir(exist_ok=True)
+        for name in bench.OUTPUTS:
+            (cwd / "out" / name).write_text(name)
+        return SimpleNamespace(returncode=0, wall_s=1.0, peak_rss_mb=100.0, stderr="")
+
+    monkeypatch.setattr(bench, "measure", SimpleNamespace(run=run))
+    tables, _ = bench.bench_cli(SRCS, reps=1, tmp=tmp_path, config=config)
+    config_flags = [] if config is None else ["--config", "run.json"]
+    assert runs == [([*config_flags, "--out", "out", "--jobs", jobs], config) for jobs in "1122"]
+    assert sorted(tables) == ["peak_rss_mb", "wall_s"] and sorted(tables["wall_s"]) == ["jobs1", "jobs2"]
+
+
+def test_scale_config_is_a_valid_run_without_knn():
+    cfg = cli._run_config(bench.SCALE_RUN)
+    assert set(cfg.methods) == {"regret_net", "logistic", "cart"} and cfg.epochs == 3
+    assert [(len(train), len(test)) for _, train, test in cli._build_datasets(bench.SCALE_RUN, cfg)] == [
+        (30_000, 10_000)] * 2
 
 
 def test_failed_benchmark_run_stops_naming_its_side(monkeypatch, tmp_path):

@@ -5,6 +5,8 @@ import csv
 import functools
 import json
 import operator
+import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -303,6 +305,30 @@ class TestBenchmark:
         assert "FAILED a d=clv/10 regret_net: RuntimeError: non-finite Adam second moment after epoch 1" in err
         [cell] = csv.DictReader((out_dir / "benchmark_cells.csv").open())
         assert (cell["status"], cell["profit"]) == ("failed", "")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's stack keeps run_benchmark's "
+                        "arguments alive until it returns, so the raw splits are not freed early")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raw_splits_are_freed_before_the_first_fit(self, tmp_path, monkeypatch, jobs):
+        raw, fits = [], []
+        build_datasets, run_task = cli._build_datasets, ex._run_task
+
+        def build_and_watch(config, cfg):
+            datasets = build_datasets(config, cfg)
+            raw.extend(weakref.ref(ds.features) for _, *splits in datasets for ds in splits)
+            return datasets
+
+        def run_checked(task):  # runs in every process; a child that fails it fails the run
+            assert all(ref() is None for ref in raw), "a raw feature array outlived the plan"
+            fits.append(task)
+            return run_task(task)
+
+        monkeypatch.setattr(cli, "_build_datasets", build_and_watch)
+        monkeypatch.setattr(ex, "_run_task", run_checked)
+        cfg = write_json(tmp_path / "run.json", SMALL_RUN)
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
+        # the parent works the pool too, so it checked at least its own first fit
+        assert len(raw) == 4 and fits
 
     def test_out_naming_a_file_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch):
         fits = []

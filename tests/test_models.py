@@ -777,9 +777,9 @@ class TestCart:
         assert fit_cart(ds, cfg) == want
 
     def test_wide_split_spans_column_blocks(self):
-        # 1100 rows put 953 features in a 2**20-cell block: the separating
-        # feature 1000 lies in the second block, and its copy 700 in the
-        # first ties with it and wins as the lower feature
+        # 1100 rows put 238 features in a 2**18-cell block: the separating
+        # feature 1000 lies in the fifth block, and its copy 700 in the
+        # third ties with it and wins as the lower feature
         rng = np.random.default_rng(15)
         y01 = (rng.random(1100) < 0.5).astype(float)
         X = rng.standard_normal((1100, 1001))
@@ -789,3 +789,45 @@ class TestCart:
         X[:, 700] = X[:, 1000]
         want = oracles.best_split(X, y01, 5)
         assert want[1] == 700 and models._best_split(X, y01, 5) == want
+
+    def test_one_column_blocks_grow_the_same_tree(self, monkeypatch):
+        # 200 x 6 is one block by default; columns 3 and 5 copy columns 1
+        # and 2, so every split on them ties with the lower feature's
+        rng = np.random.default_rng(16)
+        X = np.round(rng.standard_normal((200, 6)) * 2, 1)
+        labels = (X[:, 1] + 0.5 * X[:, 2] + rng.standard_normal(200) > 0).astype(int)
+        X[:, 3], X[:, 5] = X[:, 1], X[:, 2]
+        ds, cfg = make_dataset(X, labels, np.full(200, 10.0)), CartConfig(max_depth=6, min_leaf=2)
+        assert X.size <= models._SPLIT_BLOCK_CELLS
+        want = fit_cart(ds, cfg)
+        monkeypatch.setattr(models, "_SPLIT_BLOCK_CELLS", 1)
+
+        def features(node):
+            return [] if node.feature is None else [node.feature, *features(node.left), *features(node.right)]
+
+        assert fit_cart(ds, cfg) == want and {1, 2} <= set(features(want)) and not {3, 5} & set(features(want))
+
+    def test_threshold_value_goes_left(self):
+        tree = models.CartNode(0.5, feature=1, threshold=1.0, left=models.CartNode(0.25), right=models.CartNode(0.75))
+        X = [[9.0, 1.0], [-9.0, np.nextafter(1.0, 2.0)], [0.0, 0.5]]
+        assert cart_scores(tree, X).tolist() == [0.25, 0.75, 0.25]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scores_equal_oracle(self, data):
+        # rounded training values give rounded thresholds; some query
+        # values are set to a node's threshold, and a query may have 0 rows
+        n, f = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = np.round(rng.standard_normal((n, f)) * 3, data.draw(st.sampled_from([0, 1])))
+        ds = make_dataset(X, rng.integers(0, 2, n), np.full(n, 10.0))
+        tree = fit_cart(ds, CartConfig(max_depth=data.draw(st.integers(0, 5)), min_leaf=1))
+        Q = np.round(rng.standard_normal((data.draw(st.integers(0, 40)), f)) * 3, 1)
+        todo = [tree]
+        while todo and len(Q):
+            node = todo.pop()
+            if node.feature is not None:
+                Q[rng.integers(len(Q), size=len(Q) // 3 + 1), node.feature] = node.threshold
+                todo += [node.left, node.right]
+        got = cart_scores(tree, Q)
+        assert got.shape == (len(Q),) and np.array_equal(got, oracles.cart_scores(tree, Q))
