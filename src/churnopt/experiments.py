@@ -2,12 +2,12 @@
 
 Each method pairs a scorer with a decision rule. A scorer is fitted once
 per dataset and the fit serves every d value and rule that uses it, or
-once per (dataset, d) when training drops customers below break-even.
-regret_net's loss depends on d, so its fit trains one net per d value,
-all as one stack. A fit, and each net of a stack, derives its random
-state from (master seed, dataset index, d index, method index) of the
-first grid cell it serves, so results are reproducible byte for byte no
-matter how fits are scheduled.
+once per (dataset, d) when training drops customers below break-even or
+the fit reads d, as a net's does when its loss reads the campaign; a net
+scorer trains its nets as one stack. A fit, and each net of a stack,
+derives its random state from (master seed, dataset index, d index,
+method index) of the first grid cell it serves, so results are
+reproducible byte for byte no matter how fits are scheduled.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .campaign import (
 from .data import Dataset, assign_segments, standardize, write_csv
 from .metrics import accuracy, msp, targeted_fraction
 from .models import (
+    _LOSSES,
     CartConfig,
     StackSlice,
     TrainConfig,
@@ -370,15 +371,15 @@ def _cell_seeds(master_seed: int, di: int, dj: int, mi: int) -> tuple[int, int, 
 def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
     """One net per (campaign, seeds) in fits, all trained as one stack.
 
-    Under a CV grid each smooth-regret net first tunes its own learning
-    rate and epoch count. A net whose training fails is returned as its
-    error, which fails only the cells it serves.
+    Under a CV grid each net whose loss reads the campaign first tunes its
+    own learning rate and epoch count. A net whose training fails is
+    returned as its error, which fails only the cells it serves.
     """
     hidden = cfg.hidden if cfg.hidden is not None else default_hidden(data.n_features)
     slices = []
     for params, seeds in fits:
         tc = TrainConfig(cfg.learning_rate, cfg.epochs, cfg.batch_size, loss=loss, seed=seeds[1])
-        if loss == "smooth-regret" and cfg.cv_learning_rates:
+        if _LOSSES[loss].reads_campaign and cfg.cv_learning_rates:
             tc = monte_carlo_cv(
                 data, cfg.cv_learning_rates, cfg.cv_epochs, params, base=tc, hidden=hidden,
                 splits=cfg.cv_splits, n_seeds=cfg.cv_seeds, seed=seeds[2],
@@ -391,34 +392,34 @@ def _fit_net(data: Dataset, cfg: RunConfig, fits, loss: str):
 
 
 def _fit_logistic(data: Dataset, cfg: RunConfig, fits):
-    model = fit_logistic(data)
-    return [lambda ds: model.score_batch(ds.features)]
+    return [lambda ds, model=fit_logistic(data): model.score_batch(ds.features) for _ in fits]
 
 
 def _fit_knn(data: Dataset, cfg: RunConfig, fits):
     k = min(cfg.knn_k, len(data))
-    return [lambda ds: knn_scores(data, ds.features, k)]
+    return [lambda ds: knn_scores(data, ds.features, k)] * len(fits)
 
 
 def _fit_cart(data: Dataset, cfg: RunConfig, fits):
-    tree = fit_cart(data, CartConfig(cfg.cart_max_depth, cfg.cart_min_leaf))
-    return [lambda ds: cart_scores(tree, ds.features)]
+    cart = CartConfig(cfg.cart_max_depth, cfg.cart_min_leaf)
+    return [lambda ds, tree=fit_cart(data, cart): cart_scores(tree, ds.features) for _ in fits]
 
 
-# scorer -> (trains on the SMOTE-balanced split, fit). A fit takes the
-# training split, cfg and one (campaign, (smote, train, cv) seeds) pair
-# per group of cells it serves, and returns for each group a function that
-# scores a split, or the exception that stopped that group. Only
-# regret_net reads d, so only its tasks hold more than one group: one per
-# d value.
+_Scorer = NamedTuple("_Scorer", [("balance", bool), ("reads_d", bool), ("fit", Callable)])
+
+# scorer -> whether it trains on the SMOTE-balanced split, whether its fit
+# reads d, and the fit. A fit takes the training split, cfg and one
+# (campaign, (smote, train, cv) seeds) pair per group of cells it serves:
+# one group per d value when it reads d, else one. It returns for each
+# group a function that scores a split, or the exception that stopped it.
 _SCORERS = {
-    "regret_net": (False, partial(_fit_net, loss="smooth-regret")),
-    "xent_net": (True, partial(_fit_net, loss="cross-entropy")),
-    "logistic": (True, _fit_logistic),
-    "knn": (True, _fit_knn),
-    "cart": (True, _fit_cart),
-    "oracle": (False, lambda *_: [lambda ds: ds.labels.astype(float)]),
-    "constant": (False, lambda *_: [lambda ds: np.full(len(ds), 0.5)]),
+    "regret_net": _Scorer(False, True, partial(_fit_net, loss="smooth-regret")),
+    "xent_net": _Scorer(True, False, partial(_fit_net, loss="cross-entropy")),
+    "logistic": _Scorer(True, False, _fit_logistic),
+    "knn": _Scorer(True, False, _fit_knn),
+    "cart": _Scorer(True, False, _fit_cart),
+    "oracle": _Scorer(False, False, lambda *_: [lambda ds: ds.labels.astype(float)]),
+    "constant": _Scorer(False, False, lambda *_: [lambda ds: np.full(len(ds), 0.5)]),
 }
 
 
@@ -426,7 +427,7 @@ def _run_task(task) -> list[CellResult]:
     """Fit one scorer, then run every cell it serves, group by group; see _plan."""
     name, train_s, test_s, scorer, cfg, groups = task
     try:
-        balance, fit = _SCORERS[scorer]
+        balance, _, fit = _SCORERS[scorer]
         data = train_s
         if balance:
             smote = SmoteConfig(k_neighbors=cfg.smote_k, ratio=cfg.smote_ratio, seed=groups[0][0][0])
@@ -462,6 +463,7 @@ def _run_cell(name, cell, cfg: RunConfig, train_s, test_s, scores) -> CellResult
         decisions = classified = (test_scores <= threshold).astype(np.int64)
         if rule == "midpoint":
             decisions = prescribe(test_scores, midpoint(params, test_s.clvs))
+            # the public config key regret_net_accuracy names this scorer
             if scorer == "regret_net" and cfg.regret_net_accuracy == "midpoint":
                 classified = decisions
         profit = total_profit(decisions, test_s.labels, params, test_s.clvs)
@@ -502,9 +504,8 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
     each cell (d_label, campaign, method) with one campaign per
     (dataset, d), and the seeds are those of the group's first cell in
     grid order. A scorer is fitted once per dataset, or per (dataset, d)
-    under drop_below_break_even. Its task holds one group, except
-    regret_net's: its loss reads d, so it trains one net per d value, as
-    one stack, with a group for each.
+    under drop_below_break_even. Its task holds one group, or one per d
+    value when its fit reads d (see _SCORERS).
 
     Raises ValueError naming the dataset when a split does not standardize,
     a d entry gives no campaign, or a d leaves no training customer (fewer
@@ -541,7 +542,7 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
                 scorer = _METHOD_TABLE[method][0]
                 key = (di, dj if cfg.drop_below_break_even else None, scorer)
                 groups = tasks.setdefault(key, (name, train_d, test_s, scorer, cfg, {}))[-1]
-                group = dj if scorer == "regret_net" else None
+                group = dj if _SCORERS[scorer].reads_d else None
                 if group not in groups:
                     groups[group] = (_cell_seeds(cfg.seed, di, dj, mi), [])
                 groups[group][1].append((str(entry), params, method))

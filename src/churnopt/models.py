@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,31 @@ __all__ = [
     "cart_scores",
 ]
 
-LOSS_KINDS = ("smooth-regret", "cross-entropy")
+
+def _xent_losses(scores, u, y, slope):
+    """Binary cross-entropy of scores = sigmoid(u) against labels y, from the logit u, and its dloss/du."""
+    return np.logaddexp(0.0, -u) + (1.0 - y) * u, scores - y
+
+
+def _regret_targets(y, params: CampaignParams, clv):
+    return np.stack(smooth_regret_terms(y, params, clv))
+
+
+def _regret_losses(scores, u, terms, slope):
+    losses, dscore = smooth_regret_loss(scores, terms, slope)
+    return losses, dscore * scores * (1.0 - scores)
+
+
+_Loss = NamedTuple("_Loss", [("reads_campaign", bool), ("targets", Callable), ("losses_and_du", Callable)])
+
+# TrainConfig.loss -> whether it reads the campaign; its targets from the
+# float labels, campaign and CLVs, one customer per last-axis entry, so a
+# batch is targets[..., idx]; and its per-example losses and dloss/du, from
+# (scores, output pre-activation u, targets, slope), not yet batch-averaged
+_LOSSES = {
+    "smooth-regret": _Loss(True, _regret_targets, _regret_losses),
+    "cross-entropy": _Loss(False, lambda y, params, clv: y, _xent_losses),
+}
 
 
 @dataclass
@@ -68,7 +92,7 @@ class TrainConfig:
     learning_rate: float = setting(0.01, gt=0)
     epochs: int = setting(50, ge=1)
     batch_size: int | None = setting(None, ge=1)  # None: full batch up to 1024 rows, else 128
-    loss: str = setting("smooth-regret", one_of=LOSS_KINDS)
+    loss: str = setting("smooth-regret", one_of=tuple(_LOSSES))
     seed: int = setting(0, ge=0)
 
     def __post_init__(self) -> None:
@@ -175,34 +199,6 @@ def adam_step(
     return out, state
 
 
-def _loss_targets(loss: str, labels, params: CampaignParams, clvs) -> np.ndarray:
-    """What the loss compares scores against, one customer per last-axis entry.
-
-    The labels for cross-entropy; the stacked smooth_regret_terms for the
-    smooth regret, so a batch is targets[..., idx] either way.
-    """
-    labels = np.asarray(labels, dtype=float)
-    if loss == "cross-entropy":
-        return labels
-    return np.stack(smooth_regret_terms(labels, params, clvs))
-
-
-def _cross_entropy(u, y):
-    """Binary cross-entropy of sigmoid(u) against labels y, from the logit u."""
-    return np.logaddexp(0.0, -u) + (1.0 - y) * u
-
-
-def _losses_and_du(scores, u, targets, loss: str, slope: float):
-    """Per-example losses and dloss/du for the output pre-activation u.
-
-    Not yet averaged over the batch.
-    """
-    if loss == "cross-entropy":
-        return _cross_entropy(u, targets), scores - targets
-    losses, dscore = smooth_regret_loss(scores, targets, slope)
-    return losses, dscore * scores * (1.0 - scores)
-
-
 def _flat(mlp: Mlp) -> np.ndarray:
     """A new float vector holding w1 (row-major), b1, w2 and b2, in that order."""
     return np.concatenate([np.ravel(a) for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2)], dtype=float)
@@ -225,7 +221,7 @@ def _loss_and_grad(p, X, targets, loss, slope, grads):
     One net, or a stack of them as in _forward_full.
     """
     scores, u, A = _forward_full(p, X)
-    losses, du = _losses_and_du(scores, u, targets, loss, slope)
+    losses, du = _LOSSES[loss].losses_and_du(scores, u, targets, slope)
     du /= X.shape[-2]
     np.matmul(A.swapaxes(-1, -2), du[..., None], out=grads["w2"][..., None])
     np.add.reduce(du, axis=-1, out=grads["b2"])
@@ -281,7 +277,7 @@ def train_stack(
     """
     if not slices:
         raise ValueError("a training stack needs at least one net")
-    X, y, clv = data.features, data.labels, data.clvs
+    X, y, clv = data.features, data.labels.astype(float), data.clvs
     rows = [np.arange(len(data)) if s.rows is None else np.asarray(s.rows) for s in slices]
     first, n = slices[0], len(rows[0])
     shared = (first.init.w1.shape, first.cfg.loss, first.params.slope, first.cfg.resolve_batch_size(n))
@@ -298,7 +294,7 @@ def train_stack(
     # k reads those of its data row i at offset[k] + i
     campaigns: dict[CampaignParams, int] = {}
     offset = len(data) * np.array([[campaigns.setdefault(s.params, len(campaigns))] for s in slices])
-    targets = np.concatenate([_loss_targets(loss, y, c, clv) for c in campaigns], axis=-1)
+    targets = np.concatenate([_LOSSES[loss].targets(y, c, clv) for c in campaigns], axis=-1)
     last_epoch = np.array([s.cfg.epochs for s in slices])
     rngs = [np.random.default_rng(s.cfg.seed) for s in slices]
     models: list[dict[int, Mlp]] = [{} for _ in slices]
@@ -359,11 +355,11 @@ def train_stack(
 
 def mean_loss(mlp: Mlp, data: Dataset, params: CampaignParams, loss: str) -> float:
     """Mean per-customer loss of a fixed model on a dataset."""
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
-    targets = _loss_targets(loss, data.labels, params, data.clvs)
+    if loss not in _LOSSES:
+        raise ValueError(f"loss must be one of {tuple(_LOSSES)}, got {loss!r}")
+    targets = _LOSSES[loss].targets(data.labels.astype(float), params, data.clvs)
     scores, u, _ = _forward_full(mlp.params(), data.features)
-    losses, _ = _losses_and_du(scores, u, targets, loss, params.slope)
+    losses, _ = _LOSSES[loss].losses_and_du(scores, u, targets, params.slope)
     return float(losses.mean())
 
 

@@ -48,15 +48,13 @@ import numpy as np
 from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows
 from churnopt.metrics import _as_scores_labels
 from churnopt.models import (
+    _LOSSES,
     AdamState,
     LogisticModel,
     Mlp,
     TrainConfig,
-    _cross_entropy,
     _flat,
     _loss_and_grad,
-    _loss_targets,
-    _losses_and_du,
     _views,
     adam_step,
     default_hidden,
@@ -83,7 +81,7 @@ def _forward_full(p, X):
 
 def _loss_and_grads(p, X, targets, loss, slope):
     scores, u, A = _forward_full(p, X)
-    losses, du = _losses_and_du(scores, u, targets, loss, slope)
+    losses, du = _LOSSES[loss].losses_and_du(scores, u, targets, slope)
     n = X.shape[0]
     du = du / n
     grads = {
@@ -101,7 +99,7 @@ def train(mlp, data, params, cfg):
     if len(np.unique(data.labels)) < 2:
         raise ValueError(f"dataset {data.name!r} has a single class; need both for training")
     X, y, clv = data.features, data.labels, data.clvs
-    targets = _loss_targets(cfg.loss, y, params, clv)
+    targets = _LOSSES[cfg.loss].targets(y.astype(float), params, clv)
     p = mlp.params()
     history = []
     state = AdamState.zeros_like(p)
@@ -136,7 +134,7 @@ def gradient_check(mlp, loss, X, labels, clvs, params, h=1e-5):
     if not 1e-8 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
     X = np.asarray(X, dtype=float)
-    targets = _loss_targets(loss, labels, params, clvs)
+    targets = _LOSSES[loss].targets(np.asarray(labels, dtype=float), params, clvs)
     theta = _flat(mlp)
     analytic = np.empty_like(theta)
     p = _views(theta, *mlp.w1.shape)
@@ -214,7 +212,7 @@ def fit_logistic(data):
     state = AdamState.zeros_like(p)
     for epoch in range(300):
         u = X @ p["w"] + p["b"]
-        loss = float(np.mean(_cross_entropy(u, y)))
+        loss = float(np.mean(np.logaddexp(0.0, -u) + (1.0 - y) * u))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite logistic loss at epoch {epoch}")
         du = (sigmoid(u) - y) / len(y)

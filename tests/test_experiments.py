@@ -402,6 +402,35 @@ class TestSharedFits:
         stacks = [(a[1][0].cfg.loss, len(a[1])) for a in calls["train_stack"]]
         assert sorted(stacks) == [("cross-entropy", 1)] * 2 * 3 + [("smooth-regret", 1)] * 2 * 3
 
+    def test_a_scorer_that_reads_d_is_fitted_once_per_d(self, monkeypatch):
+        # the scorer column, not the scorer's name, decides how _plan groups the cells
+        monkeypatch.setitem(ex._SCORERS, "cart", ex._SCORERS["cart"]._replace(reads_d=True))
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=D3, methods=("cart", "msp_cart", "logistic"), **FAST)
+        by_scorer = {task[3]: task[-1] for task in ex._plan(datasets, cfg) if task[0] == "ds0"}
+        assert [[d_label for d_label, _, _ in cells] for _, cells in by_scorer["cart"]] == [[e, e] for e in D3]
+        assert len(by_scorer["logistic"]) == 1
+        calls = count_calls(monkeypatch)
+        report = ex.run_benchmark(datasets, cfg)
+        assert len(report.cells) == 2 * 3 * 3 and report.failed == ()
+        assert len(calls["fit_cart"]) == 2 * 3
+        assert len(calls["fit_logistic"]) == 2
+
+    def test_cv_tunes_exactly_the_nets_whose_loss_reads_the_campaign(self, monkeypatch):
+        original, tuned = ex.monte_carlo_cv, []
+
+        def monte_carlo_cv(data, learning_rates, epochs, params, base, **kwargs):
+            tuned.append((data.name, params.d, base.loss))
+            return original(data, learning_rates, epochs, params, base, **kwargs)
+
+        monkeypatch.setattr(ex, "monte_carlo_cv", monte_carlo_cv)
+        cfg = ex.RunConfig(d_grid=D3, methods=("regret_net", "xent_net"), cv_learning_rates=(0.01, 0.05),
+                           cv_epochs=(2,), cv_splits=1, cv_seeds=1, **FAST)
+        report = ex.run_benchmark(small_benchmark_inputs(2), cfg)
+        assert len(report.cells) == 2 * 3 * 2 and report.failed == ()
+        assert len(tuned) == len({(name, d) for name, d, _ in tuned}) == 2 * 3
+        assert {loss for *_, loss in tuned} == {"smooth-regret"}
+
     def test_regret_net_rows_match_direct_training(self):
         datasets = small_benchmark_inputs(2)
         cfg = ex.RunConfig(d_grid=D3, methods=("logistic", "msp_knn", "regret_net"), seed=3, **FAST)

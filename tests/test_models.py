@@ -25,6 +25,7 @@ from churnopt.campaign import (
 from churnopt.data import Dataset, standardize
 from churnopt.experiments import SyntheticSpec, generate_synthetic
 from churnopt.models import (
+    _LOSSES,
     AdamState,
     CartConfig,
     Mlp,
@@ -446,16 +447,31 @@ class TestArgumentChecks:
         [
             (lambda: TrainConfig(loss="hinge"), LOSS_MESSAGE),
             (lambda: mean_loss(init_mlp(2, 3), TWO_FEATURES, P, "hinge"), LOSS_MESSAGE),
+            (lambda: mean_loss(init_mlp(2, 3), TWO_FEATURES, P, "smooth_regret"),
+             LOSS_MESSAGE.replace("'hinge'", "'smooth_regret'")),
             (lambda: init_mlp(0, 3), "input_dim and hidden_dim must be >= 1"),
             (lambda: init_mlp(2, 0), "input_dim and hidden_dim must be >= 1"),
             (lambda: train_stack(TWO_FEATURES, [StackSlice(init_mlp(3, 2), P, TrainConfig(epochs=1))]),
              "model expects 3 features, data has 2"),
         ],
-        ids=["train-config-loss", "mean-loss-kind", "init-input-dim", "init-hidden-dim", "stack-feature-count"],
+        ids=["train-config-loss", "mean-loss-kind", "mean-loss-near-miss", "init-input-dim", "init-hidden-dim", "stack-feature-count"],
     )
     def test_bad_argument_rejected(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("loss", list(_LOSSES))
+    def test_every_table_loss_accepted(self, loss):
+        assert TrainConfig(loss=loss).loss == loss
+        assert np.isfinite(mean_loss(init_mlp(2, 3), TWO_FEATURES, P, loss))
+
+    @settings(max_examples=50, deadline=None)
+    @given(loss=st.text(max_size=16).filter(lambda name: name not in _LOSSES))
+    def test_any_other_loss_refused_naming_every_loss(self, loss):
+        message = f"loss must be one of {tuple(_LOSSES)}, got {loss!r}"
+        for call in (lambda: TrainConfig(loss=loss), lambda: mean_loss(init_mlp(2, 3), TWO_FEATURES, P, loss)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestGradientCheck:
