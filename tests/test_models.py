@@ -454,7 +454,8 @@ class TestArgumentChecks:
             (lambda: train_stack(TWO_FEATURES, [StackSlice(init_mlp(3, 2), P, TrainConfig(epochs=1))]),
              "model expects 3 features, data has 2"),
         ],
-        ids=["train-config-loss", "mean-loss-kind", "mean-loss-near-miss", "init-input-dim", "init-hidden-dim", "stack-feature-count"],
+        ids=["train-config-loss", "mean-loss-kind", "mean-loss-near-miss", "init-input-dim", "init-hidden-dim",
+             "stack-feature-count"],
     )
     def test_bad_argument_rejected(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
