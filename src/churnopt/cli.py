@@ -113,34 +113,49 @@ def _run_config(config) -> ex.RunConfig:
         raise _CliError(f"invalid config: {exc}")
 
 
-def _build_datasets(config: dict, cfg: ex.RunConfig):
-    """Materialize (name, train, test) triples from the config."""
+def _datasets(config: dict, cfg: ex.RunConfig):
+    """Check the config's datasets, then an iterator that draws or loads one (name, train, test) per step.
+
+    The datasets value, every synthetic spec and every file entry are
+    checked before the first dataset is built; a spec that cannot be
+    drawn or a file that cannot be loaded raises from the iterator.
+    """
     spec = config.get("datasets", "bundled")
     if spec == "bundled":
-        out = [(s.name, *ex.generate_synthetic(s)) for s in ex.bundled_specs(cfg.seed)]
+        sources = ex.bundled_specs(cfg.seed)
     elif isinstance(spec, dict) and set(spec) == {"synthetic"} and isinstance(spec["synthetic"], list):
-        specs = [_spec_from_dict(raw, default_seed=cfg.seed + i) for i, raw in enumerate(spec["synthetic"])]
-        out = [(s.name, *_generate(s)) for s in specs]
+        sources = [_spec_from_dict(raw, default_seed=cfg.seed + i) for i, raw in enumerate(spec["synthetic"])]
     elif isinstance(spec, list):
-        out = []
         for entry in spec:
             if not (isinstance(entry, dict) and set(entry) == {"name", "train", "test"}
                     and all(isinstance(v, str) for v in entry.values())):
                 raise _CliError(f"dataset entry {entry!r} must be an object of strings 'name', 'train' and 'test'")
-            try:
-                train = load_dataset(entry["train"], name=f"{entry['name']}_train")
-                # columns are matched by name, in the train file's order
-                test = load_dataset(entry["test"], schema=train.schema, name=f"{entry['name']}_test")
-            except OSError as exc:
-                raise _CliError(f"dataset file {exc.filename}: {exc.strerror}")
-            except ValueError as exc:
-                raise _CliError(str(exc))
-            out.append((entry["name"], train, test))
+        sources = spec
     else:
         raise _CliError("config key 'datasets' must be 'bundled', a {synthetic: [...]} block, or a list of files")
-    if not out:
+    if not sources:
         raise _CliError("config key 'datasets' lists no dataset")
-    return out
+    return (_dataset(source) for source in sources)
+
+
+def _dataset(source) -> tuple:
+    """One (name, train, test): drawn from a SyntheticSpec, or loaded from a checked file entry."""
+    if isinstance(source, ex.SyntheticSpec):
+        return (source.name, *_generate(source))
+    try:
+        train = load_dataset(source["train"], name=f"{source['name']}_train")
+        # columns are matched by name, in the train file's order
+        test = load_dataset(source["test"], schema=train.schema, name=f"{source['name']}_test")
+    except OSError as exc:
+        raise _CliError(f"dataset file {exc.filename}: {exc.strerror}")
+    except ValueError as exc:
+        raise _CliError(str(exc))
+    return source["name"], train, test
+
+
+def _build_datasets(config: dict, cfg: ex.RunConfig) -> list:
+    """Every (name, train, test) of the config at once."""
+    return list(_datasets(config, cfg))
 
 
 def _write_json(payload: dict, path: Path) -> Path:
@@ -177,8 +192,8 @@ def cmd_benchmark(args) -> int:
     config = _load_json(args.config) if args.config else {}
     cfg = _run_config(config)
     out = Path(args.out or config.get("out_dir") or _default_out())
-    try:  # built in the call, so run_benchmark holds the only reference to the raw splits and can drop them
-        report = ex.run_benchmark(_build_datasets(config, cfg), cfg, jobs=args.jobs, out_dir=out)
+    try:  # each dataset is built as the plan reaches it, so one raw dataset at most is held at a time
+        report = ex.run_benchmark(_datasets(config, cfg), cfg, jobs=args.jobs, out_dir=out)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
     cells_path = report.to_csv(out / "benchmark_cells.csv")

@@ -16,13 +16,14 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._settings import check_settings, config_key, setting
 from .campaign import (
     CampaignParams,
+    _cost_coefficient,
     break_even_clv,
     midpoint,
     normalized_gap,
@@ -495,8 +496,12 @@ class BenchmarkReport:
         return write_csv(path, [columns, *rows] if self.cells else [])
 
 
-def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
-    """Standardize every dataset, resolve its d grid and group the cells by their fit.
+def _plan(datasets: Iterable[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> list[tuple]:
+    """Standardize each dataset as it arrives, resolve its d grid and group the cells by their fit.
+
+    datasets is consumed once, in order, and no raw split is kept: when
+    it yields each dataset as it is built, the plan holds every
+    standardized dataset plus at most one raw one.
 
     A task is (name, train, test, scorer, cfg, groups), with both splits
     standardized and the training split cut to the customers above
@@ -508,26 +513,35 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
     value when its fit reads d (see _SCORERS).
 
     Raises ValueError naming the dataset when a split does not standardize,
-    a d entry gives no campaign, or a d leaves no training customer (fewer
-    than q with an MSP method); raises it naming the name when two datasets
-    share one, since cells are keyed by it.
+    a d entry gives no campaign or costs that sum past float range over a
+    split, or a d leaves no training customer (fewer than q with an MSP
+    method); raises it naming the name when two datasets share one, since
+    cells are keyed by it.
     """
-    repeated = _first_repeat([name for name, _, _ in datasets])
-    if repeated is not None:
-        raise ValueError(f"dataset name {datasets[repeated][0]!r} appears more than once")
     uses_msp = any(_METHOD_TABLE[m][1] == "msp" for m in cfg.methods)
     tasks: dict[tuple, tuple] = {}
-    for di, (name, train_ds, test_ds) in enumerate(datasets):
+    names: list[str] = []
+    # no enumerate: it would hold the last raw dataset while the next one is built
+    for name, train_ds, test_ds in datasets:
+        if name in names:
+            raise ValueError(f"dataset name {name!r} appears more than once")
+        di = len(names)
+        names.append(name)
         clv_mean = float(train_ds.clvs.mean())
         try:
             train_s, test_s = standardize(train_ds, test_ds)
         except ValueError as exc:
             raise ValueError(f"dataset {name!r}: {exc}") from None
+        del train_ds, test_ds
         for dj, entry in enumerate(cfg.d_grid):
             try:
                 params = cfg.campaign(resolve_d(entry, clv_mean))
             except ValueError as exc:
                 raise ValueError(f"dataset {name!r}: {exc}") from None
+            with np.errstate(over="ignore"):
+                sums = [np.abs(_cost_coefficient(ds.labels, params, ds.clvs)).sum() for ds in (train_s, test_s)]
+            if not np.isfinite(sums).all():
+                raise ValueError(f"dataset {name!r}: d entry {entry!r} gives campaign costs that sum past float range")
             train_d, where = train_s, ""
             if cfg.drop_below_break_even:
                 keep = np.flatnonzero(train_s.clvs > break_even_clv(params))
@@ -550,13 +564,17 @@ def _plan(datasets: Sequence[tuple[str, Dataset, Dataset]], cfg: RunConfig) -> l
 
 
 def run_benchmark(
-    datasets: Sequence[tuple[str, Dataset, Dataset]],
+    datasets: Iterable[tuple[str, Dataset, Dataset]],
     cfg: RunConfig,
     jobs: int = 1,
     out_dir: str | Path | None = None,
 ) -> BenchmarkReport:
     """Evaluate every (dataset, d, method) cell; failures never abort the run.
 
+    datasets, any iterable of (name, train, test), is consumed once by
+    _plan: one that builds a dataset per step keeps at most one raw dataset
+    resident. A list is dropped once planned, which on CPython 3.11+ frees
+    raw splits no caller holds.
     Each fit is one task serving one or more cells. With w = min(jobs,
     fits) above 1, the tasks run on w processes, this one and w - 1
     children, see _run_pooled; otherwise they run here and no process
@@ -565,14 +583,13 @@ def run_benchmark(
     the report identical either way.
     out_dir, when given, is created with its parents once the plan stands,
     so an output path that cannot be a directory fails before the fits.
-    Planned, datasets is dropped: CPython 3.11+ then frees raw splits no caller
-    holds, before any fit or fork; on 3.10 they live until the call returns.
     Raises ValueError, before any fit runs, when _plan rejects a dataset,
     OSError when out_dir cannot be created, and RuntimeError when a child
     dies.
     """
-    tasks, names = _plan(datasets, cfg), [name for name, _, _ in datasets]
+    tasks = _plan(datasets, cfg)
     del datasets
+    names = list(dict.fromkeys(task[0] for task in tasks))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(tasks))

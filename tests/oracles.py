@@ -31,6 +31,8 @@ Tests compare the package against these for exact equality:
   again by scanning those labels.
 - load_dataset: reads every data row through csv and parses each cell
   with float() in a Python loop, with no C-level parse of the table.
+- save_dataset: passes every row, the data rows too, through
+  data.write_csv and csv, instead of joining the reprs of a data row.
 - sensitivity_sweep: groups the successful cells by (method, d label) in
   a dict and averages each group's cells, with no cell matrix.
 
@@ -41,11 +43,12 @@ analytic network gradients against central differences.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows
+from churnopt.data import RESERVED_COLUMNS, Dataset, read_csv_rows, write_csv
 from churnopt.metrics import _as_scores_labels
 from churnopt.models import (
     _LOSSES,
@@ -483,6 +486,11 @@ def load_dataset(path, schema=None, name=None):
         clvs=np.asarray(rows_clv, dtype=float),
     )
 
+
+
+def save_dataset(ds, path):
+    rows = (f.tolist() + [c, y] for f, c, y in zip(ds.features, ds.clvs.tolist(), ds.labels.tolist()))
+    return write_csv(path, chain([[*ds.schema, "clv", "label"]], rows))
 
 def sensitivity_sweep(report, cfg):
     by_method_d = {}

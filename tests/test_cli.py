@@ -19,6 +19,7 @@ from churnopt import cli
 from churnopt import experiments as ex
 from churnopt._settings import config_key
 from churnopt.cli import main
+from churnopt.data import save_dataset
 from reference import (
     MONTHS,
     PUBLISHED_AVG_RANKS,
@@ -311,19 +312,20 @@ class TestBenchmark:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_raw_splits_are_freed_before_the_first_fit(self, tmp_path, monkeypatch, jobs):
         raw, fits = [], []
-        build_datasets, run_task = cli._build_datasets, ex._run_task
+        build_dataset, run_task = cli._dataset, ex._run_task
 
-        def build_and_watch(config, cfg):
-            datasets = build_datasets(config, cfg)
-            raw.extend(weakref.ref(ds.features) for _, *splits in datasets for ds in splits)
-            return datasets
+        def build_and_watch(source):  # dataset i's raw splits must be gone before dataset i + 1 is built
+            assert all(ref() is None for ref in raw), "a raw feature array outlived its dataset's plan step"
+            name, train, test = build_dataset(source)
+            raw.extend(weakref.ref(ds.features) for ds in (train, test))
+            return name, train, test
 
         def run_checked(task):  # runs in every process; a child that fails it fails the run
             assert all(ref() is None for ref in raw), "a raw feature array outlived the plan"
             fits.append(task)
             return run_task(task)
 
-        monkeypatch.setattr(cli, "_build_datasets", build_and_watch)
+        monkeypatch.setattr(cli, "_dataset", build_and_watch)
         monkeypatch.setattr(ex, "_run_task", run_checked)
         cfg = write_json(tmp_path / "run.json", SMALL_RUN)
         assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
@@ -432,13 +434,29 @@ class TestBenchmark:
     @pytest.mark.parametrize("key, value", [("f", -1), ("gamma", 0), ("gamma", 5), ("slope", 0)])
     def test_bad_campaign_value_exits_1_before_any_dataset(self, tmp_path, capsys, monkeypatch, key, value):
         built = []
-        monkeypatch.setattr(cli, "_build_datasets", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "_dataset", lambda *args: built.append(args))
         cfg = write_json(tmp_path / "run.json", SMALL_RUN | {"campaign": {key: value}})
         out_dir = tmp_path / "out"
         assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
         err = capsys.readouterr().err
         assert f"invalid config: campaign.{key} must" in err and f"got {value}" in err and "dataset" not in err
         assert built == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("change", [{"d_grid": [1e308]}, {"campaign": {"f": 1e308}}], ids=["d", "f"])
+    def test_campaign_costs_past_float_range_exit_1_before_any_fit(self, tmp_path, capsys, monkeypatch, change):
+        # each customer's cost is finite, but their sum over a split overflows to inf
+        fits = []
+        monkeypatch.setattr(ex, "_run_task", fits.append)
+        train, test = ex.generate_synthetic(ex.SyntheticSpec(name="a", n_train=60, n_test=30, n_features=3, seed=4))
+        entry = {"name": "a", "train": str(save_dataset(train, tmp_path / "a_train.csv")),
+                 "test": str(save_dataset(test, tmp_path / "a_test.csv"))}
+        cfg = write_json(tmp_path / "run.json", {"methods": ["logistic"], "datasets": [entry], **change})
+        out_dir = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out", str(out_dir), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: invalid config: dataset 'a': d entry ") and "sum past float range" in err
+        assert fits == [] and not out_dir.exists()
 
     @pytest.mark.parametrize(
         "change, message",

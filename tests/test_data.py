@@ -254,6 +254,51 @@ class TestLoadMatchesOracle:
         self.check(*case)
 
 
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308)
+POSITIVE_EDGES = (5e-324, 1e16, 1.7976931348623157e308)
+ODD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad ", '","')
+
+
+@st.composite
+def datasets_to_save(draw):
+    """A Dataset with edge floats, any finite float and column names that need quoting."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    cell = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    clv = st.sampled_from(POSITIVE_EDGES) | st.floats(5e-324, 1.7976931348623157e308)
+    return Dataset(
+        name="s",
+        schema=tuple(draw(st.lists(st.sampled_from(ODD_NAMES) | st.text(max_size=4), min_size=k, max_size=k))),
+        features=np.array(draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=n, max_size=n))),
+        labels=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
+        clvs=np.array(draw(st.lists(clv, min_size=n, max_size=n))),
+    )
+
+
+class TestSaveMatchesOracle:
+    """save_dataset writes the bytes of the write_csv-based writer in tests/oracles.py."""
+
+    @staticmethod
+    def check(ds: Dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = save_dataset(ds, Path(tmp) / "fast.csv"), oracles.save_dataset(ds, Path(tmp) / "slow.csv")
+            assert fast.read_bytes() == slow.read_bytes()
+
+    def test_edge_values_and_quoted_names(self):
+        ds = Dataset(
+            name="edge",
+            schema=ODD_NAMES[: len(EDGE_FLOATS)],
+            features=np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]),
+            labels=np.array([0, 1]),
+            clvs=np.array(POSITIVE_EDGES[:2]),
+        )
+        self.check(ds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ds=datasets_to_save())
+    def test_generated_dataset(self, ds):
+        self.check(ds)
+
 class TestDatasetInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -323,6 +323,15 @@ class TestRunBenchmark:
         parallel = ex.run_benchmark(datasets, cfg, jobs=2).to_csv(tmp_path / "p.csv")
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_shot_generator_writes_the_bytes_of_the_list(self, tmp_path, jobs):
+        datasets = small_benchmark_inputs(2)
+        cfg = ex.RunConfig(d_grid=("clv/20", "clv/5"), methods=("regret_net", "logistic", "msp_knn"), **FAST)
+        listed = ex.run_benchmark(datasets, cfg, jobs=jobs).to_csv(tmp_path / "list.csv")
+        streamed = ex.run_benchmark((d for d in datasets), cfg, jobs=jobs).to_csv(tmp_path / "stream.csv")
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert len(streamed.read_text().splitlines()) == 1 + 2 * 2 * 3
+
     def test_pooled_results_in_any_order_write_the_serial_bytes(self, tmp_path, monkeypatch):
         # the pool hands back each task's cells as the task finishes; cells are assembled by name
         datasets = small_benchmark_inputs(2)
