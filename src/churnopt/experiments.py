@@ -12,11 +12,14 @@ reproducible byte for byte no matter how fits are scheduled.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -576,11 +579,10 @@ def run_benchmark(
     resident. A list is dropped once planned, which on CPython 3.11+ frees
     raw splits no caller holds.
     Each fit is one task serving one or more cells. With w = min(jobs,
-    fits) above 1, the tasks run on w processes, this one and w - 1
-    children, see _run_pooled; otherwise they run here and no process
-    starts. The tasks' cells come back in any order and are assembled by
-    (dataset, d label, method) into grid order, and per-fit seeding keeps
-    the report identical either way.
+    fits) above 1, the tasks run on w processes, see _run_pooled;
+    otherwise they run here and no process starts. The tasks' cells come
+    back in any order and are assembled by (dataset, d label, method) into
+    grid order, and per-fit seeding keeps the report identical either way.
     out_dir, when given, is created with its parents once the plan stands,
     so an output path that cannot be a directory fails before the fits.
     Raises ValueError, before any fit runs, when _plan rejects a dataset,
@@ -600,55 +602,112 @@ def run_benchmark(
     return BenchmarkReport(cells=tuple(cells[key] for key in grid))
 
 
-def _work(tasks, counter, put) -> None:
-    """Until no task is left, claim the next index from the shared counter and put that task's cells."""
+def _claim(tasks, counter: tuple[int, int]) -> list[list[CellResult]]:
+    """Run tasks until none is left, each index claimed from the counter pipe (read end, write end); their cells.
+
+    The pipe's only message is the next index: a process reads it, writes
+    back one more and runs that task if it exists, so none idles while a
+    task is unclaimed.
+    """
+    out = []
     while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value = i + 1
+        i = int.from_bytes(os.read(counter[0], 8), "little")
+        os.write(counter[1], (i + 1).to_bytes(8, "little"))
         if i >= len(tasks):
-            return
-        put(_run_task(tasks[i]))
+            return out
+        out.append(_run_task(tasks[i]))
+
+
+def _flush_std() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _serve(tasks, counter: tuple[int, int], w: int, inherited: tuple[int, ...]) -> NoReturn:
+    """A forked child's life: close the read ends it inherited, run its share, pickle its cells into w, exit.
+
+    It never returns into its parent's code, whatever its share raises.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(w, "wb") as out:
+            pickle.dump(_claim(tasks, counter), out)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        try:
+            _flush_std()
+        finally:
+            os._exit(code)
 
 
 def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
-    """Run tasks on `workers` processes, this one included; each task's cells, in the order they finish.
+    """Run tasks on `workers` processes; each task's cells, in any order.
 
-    Every process runs _work on one counter, so none idles while a task is
-    unclaimed. Children come from the default start method (under fork they
-    inherit the plan, under spawn it is pickled once per child) and send
-    their results through one queue; run_benchmark assembles them by name.
-    Raises RuntimeError when a child exits nonzero, or when every child has
-    exited with results still missing.
+    On Linux this process forks workers - 1 children, which share the plan
+    with it, and all of them run _claim on one counter. Each child pickles
+    its cells into its own pipe after its last task (a write past PIPE_BUF
+    to a shared pipe could interleave) and leaves through os._exit. The
+    parent reads every pipe to EOF and reaps every child; on any exception
+    it kills and reaps them first. A child killed while it holds the
+    counter stalls the others. Elsewhere fork is not safe (macOS's system
+    libraries) or missing (Windows), so an executor runs `workers`
+    processes from the default start method while this one waits.
+    Raises RuntimeError when a child exits nonzero, or when every child
+    has exited with results still missing.
     """
-    import multiprocessing  # here, so that a serial run never imports it
-    from queue import Empty
+    if sys.platform != "linux":
+        from concurrent.futures import ProcessPoolExecutor  # here, so that a serial run never imports it
 
-    ctx = multiprocessing.get_context()
-    counter, queue = ctx.Value("i", 0), ctx.Queue()
-    children, results = [], []
+        with ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(_run_task, tasks))
+    counter = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its result pipe, until reaped
     try:
+        os.write(counter[1], (0).to_bytes(8, "little"))
         for _ in range(workers - 1):
-            children.append(ctx.Process(target=_work, args=(tasks, counter, queue.put), daemon=True))
-            children[-1].start()
-        _work(tasks, counter, results.append)
-        while len(results) < len(tasks):
-            try:  # the timeout only bounds how late a dead child is noticed
-                results.append(queue.get(timeout=0.1))
-            except Empty:
-                codes = [child.exitcode for child in children]
-                if any(codes):
-                    raise RuntimeError(f"a benchmark worker exited with code {next(filter(None, codes))}") from None
-                if None not in codes and queue.empty():
-                    missing = len(tasks) - len(results)
-                    raise RuntimeError(f"every benchmark worker exited with {missing} task results missing") from None
+            r, w = os.pipe()
+            _flush_std()  # or the child would write again what this process has buffered
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _serve(tasks, counter, w, (r, *children.values()))
+            os.close(w)  # now only the child holds it, so its exit is the pipe's EOF
+            children[pid] = r
+        results = _claim(tasks, counter)
+        payloads = []
+        for r in children.values():
+            with open(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+        codes = []
+        for pid in list(children):
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            os.close(children.pop(pid))
     except BaseException:
-        for child in children:
-            child.terminate()
+        import signal
+
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
         raise
     finally:
-        for child in children:
-            child.join()
+        os.close(counter[0])
+        os.close(counter[1])
+    if any(codes):
+        raise RuntimeError(f"a benchmark worker exited with code {next(filter(None, codes))}")
+    for payload in filter(None, payloads):
+        results += pickle.loads(payload)
+    if len(results) < len(tasks):
+        raise RuntimeError(f"every benchmark worker exited with {len(tasks) - len(results)} task results missing")
     return results
 
 

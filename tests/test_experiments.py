@@ -532,15 +532,30 @@ class TestSharedFits:
         assert not any(calls.values())
 
 
+def _reaped(pid: int) -> bool:
+    """Whether pid is no longer a child of this process, living or zombie."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestPoolWidth:
     @pytest.fixture
     def started(self, monkeypatch):
-        """Every process run_benchmark starts, recorded before it starts."""
-        import multiprocessing.process
+        """The pid of every child run_benchmark forks; each must be reaped by the end of the test."""
+        started, fork = [], os.fork
 
-        started, start = [], multiprocessing.process.BaseProcess.start
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", lambda proc: (started.append(proc), start(proc)))
-        return started
+        def counted_fork():
+            pid = fork()
+            if pid:
+                started.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        yield started
+        assert all(map(_reaped, started))
 
     def test_pool_is_capped_at_the_number_of_fits(self, started, tmp_path):
         datasets = small_benchmark_inputs(2)
@@ -552,7 +567,7 @@ class TestPoolWidth:
         for jobs, children in ((2, 1), (3, 2), (10**6, n_tasks - 1)):  # this process is the jobs-th
             pooled = ex.run_benchmark(datasets, cfg, jobs=jobs).to_csv(tmp_path / f"pooled{jobs}.csv")
             assert len(started) == children
-            assert not any(proc.is_alive() for proc in started)
+            assert all(map(_reaped, started))
             assert pooled.read_bytes() == serial.read_bytes()
             started.clear()
 
@@ -562,15 +577,28 @@ class TestPoolWidth:
         assert started == []
         assert [c.status for c in report.cells] == ["ok"]
 
+    def test_every_task_runs_once_on_more_workers_than_cores(self, started, monkeypatch):
+        # 6 processes race for the counter on tasks that take no time: a claim
+        # that two processes both won would return its task twice
+        monkeypatch.setattr(ex, "_run_task", lambda task: [(os.getpid(), task)])
+        results = ex._run_pooled(list(range(300)), 6)
+        assert sorted(task for (_, task), in results) == list(range(300))
+        assert len(started) == 5 and {pid for (pid, _), in results} <= {os.getpid(), *started}
 
-def _fresh(code: str) -> str:
-    """Run code in a new interpreter that can import churnopt and these tests; its stdout, within 60 s."""
+
+def _fresh_run(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that can import churnopt and these tests, within 60 s; it must exit 0."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
+
+
+def _fresh(code: str) -> str:
+    """The stdout of code run by _fresh_run."""
+    return _fresh_run(code).stdout
 
 
 # run_benchmark on four fits with jobs=2, where the child's _run_task calls
@@ -605,14 +633,80 @@ class TestFreshInterpreter:
         assert out == "every benchmark worker exited with 1 task results missing\n"
 
     def test_spawned_children_write_the_serial_bytes(self, tmp_path):
-        _fresh(f"""
-import multiprocessing
+        # the branch for platforms without a safe fork, as on macOS: an executor on spawned workers
+        out = _fresh(f"""
+import multiprocessing, sys
 from churnopt.cli import main
 multiprocessing.set_start_method("spawn")
+sys.platform = "darwin"
 assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "2"]) == 0
+print("concurrent.futures.process" in sys.modules)
 """)
+        assert out.splitlines()[-1] == "True"
         for name in ("benchmark_cells.csv", "summary.json"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_forked_run_imports_no_pool_module(self, tmp_path):
+        out = _fresh(f"""
+import sys
+from churnopt.cli import main
+assert main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "2"]) == 0
+print([m for m in ("multiprocessing", "concurrent.futures", "socket") if m in sys.modules])
+""")
+        assert out.splitlines()[-1] == "[]"
+        for name in ("benchmark_cells.csv", "summary.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_buffered_parent_text_and_child_warning_appear_once(self):
+        # both streams block-buffered, whatever PYTHONUNBUFFERED says: a fork that
+        # copies unflushed text repeats it, and a child that exits unflushed loses it
+        code = """
+import os, sys, time, warnings
+sys.stdout, sys.stderr = open(1, "w", closefd=False), open(2, "w", closefd=False)
+from churnopt import experiments as ex
+from test_experiments import FAST, small_benchmark_inputs
+parent, run_task = os.getpid(), ex._run_task
+def run_and_warn(task):
+    if os.getpid() != parent:
+        warnings.warn("a child's warning")
+    else:
+        time.sleep(0.2)
+    return run_task(task)
+ex._run_task = run_and_warn
+print("parent text before the fork", end=" ")
+sys.stderr.write("parent error text before the fork ")
+cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+ex.run_benchmark(small_benchmark_inputs(2), cfg, jobs=2)
+"""
+        done = _fresh_run(code)
+        assert done.stdout == "parent text before the fork "
+        assert done.stderr.count("parent error text before the fork") == 1, done.stderr
+        assert done.stderr.count("a child's warning") == 1, done.stderr
+
+    def test_error_in_the_parents_share_leaves_no_child(self):
+        out = _fresh("""
+import os, time
+from churnopt import experiments as ex
+from test_experiments import FAST, small_benchmark_inputs
+parent, run_task = os.getpid(), ex._run_task
+def slow_or_fail(task):
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+    time.sleep(30)
+    return run_task(task)
+ex._run_task = slow_or_fail
+cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+start = time.monotonic()
+try:
+    ex.run_benchmark(small_benchmark_inputs(2), cfg, jobs=3)
+except KeyboardInterrupt:
+    pass
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child", time.monotonic() - start < 10)
+""")
+        assert out == "no child True\n"
 
     def test_serial_run_imports_no_pool_module(self, tmp_path):
         out = _fresh(f"""
