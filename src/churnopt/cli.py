@@ -3,9 +3,9 @@
 Subcommands: ``generate`` (synthetic CSVs), ``benchmark`` (full
 dataset x d x method grid with ranking, comparison tests and
 incentive-sensitivity tables), ``stats`` (rank + test any profit
-matrix). Exit codes: 0 success, 1 usage or config error, 2 a benchmark
-cell failed. The CHURNOPT_OUT environment variable sets the default
-output directory; flags override config-file values.
+matrix). Exit codes: 0 success, 1 usage or config error or a dead
+benchmark worker, 2 a benchmark cell failed. The CHURNOPT_OUT environment
+variable sets the default output directory; flags override the config file.
 """
 
 from __future__ import annotations
@@ -196,6 +196,8 @@ def cmd_benchmark(args) -> int:
         report = ex.run_benchmark(_datasets(config, cfg), cfg, jobs=args.jobs, out_dir=out)
     except ValueError as exc:  # raised while planning, before any cell runs
         raise _CliError(f"invalid config: {exc}")
+    except RuntimeError as exc:  # a worker died, or the pool lost results
+        raise _CliError(str(exc))
     cells_path = report.to_csv(out / "benchmark_cells.csv")
     summary = ex.benchmark_summary(report, cfg, list(dict.fromkeys(c.dataset for c in report.cells)), alpha=args.alpha)
     summary_path = _write_json(summary, out / "summary.json")

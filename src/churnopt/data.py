@@ -52,6 +52,11 @@ class Dataset:
             raise ValueError(f"dataset {self.name!r} is empty")
         if k != len(self.schema):
             raise ValueError(f"feature width {k} does not match schema width {len(self.schema)}")
+        seen = set()
+        for col in self.schema:  # each name must read back as a column of its own from a saved header
+            if col in seen or col in RESERVED_COLUMNS:
+                raise ValueError(f"schema name {col!r} is {'repeated' if col in seen else 'reserved'}")
+            seen.add(col)
         if labels.shape != (n,) or clvs.shape != (n,):
             raise ValueError("features, labels and clvs must agree in length")
         bad = np.flatnonzero(~np.isin(labels, (0, 1)))  # before the cast, which would truncate 0.7 to 0

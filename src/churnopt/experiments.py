@@ -652,13 +652,13 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
     with it, and all of them run _claim on one counter. Each child pickles
     its cells into its own pipe after its last task (a write past PIPE_BUF
     to a shared pipe could interleave) and leaves through os._exit. The
-    parent reads every pipe to EOF and reaps every child; on any exception
-    it kills and reaps them first. A child killed while it holds the
-    counter stalls the others. Elsewhere fork is not safe (macOS's system
-    libraries) or missing (Windows), so an executor runs `workers`
-    processes from the default start method while this one waits.
-    Raises RuntimeError when a child exits nonzero, or when every child
-    has exited with results still missing.
+    parent takes each child in fork order: it reads its pipe to EOF, reaps
+    it, raises RuntimeError if it exited nonzero, and unpickles its cells.
+    On any exception it kills and reaps the children left; a child killed
+    while it holds the counter stalls the others. Elsewhere fork is not
+    safe (macOS) or missing (Windows), so an executor runs `workers`
+    processes from the default start method while this one waits. Raises
+    RuntimeError too when every child exited with results still missing.
     """
     if sys.platform != "linux":
         from concurrent.futures import ProcessPoolExecutor  # here, so that a serial run never imports it
@@ -683,14 +683,15 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
             os.close(w)  # now only the child holds it, so its exit is the pipe's EOF
             children[pid] = r
         results = _claim(tasks, counter)
-        payloads = []
-        for r in children.values():
+        for pid, r in list(children.items()):
             with open(r, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-        codes = []
-        for pid in list(children):
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(children.pop(pid))
+            if code:
+                raise RuntimeError(f"a benchmark worker exited with code {code}")
+            if payload:
+                results += pickle.loads(payload)
     except BaseException:
         import signal
 
@@ -702,10 +703,6 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[list[CellResult]]:
     finally:
         os.close(counter[0])
         os.close(counter[1])
-    if any(codes):
-        raise RuntimeError(f"a benchmark worker exited with code {next(filter(None, codes))}")
-    for payload in filter(None, payloads):
-        results += pickle.loads(payload)
     if len(results) < len(tasks):
         raise RuntimeError(f"every benchmark worker exited with {len(tasks) - len(results)} task results missing")
     return results

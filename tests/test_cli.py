@@ -804,6 +804,21 @@ class TestParsing:
         assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_valid_alpha_reaches_every_holm_block(self, tmp_path):
+        run = Path(__file__).resolve().parent / "data" / "golden" / "run.json"
+        assert main(["benchmark", "--config", str(run), "--out", str(tmp_path), "--jobs", "1", "--alpha", "0.1"]) == 0
+        per_d = json.loads((tmp_path / "summary.json").read_text())["per_d"]
+        assert len(per_d) == 2
+        for block in per_d.values():
+            assert block["holm"]["alpha"] == 0.1
+            assert [c["threshold"] for c in block["holm"]["comparisons"]] == [
+                0.1 / j for j in range(1, len(block["holm"]["comparisons"]) + 1)
+            ]
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("dataset,a,b,c\nd1,3.0,2.0,1.0\nd2,3.0,1.0,2.0\nd3,2.0,3.0,1.0\n")
+        assert main(["stats", "--profits", str(matrix), "--out", str(tmp_path), "--alpha", "0.1"]) == 0
+        assert json.loads((tmp_path / "stats.json").read_text())["alpha"] == 0.1
+
     def test_removed_sweep_command_exits_1_before_any_work(self, tmp_path, capsys):
         # `benchmark` writes the sensitivity tables that `sweep` wrote
         out_dir = tmp_path / "out"

@@ -113,6 +113,8 @@ class TestLoad:
             load_dataset(path, schema=["f1", "f3"])
         with pytest.raises(ValueError, match="unexpected"):
             load_dataset(path, schema=["f1"])
+        with pytest.raises(ValueError, match="^schema name 'f1' is repeated$"):  # it would hold f1 twice
+            load_dataset(path, schema=["f1", "f1", "f2"])
 
     def test_write_then_read_identity(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -262,13 +264,14 @@ ODD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad ", '","')
 
 @st.composite
 def datasets_to_save(draw):
-    """A Dataset with edge floats, any finite float and column names that need quoting."""
+    """A Dataset with edge floats, any finite float and distinct column names, some that need quoting."""
     n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     cell = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
     clv = st.sampled_from(POSITIVE_EDGES) | st.floats(5e-324, 1.7976931348623157e308)
+    column = (st.sampled_from(ODD_NAMES) | st.text(max_size=4)).filter(lambda c: c not in data.RESERVED_COLUMNS)
     return Dataset(
         name="s",
-        schema=tuple(draw(st.lists(st.sampled_from(ODD_NAMES) | st.text(max_size=4), min_size=k, max_size=k))),
+        schema=tuple(draw(st.lists(column, min_size=k, max_size=k, unique=True))),
         features=np.array(draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=n, max_size=n))),
         labels=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
         clvs=np.array(draw(st.lists(clv, min_size=n, max_size=n))),
@@ -329,8 +332,12 @@ class TestDatasetInvariants:
             ({"schema": ("f1", "f2")}, "feature width 1 does not match schema width 2"),
             ({"labels": np.array([0])}, "features, labels and clvs must agree in length"),
             ({"features": np.array([[1.0], [np.nan]])}, "features contain non-finite values"),
+            ({"schema": ("a", "a"), "features": np.ones((2, 2))}, "schema name 'a' is repeated"),
+            ({"schema": ("clv",)}, "schema name 'clv' is reserved"),
+            ({"schema": ("f1", "label"), "features": np.ones((2, 2))}, "schema name 'label' is reserved"),
         ],
-        ids=["features-1d", "schema-width", "length", "non-finite-features"],
+        ids=["features-1d", "schema-width", "length", "non-finite-features", "repeated-name", "clv-name",
+             "label-name"],
     )
     def test_rejects_malformed_arrays(self, change, message):
         fields = dict(name="t", schema=("f1",), features=np.array([[1.0], [2.0]]),

@@ -601,9 +601,9 @@ def _fresh(code: str) -> str:
     return _fresh_run(code).stdout
 
 
-# run_benchmark on four fits with jobs=2, where the child's _run_task calls
-# os._exit(CODE) and the parent's waits long enough for the child to take a task
-_CHILD_EXITS = """
+# a child's _run_task calls os._exit(CODE), and the parent's waits long enough
+# for the child to take a task
+_EXIT_IN_CHILD = """
 import os, time
 from churnopt import experiments as ex
 from test_experiments import FAST, small_benchmark_inputs
@@ -614,7 +614,10 @@ def run_or_exit(task):
     time.sleep(0.2)
     return run_task(task)
 ex._run_task = run_or_exit
-cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+"""
+
+# run_benchmark on four fits with jobs=2, one child exiting as _EXIT_IN_CHILD says
+_CHILD_EXITS = _EXIT_IN_CHILD + """cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
 try:
     ex.run_benchmark(small_benchmark_inputs(2), cfg, jobs=2)
 except RuntimeError as exc:
@@ -631,6 +634,41 @@ class TestFreshInterpreter:
     def test_children_gone_with_results_missing_raises(self):
         out = _fresh(_CHILD_EXITS.replace("CODE", "0"))
         assert out == "every benchmark worker exited with 1 task results missing\n"
+
+    def test_dead_child_ends_the_cli_run_with_one_error_line(self, tmp_path):
+        done = _fresh_run(_EXIT_IN_CHILD.replace("CODE", "3") + f"""
+from churnopt.cli import main
+print(main(["benchmark", "--config", {str(GOLDEN / "run.json")!r}, "--out", {str(tmp_path)!r}, "--jobs", "2"]))
+""")
+        assert done.stdout == "1\n"
+        assert done.stderr == "error: a benchmark worker exited with code 3\n"
+
+    def test_failed_fork_kills_the_first_child_and_closes_every_pipe(self):
+        out = _fresh("""
+import errno, os, time
+from churnopt import experiments as ex
+from test_experiments import FAST, _reaped, small_benchmark_inputs
+parent, run_task, fork, started = os.getpid(), ex._run_task, os.fork, []
+def slow_in_a_child(task):
+    if os.getpid() != parent:
+        time.sleep(30)
+    return run_task(task)
+def fork_once():
+    if started:
+        raise OSError(errno.EAGAIN, "no second fork")
+    started.append(fork())
+    return started[-1]
+ex._run_task, os.fork = slow_in_a_child, fork_once
+cfg = ex.RunConfig(d_grid=("clv/20",), methods=("logistic", "knn"), **FAST)
+datasets = small_benchmark_inputs(2)
+fds, start = len(os.listdir("/proc/self/fd")), time.monotonic()
+try:
+    ex.run_benchmark(datasets, cfg, jobs=3)
+except OSError as exc:
+    print(exc.errno == errno.EAGAIN, exc.strerror)
+print(len(started), _reaped(started[0]), len(os.listdir("/proc/self/fd")) == fds, time.monotonic() - start < 10)
+""")
+        assert out == "True no second fork\n1 True True True\n"
 
     def test_spawned_children_write_the_serial_bytes(self, tmp_path):
         # the branch for platforms without a safe fork, as on macOS: an executor on spawned workers
